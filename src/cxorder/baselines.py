@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._seeds import derive_rng
+from ._seeds import _sorted_draws
 from .distributions import Exponential
 from .order_stats import Sample
 from .testing import TestResult, _quantile_rank
@@ -52,6 +52,14 @@ def _pair_counts(d: np.ndarray) -> tuple[int, int]:
     return int(np.count_nonzero(diff > 0.0)), int(np.count_nonzero(diff < 0.0))
 
 
+def _pp_counts(sorted_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair counts (ihr, dhr) of the normalized spacings of each presorted row."""
+    coef = np.arange(sorted_rows.shape[1] - 1, 0, -1, dtype=float)
+    d = coef * np.diff(sorted_rows, axis=1)
+    counts = np.array([_pair_counts(row) for row in d], dtype=float).reshape(-1, 2)
+    return counts[:, 0], counts[:, 1]
+
+
 def pp_statistic(d: np.ndarray) -> int:
     """Count of pairs i < j with d_i strictly greater than d_j."""
     d = np.asarray(d, dtype=float)
@@ -70,14 +78,7 @@ def _pp_null(n: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     hit = _PP_NULL_CACHE.get(key)
     if hit is not None:
         return hit
-    exp = Exponential()
-    v_ihr = np.empty(trials)
-    v_dhr = np.empty(trials)
-    coef = np.arange(n - 1, 0, -1, dtype=float)
-    for t in range(trials):
-        x = np.sort(exp.sample(n, derive_rng(seed, "pp-null", n, t)))
-        d = coef * np.diff(x)
-        v_ihr[t], v_dhr[t] = _pair_counts(d)
+    v_ihr, v_dhr = _pp_counts(_sorted_draws(Exponential(), n, trials, seed, "pp-null"))
     pair = (np.sort(v_ihr), np.sort(v_dhr))
     _PP_NULL_CACHE[key] = pair
     return pair

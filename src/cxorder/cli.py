@@ -37,6 +37,8 @@ from .testing import Side, TestResult, TestSpec, critical_value, default_m, run_
 
 __all__ = ["main"]
 
+THREADS_HELP = "accepted and ignored; power cells always run serially"
+
 
 class CliError(Exception):
     """User-facing configuration or input problem."""
@@ -406,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("input", help="data file, one numeric value per line")
     _add_spec_flags(sub)
     sub.add_argument("--side", choices=("upper", "lower", "both"), default="upper")
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     _add_common_mc(sub)
     sub.set_defaults(func=cmd_test)
 
@@ -436,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--pp", action="store_true",
                      help="run the Proschan-Pyke baseline instead")
     sub.add_argument("--replications", type=int, default=5000)
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     _add_common_mc(sub)
     sub.set_defaults(func=cmd_power)
 
@@ -446,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--replications", type=int, default=5000)
     sub.add_argument("--trials", type=int, default=5000)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     sub.set_defaults(func=cmd_reproduce)
 
     sub = subs.add_parser("hill", help="Hill estimate of the right tail index")

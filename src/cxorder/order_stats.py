@@ -39,6 +39,7 @@ __all__ = [
     "PiBound",
     "Sample",
     "TiesWarning",
+    "bound_status",
     "hill_estimate",
     "ingest",
     "interp_ecdf",
@@ -99,9 +100,9 @@ def _weights_readonly(n: int, j: int, m: int) -> np.ndarray:
         raise ValueError(f"require 1 <= j <= m, got j={j}, m={m}")
     a = float(j)
     b = float(m - j + 1)
-    # CDF increments over the grid i/n. Past 1/2 the complement form keeps
-    # the subtraction between small same-sign numbers instead of values
-    # near one, so upper-tail weights keep full relative accuracy.
+    # CDF increments over i/n, from the complement past 1/2. Either way the
+    # error is absolute: weights below about 1e-16 come back as exact 0 on
+    # both sides (n = 1000, m = 150, j = 1: cell 358 is 3.5e-30, returns 0).
     cdf = np.empty(n + 1)
     comp = np.empty(n + 1)
     for i in range(n + 1):
@@ -191,7 +192,10 @@ class PiBound:
     value: float | None
 
 
-def _divergence_sides(ref: RefFamily, j: int, m: int) -> tuple[bool, bool]:
+def bound_status(ref: RefFamily, j: int, m: int) -> BoundStatus:
+    """Status of pi_bound(ref, j, m), from the tail indices alone."""
+    if not 1 <= j <= m:
+        raise ValueError(f"require 1 <= j <= m, got j={j}, m={m}")
     # The expectation of G^{-1}(B_{j:m}) integrates the quantile against a
     # density that decays like p^{j-1} at 0 and (1-p)^{m-j} at 1. A right
     # tail of index alpha makes the integrand of order (1-p)^{m-j-1/alpha},
@@ -201,7 +205,11 @@ def _divergence_sides(ref: RefFamily, j: int, m: int) -> tuple[bool, bool]:
     inv_left = 0.0 if math.isinf(tails.left_index) else 1.0 / tails.left_index
     right_div = (m - j + 1) <= inv_right + 1e-12
     left_div = j <= inv_left + 1e-12
-    return right_div, left_div
+    if right_div and left_div:
+        return BoundStatus.UNDEFINED
+    if right_div or left_div:
+        return BoundStatus.TRIVIALLY_ONE if right_div else BoundStatus.TRIVIALLY_ZERO
+    return BoundStatus.FINITE
 
 
 def pi_bound(ref: RefFamily, j: int, m: int) -> PiBound:
@@ -212,15 +220,11 @@ def pi_bound(ref: RefFamily, j: int, m: int) -> PiBound:
     unit-shape log-logistic references; anything else goes through adaptive
     quadrature of the quantile against the Beta(j, m - j + 1) density.
     """
-    if not 1 <= j <= m:
-        raise ValueError(f"require 1 <= j <= m, got j={j}, m={m}")
-    right_div, left_div = _divergence_sides(ref, j, m)
-    if right_div and left_div:
-        return PiBound(BoundStatus.UNDEFINED, None)
-    if right_div:
-        return PiBound(BoundStatus.TRIVIALLY_ONE, 1.0)
-    if left_div:
-        return PiBound(BoundStatus.TRIVIALLY_ZERO, 0.0)
+    status = bound_status(ref, j, m)
+    if status is BoundStatus.UNDEFINED:
+        return PiBound(status, None)
+    if status is not BoundStatus.FINITE:
+        return PiBound(status, float(status is BoundStatus.TRIVIALLY_ONE))
 
     if isinstance(ref, Uniform):
         return PiBound(BoundStatus.FINITE, j / (m + 1))

@@ -4,23 +4,23 @@ A power grid crosses an alternative family's parameters with sample sizes
 and test configurations. Every cell is an independent job: its critical
 value comes from the shared Monte Carlo cache and its replication streams
 are derived from the base seed and the cell coordinates, so tables are
-reproducible bit for bit regardless of execution order or thread count.
+reproducible bit for bit regardless of execution order. Cells run serially:
+they mostly hold the interpreter lock, and a two-thread pool ran slower.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from ._seeds import derive_rng
-from .baselines import _pp_null, _pair_counts
+from ._seeds import _sorted_draws
+from .baselines import _pp_counts, _pp_null
 from .distributions import (
     Alternative,
     Exponential,
@@ -129,7 +129,8 @@ class PowerGrid:
     """Cross of alternative parameters, sample sizes, and (m, ell) pairs.
 
     ell None means all ranks 1..m; an integer requests automatic index
-    selection under `assumed_tails` and `index_rule`.
+    selection under `assumed_tails` and `index_rule`. `threads` is checked
+    to be positive and otherwise ignored; cells run serially.
     """
 
     alternative: str
@@ -166,11 +167,7 @@ def _alt_sorted_samples(
     key = (alt.cache_key(), n, replications, seed)
     rows = _ALT_SAMPLE_CACHE.get(key)
     if rows is None:
-        rows = np.empty((replications, n))
-        alt_key = alt.cache_key()
-        for r in range(replications):
-            rows[r] = alt.sample(n, derive_rng(seed, "alt", alt_key, n, r))
-        rows.sort(axis=1)
+        rows = _sorted_draws(alt, n, replications, seed, "alt", alt.cache_key())
         rows.setflags(write=False)
         _ALT_SAMPLE_CACHE[key] = rows
     return rows
@@ -244,14 +241,7 @@ def estimate_power(grid: PowerGrid) -> PowerTable:
         for n in grid.n_grid
         for (m, ell) in grid.m_ell
     ]
-    if grid.threads > 1:
-        with ThreadPoolExecutor(max_workers=grid.threads) as pool:
-            rows = list(
-                pool.map(lambda c: _power_cell(grid, *c), cells)
-            )
-    else:
-        rows = [_power_cell(grid, *c) for c in cells]
-    return PowerTable(rows=rows)
+    return PowerTable(rows=[_power_cell(grid, *c) for c in cells])
 
 
 def pp_power(
@@ -269,16 +259,9 @@ def pp_power(
     nulls = _pp_null(n, mc_trials, base_seed)
     arr = nulls[0] if side == "ihr" else nulls[1]
     crit = float(arr[_quantile_rank(sig_level, mc_trials) - 1])
-    coef = np.arange(n - 1, 0, -1, dtype=float)
-    hits = 0
-    for r in range(replications):
-        x = np.sort(alt.sample(n, derive_rng(base_seed, "pp-alt", alt.cache_key(), n, r)))
-        d = coef * np.diff(x)
-        counts = _pair_counts(d)
-        v = counts[0] if side == "ihr" else counts[1]
-        if v >= crit:
-            hits += 1
-    rate = hits / replications
+    rows = _sorted_draws(alt, n, replications, base_seed, "pp-alt", alt.cache_key())
+    v = _pp_counts(rows)[0 if side == "ihr" else 1]
+    rate = int(np.count_nonzero(v >= crit)) / replications
     return PowerRow(
         family=alternative,
         param=param,

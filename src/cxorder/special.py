@@ -109,8 +109,9 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
     The continued fraction converges fastest for x below the split point
     (a + 1) / (a + b + 2); beyond it the complement is evaluated through the
-    symmetry identity I_x(a, b) = 1 - I_{1-x}(b, a). Absolute accuracy is
-    about 1e-14 over a, b up to a few hundred.
+    symmetry identity I_x(a, b) = 1 - I_{1-x}(b, a). Absolute error grows
+    with the log-gamma prefactor: 2.6e-14 at a = b = 100, 8.7e-13 at 1000,
+    4.4e-12 at 5000; tests check 1e-14 + 2e-15 max(a, b) up to 10^4.
     """
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"reg_inc_beta needs positive shapes, got ({a}, {b})")

@@ -20,12 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ._seeds import derive_rng
+from ._seeds import _sorted_draws
 from .distributions import RefFamily, TailInfo
 from .order_stats import (
     BoundStatus,
     Sample,
     _weights_readonly,
+    bound_status,
     interp_ecdf,
     pi_bound,
 )
@@ -110,7 +111,7 @@ def select_indices(
         for j in range(1, m + 1)
         if j > inv_beta + _FUZZ
         and j < upper_lim - _FUZZ
-        and pi_bound(ref, j, m).status is not BoundStatus.UNDEFINED
+        and bound_status(ref, j, m) is not BoundStatus.UNDEFINED
     ]
     if len(eligible) < ell:
         raise InfeasibleSpecError(
@@ -192,24 +193,19 @@ class TestSpec:
                 raise ValueError(f"indices must lie in 1..{m}, got {idx}")
             if any(b >= a for a, b in zip(idx[1:], idx)):
                 raise ValueError(f"indices must be strictly increasing, got {idx}")
-            for j in idx:
-                if pi_bound(self.ref, j, m).status is BoundStatus.UNDEFINED:
-                    raise InfeasibleSpecError(
-                        f"exceedance bound undefined at j={j}, m={m} under "
-                        f"{self.ref.cache_key()}"
-                    )
         elif self.ell is not None:
             idx = select_indices(
                 self.ref, m, self.ell, self.assumed_tails, self.index_rule
             )
         else:
             idx = tuple(range(1, m + 1))
-            for j in idx:
-                if pi_bound(self.ref, j, m).status is BoundStatus.UNDEFINED:
-                    raise InfeasibleSpecError(
-                        f"exceedance bound undefined at j={j}, m={m} under "
-                        f"{self.ref.cache_key()}; pass ell to restrict the ranks"
-                    )
+        for j in idx:
+            if bound_status(self.ref, j, m) is BoundStatus.UNDEFINED:
+                hint = "; pass ell to restrict the ranks" if self.indices is None else ""
+                raise InfeasibleSpecError(
+                    f"exceedance bound undefined at j={j}, m={m} under "
+                    f"{self.ref.cache_key()}{hint}"
+                )
         return ResolvedSpec(
             ref=self.ref,
             n=n,
@@ -324,11 +320,7 @@ def _null_sorted_samples(
     key = (ref.cache_key(), n, trials, seed)
     rows = _NULL_SAMPLE_CACHE.get(key)
     if rows is None:
-        rows = np.empty((trials, n))
-        ref_key = ref.cache_key()
-        for t in range(trials):
-            rows[t] = ref.sample(n, derive_rng(seed, "null", ref_key, n, t))
-        rows.sort(axis=1)
+        rows = _sorted_draws(ref, n, trials, seed, "null", ref.cache_key())
         rows.setflags(write=False)
         _NULL_SAMPLE_CACHE[key] = rows
     return rows

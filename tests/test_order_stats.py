@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sps
 from scipy.stats import beta as beta_dist
 
 from cxorder import (
@@ -84,6 +85,16 @@ def test_weights_match_beta_cdf_differences():
         grid = np.arange(0, n + 1) / n
         ref = np.diff(beta_dist.cdf(grid, j, m - j + 1))
         np.testing.assert_allclose(os_weights(n, j, m), ref, atol=1e-13)
+
+
+def test_weights_are_absolutely_accurate_at_large_n():
+    # Each weight is a difference of two CDF values, so the error bound is
+    # absolute; weights far below it may come back as exact 0.
+    n, m = 1000, 150
+    grid = np.arange(0, n + 1) / n
+    for j in (1, 75, 150):
+        ref = np.diff(sps.betainc(j, m - j + 1, grid))
+        np.testing.assert_allclose(os_weights(n, j, m), ref, rtol=0.0, atol=2e-13)
 
 
 def test_weights_returned_copy_is_writable():

@@ -78,6 +78,18 @@ def test_reg_inc_beta_against_scipy_grid():
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [(100, 100), (300, 300), (1000, 1000), (5000, 5000), (1, 150), (10, 991), (2, 9999)],
+)
+def test_reg_inc_beta_large_shape_accuracy(a, b):
+    # The range stated in the docstring: absolute error at most
+    # 1e-14 + 2e-15 max(a, b) for shapes up to 10^4.
+    xs = np.linspace(0.0, 1.0, 1001)
+    worst = max(abs(reg_inc_beta(float(x), a, b) - sps.betainc(a, b, x)) for x in xs)
+    assert worst <= 1e-14 + 2e-15 * max(a, b)
+
+
 def test_reg_inc_beta_symmetry_identity():
     rng = np.random.default_rng(3)
     for _ in range(300):
