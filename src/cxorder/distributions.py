@@ -9,6 +9,8 @@ from a normal draw over the square root of a scaled chi-square draw.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -31,6 +33,8 @@ __all__ = [
 
 _P_LOW = 1e-300
 _P_HIGH = float(np.nextafter(1.0, 0.0))
+# Probabilities at which a Custom reference is fingerprinted.
+_PROBES = np.array([1e-6, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1 - 1e-6])
 
 
 @dataclass(frozen=True)
@@ -119,6 +123,14 @@ class RefFamily:
     def cache_key(self) -> str:
         items = ",".join(f"{k}={v!r}" for k, v in sorted(self.params().items()))
         return f"{self.name}({items})"
+
+    def identity(self) -> str:
+        """Key of the Monte Carlo tables built under this reference.
+
+        cache_key() also names the draw streams, so it must stay as it is;
+        this key adds whatever cache_key() leaves out of the distribution.
+        """
+        return self.cache_key()
 
 
 @dataclass(frozen=True)
@@ -296,8 +308,9 @@ class Custom(RefFamily):
 
     Both handles must accept numpy arrays. Tail indices are required up
     front because index eligibility and bound finiteness depend on them.
-    `label` doubles as the cache identity, so it must be unique per handle
-    pair within a process.
+    `label` names the draw streams (cache_key()); the table caches also
+    key on a fingerprint of the handles, so two references that share a
+    label never share a null table.
     """
 
     cdf_fn: Callable[[np.ndarray], np.ndarray]
@@ -330,6 +343,20 @@ class Custom(RefFamily):
 
     def cache_key(self) -> str:
         return f"custom({self.label})"
+
+    def identity(self) -> str:
+        return f"{self.cache_key()}#{self._fingerprint}"
+
+    @functools.cached_property
+    def _fingerprint(self) -> str:
+        # The quantile at fixed probabilities, the cdf between those
+        # quantiles, the declared tails and the support.
+        with np.errstate(all="ignore"):
+            q = self.quantile(_PROBES)
+            c = self.cdf(0.5 * (q[1:] + q[:-1]))
+        h = hashlib.sha256(q.tobytes() + c.tobytes())
+        h.update(repr((self.right_index, self.left_index, self.support())).encode())
+        return h.hexdigest()[:16]
 
 
 _ALT_KINDS = (

@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import tempfile
+import zipfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -317,7 +319,7 @@ def batch_statistics(
 def _null_sorted_samples(
     ref: RefFamily, n: int, trials: int, seed: int
 ) -> np.ndarray:
-    key = (ref.cache_key(), n, trials, seed)
+    key = (ref.identity(), n, trials, seed)
     rows = _NULL_SAMPLE_CACHE.get(key)
     if rows is None:
         rows = _sorted_draws(ref, n, trials, seed, "null", ref.cache_key())
@@ -346,10 +348,12 @@ def null_statistics(
     """Sorted upper and lower null statistics for the given configuration.
 
     Cached in memory, and on disk as well when the cache directory
-    environment variable is set.
+    environment variable is set. A disk entry is written to a temporary
+    file and renamed into place; one that does not load as two finite,
+    sorted arrays of length trials is recomputed and rewritten.
     """
     key = (
-        ref.cache_key(),
+        ref.identity(),
         n,
         m,
         tuple(int(j) for j in indices),
@@ -361,21 +365,42 @@ def null_statistics(
     if hit is not None:
         return hit
     path = _disk_cache_path(key)
-    if path is not None and path.exists():
-        with np.load(path) as archive:
-            pair = (archive["tplus"].copy(), archive["tminus"].copy())
-        _NULL_STAT_CACHE[key] = pair
-        return pair
-    rows = _null_sorted_samples(ref, n, trials, seed)
-    t_plus, t_minus = batch_statistics(rows, ref, m, indices, p_norm)
-    pair = (np.sort(t_plus), np.sort(t_minus))
+    pair = _load_table(path, trials) if path is not None else None
+    if pair is None:
+        rows = _null_sorted_samples(ref, n, trials, seed)
+        t_plus, t_minus = batch_statistics(rows, ref, m, indices, p_norm)
+        pair = (np.sort(t_plus), np.sort(t_minus))
+        if path is not None:
+            _store_table(path, pair)
     pair[0].setflags(write=False)
     pair[1].setflags(write=False)
     _NULL_STAT_CACHE[key] = pair
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(path, tplus=pair[0], tminus=pair[1])
     return pair
+
+
+def _load_table(path: Path, trials: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The pair stored at path, or None when it is missing or unusable."""
+    try:
+        with np.load(path) as archive:
+            pair = (archive["tplus"], archive["tminus"])
+    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    for arr in pair:
+        if arr.shape != (trials,) or not np.all(np.isfinite(arr)) or np.any(np.diff(arr) < 0):
+            return None
+    return pair
+
+
+def _store_table(path: Path, pair: tuple[np.ndarray, np.ndarray]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, tplus=pair[0], tminus=pair[1])
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _quantile_rank(sig_level: float, trials: int) -> int:

@@ -10,6 +10,7 @@ from scipy.stats import kstest
 
 from cxorder import (
     Cauchy,
+    Custom,
     Exponential,
     InfeasibleSpecError,
     LogLogistic,
@@ -331,3 +332,86 @@ def test_disk_cache_roundtrip_and_load_path(tmp_path, monkeypatch):
     monkeypatch.delenv(testing_mod.CACHE_DIR_ENV)
     assert critical_value(spec, 20) == c1
     testing_mod.clear_caches()
+
+
+def _unlabeled_customs():
+    exp_ref = Custom(
+        cdf_fn=lambda x: -np.expm1(-np.maximum(x, 0.0)),
+        quantile_fn=lambda p: -np.log1p(-p),
+        right_index=math.inf,
+        left_index=math.inf,
+        support_lo=0.0,
+    )
+    logistic_ref = Custom(
+        cdf_fn=lambda x: 1.0 / (1.0 + np.exp(-x)),
+        quantile_fn=lambda p: np.log(p) - np.log1p(-p),
+        right_index=math.inf,
+        left_index=math.inf,
+    )
+    return exp_ref, logistic_ref
+
+
+def test_unlabeled_customs_do_not_share_null_tables():
+    exp_ref, logistic_ref = _unlabeled_customs()
+    assert exp_ref.cache_key() == logistic_ref.cache_key() == "custom(custom)"
+    assert exp_ref.identity() != logistic_ref.identity()
+    specs = [TestSpec(ref=r, m=10, mc_trials=2000, seed=5) for r in (exp_ref, logistic_ref)]
+    fresh = []
+    for spec in specs:
+        testing_mod.clear_caches()
+        fresh.append(critical_value(spec, 50))
+    assert fresh[0] != fresh[1]
+    testing_mod.clear_caches()
+    assert [critical_value(spec, 50) for spec in specs] == fresh
+    testing_mod.clear_caches()
+
+
+def test_custom_identity_is_stable_across_equal_handles():
+    a, _ = _unlabeled_customs()
+    b, _ = _unlabeled_customs()
+    assert a.identity() == b.identity()
+    assert Exponential().identity() == Exponential().cache_key()
+
+
+def _spoil_and_reload(tmp_path, monkeypatch, spoil):
+    monkeypatch.setenv(testing_mod.CACHE_DIR_ENV, str(tmp_path))
+    args = (Exponential(), 20, 3, (1, 2, 3), 1.0, 300, 5)
+    testing_mod.clear_caches()
+    fresh = tuple(a.copy() for a in null_statistics(*args))
+    (path,) = tmp_path.glob("null-*.npz")
+    spoil(path)
+    testing_mod.clear_caches()
+    reloaded = null_statistics(*args)
+    assert [a.tobytes() for a in reloaded] == [a.tobytes() for a in fresh]
+    # The entry was rewritten whole, with no temporary file left behind.
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    with np.load(path) as archive:
+        assert archive["tplus"].tobytes() == fresh[0].tobytes()
+        assert archive["tminus"].tobytes() == fresh[1].tobytes()
+    testing_mod.clear_caches()
+
+
+def test_truncated_disk_entry_is_recomputed(tmp_path, monkeypatch):
+    def truncate(path):
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+
+    _spoil_and_reload(tmp_path, monkeypatch, truncate)
+
+
+def test_wrong_shape_disk_entry_is_recomputed(tmp_path, monkeypatch):
+    def reshape(path):
+        np.savez(path, tplus=np.zeros(7), tminus=np.zeros(7))
+
+    _spoil_and_reload(tmp_path, monkeypatch, reshape)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+def test_non_finite_or_unsorted_disk_entry_is_recomputed(tmp_path, monkeypatch, bad):
+    def plant(path):
+        with np.load(path) as archive:
+            tplus, tminus = archive["tplus"].copy(), archive["tminus"].copy()
+        tplus[-1] = bad
+        np.savez(path, tplus=tplus, tminus=tminus)
+
+    _spoil_and_reload(tmp_path, monkeypatch, plant)
