@@ -1,0 +1,145 @@
+"""The one cache layer every Monte Carlo table goes through.
+
+A key is a tuple that names the computation behind its value: the kind of
+entry first ("draws", "gaps", "null", "pp-null"), then everything the value
+depends on. Values are arrays, or tuples of arrays, and are stored
+read-only. In memory, entries share one least-recently-used store bounded
+to BUDGET_BYTES of array data. Entries asked for with a disk length are
+also kept on disk when the CXORDER_CACHE_DIR environment variable is set;
+their file name hashes the key together with CACHE_VERSION.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import tempfile
+import threading
+import zipfile
+from collections import OrderedDict
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+
+__all__ = ["BUDGET_BYTES", "CACHE_DIR_ENV", "CACHE_VERSION", "clear_caches", "lookup", "source"]
+
+CACHE_DIR_ENV = "CXORDER_CACHE_DIR"
+
+# Part of every disk key: the stored format, then the revision of the
+# algorithms behind stored values. Bump the revision whenever a change alters
+# what a key's computation returns (the draw streams, the statistic), so no
+# entry written before it is read.
+CACHE_VERSION = ("npz-pair-1", 1)
+
+# Array bytes held in memory. At R = T = 5000, table1 holds 43 MiB; each
+# figure exhibit would hold 230-245 MiB unbounded, mostly alternative draws
+# and single-use gap matrices, and at this budget fig_drhr still computes
+# every entry once.
+BUDGET_BYTES = 128 << 20
+
+Value = np.ndarray | tuple
+
+_entries: OrderedDict[tuple, Value] = OrderedDict()
+# id of each stored single array -> its key; the store keeps those arrays
+# alive, so an id found here names the very array that was stored.
+_origins: dict[int, tuple] = {}
+_held = 0
+_lock = threading.Lock()
+
+
+def _arrays(value: Value) -> tuple:
+    return value if isinstance(value, tuple) else (value,)
+
+
+def _nbytes(value: Value) -> int:
+    return sum(a.nbytes for a in _arrays(value))
+
+
+def clear_caches() -> None:
+    """Drop every in-memory entry (mainly for tests)."""
+    global _held
+    with _lock:
+        _entries.clear()
+        _origins.clear()
+        _held = 0
+
+
+def source(arr: np.ndarray) -> tuple | None:
+    """Key of the stored array arr, or None when the store does not hold it."""
+    return _origins.get(id(arr))
+
+
+def _put(key: tuple, value: Value) -> None:
+    global _held
+    size = _nbytes(value)
+    with _lock:
+        if key in _entries or size > BUDGET_BYTES:
+            return
+        while _held + size > BUDGET_BYTES:
+            _, old = _entries.popitem(last=False)
+            _held -= _nbytes(old)
+            _origins.pop(id(old), None)
+        _entries[key] = value
+        if not isinstance(value, tuple):
+            _origins[id(value)] = key
+        _held += size
+
+
+def lookup(key: tuple, compute: Callable[[], Value], disk_length: int | None = None) -> Value:
+    """The value stored under key; on a miss, compute() is run and stored.
+
+    With disk_length set, the value is a pair of sorted arrays of that
+    length, and the disk tier is read before computing and written after.
+    A disk entry is written to a temporary file and renamed into place; one
+    that does not load as two finite, sorted arrays of that length is
+    recomputed and rewritten.
+    """
+    with _lock:
+        value = _entries.get(key)
+        if value is not None:
+            _entries.move_to_end(key)
+            return value
+    path = _disk_path(key) if disk_length is not None else None
+    value = _load_pair(path, disk_length) if path is not None else None
+    if value is None:
+        value = compute()
+        if path is not None:
+            _store_pair(path, value)
+    for arr in _arrays(value):
+        arr.setflags(write=False)
+    _put(key, value)
+    return value
+
+
+def _disk_path(key: tuple) -> Path | None:
+    root = os.environ.get(CACHE_DIR_ENV)
+    if not root:
+        return None
+    digest = hashlib.sha256(repr((CACHE_VERSION, key)).encode()).hexdigest()
+    return Path(root) / f"{key[0]}-{digest}.npz"
+
+
+def _load_pair(path: Path, length: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The pair stored at path, or None when it is missing or unusable."""
+    try:
+        with np.load(path) as archive:
+            pair = (archive["tplus"], archive["tminus"])
+    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    for arr in pair:
+        if arr.shape != (length,) or not np.all(np.isfinite(arr)) or np.any(np.diff(arr) < 0):
+            return None
+    return pair
+
+
+def _store_pair(path: Path, pair: tuple[np.ndarray, np.ndarray]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, tplus=pair[0], tminus=pair[1])
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)

@@ -17,6 +17,7 @@ import hashlib
 
 import numpy as np
 
+from . import _cache
 from .distributions import Alternative, RefFamily
 
 __all__ = ["derive_rng"]
@@ -86,3 +87,14 @@ def _sorted_draws(family: RefFamily | Alternative, n: int, count: int, seed: int
             block[:] = family.quantile(block.reshape(-1)).reshape(block.shape)
         block.sort(axis=1)
     return out
+
+
+def _cached_draws(family: RefFamily | Alternative, n: int, count: int, seed: int,
+                  label: str) -> np.ndarray:
+    """_sorted_draws(family, n, count, seed, label, family.cache_key()), held
+    read-only by the cache layer under the family's identity."""
+    ident = family.identity() if isinstance(family, RefFamily) else family.cache_key()
+    return _cache.lookup(
+        ("draws", label, ident, n, count, seed),
+        lambda: _sorted_draws(family, n, count, seed, label, family.cache_key()),
+    )

@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _cache
+from ._cache import clear_caches
 from ._seeds import _sorted_draws
 from .distributions import Exponential
 from .order_stats import Sample
@@ -42,14 +44,18 @@ def normalized_spacings(s: Sample) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _triu_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(k, k=1)
+def _upper_mask(k: int) -> np.ndarray:
+    """k x k mask of the strict upper triangle, read-only."""
+    mask = np.triu(np.ones((k, k), dtype=bool), k=1)
+    mask.setflags(write=False)
+    return mask
 
 
 def _pair_counts(d: np.ndarray) -> tuple[int, int]:
-    iu, ju = _triu_indices(d.size)
-    diff = d[iu] - d[ju]
-    return int(np.count_nonzero(diff > 0.0)), int(np.count_nonzero(diff < 0.0))
+    """(#{i < j: d_i > d_j}, #{i < j: d_i < d_j}); tied pairs count in neither."""
+    gt = d[:, None] > d[None, :]
+    ihr = int(np.count_nonzero(gt & _upper_mask(d.size)))
+    return ihr, int(np.count_nonzero(gt)) - ihr
 
 
 def _pp_counts(sorted_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -70,18 +76,14 @@ def pp_statistic(d: np.ndarray) -> int:
     return _pair_counts(d)[0]
 
 
-_PP_NULL_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
 def _pp_null(n: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (n, trials, seed)
-    hit = _PP_NULL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    v_ihr, v_dhr = _pp_counts(_sorted_draws(Exponential(), n, trials, seed, "pp-null"))
-    pair = (np.sort(v_ihr), np.sort(v_dhr))
-    _PP_NULL_CACHE[key] = pair
-    return pair
+    """Sorted, read-only null pair counts (ihr, dhr), held by the cache layer."""
+
+    def compute() -> tuple[np.ndarray, np.ndarray]:
+        v_ihr, v_dhr = _pp_counts(_sorted_draws(Exponential(), n, trials, seed, "pp-null"))
+        return np.sort(v_ihr), np.sort(v_dhr)
+
+    return _cache.lookup(("pp-null", n, trials, seed), compute)
 
 
 def pp_test(
@@ -128,8 +130,3 @@ def pp_test(
             "seed": seed,
         },
     )
-
-
-def clear_caches() -> None:
-    """Drop the cached null pair counts (mainly for tests)."""
-    _PP_NULL_CACHE.clear()

@@ -19,7 +19,8 @@ from typing import Iterable
 
 import numpy as np
 
-from ._seeds import _sorted_draws
+from ._cache import clear_caches
+from ._seeds import _cached_draws, _sorted_draws
 from .baselines import _pp_counts, _pp_null
 from .distributions import (
     Alternative,
@@ -158,26 +159,6 @@ class PowerGrid:
             raise ValueError("threads must be positive")
 
 
-_ALT_SAMPLE_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _alt_sorted_samples(
-    alt: Alternative, n: int, replications: int, seed: int
-) -> np.ndarray:
-    key = (alt.cache_key(), n, replications, seed)
-    rows = _ALT_SAMPLE_CACHE.get(key)
-    if rows is None:
-        rows = _sorted_draws(alt, n, replications, seed, "alt", alt.cache_key())
-        rows.setflags(write=False)
-        _ALT_SAMPLE_CACHE[key] = rows
-    return rows
-
-
-def clear_caches() -> None:
-    """Drop cached alternative sample matrices (mainly for tests)."""
-    _ALT_SAMPLE_CACHE.clear()
-
-
 def _power_cell(grid: PowerGrid, param: float, n: int, m: int, ell: int | None) -> PowerRow:
     alt = Alternative(grid.alternative, param)
     spec = TestSpec(
@@ -213,7 +194,7 @@ def _power_cell(grid: PowerGrid, param: float, n: int, m: int, ell: int | None) 
     )
     null_arr = t_plus_null if grid.side is Side.UPPER else t_minus_null
     crit = float(null_arr[_quantile_rank(rs.sig_level, rs.mc_trials) - 1])
-    rows = _alt_sorted_samples(alt, n, grid.replications, grid.base_seed)
+    rows = _cached_draws(alt, n, grid.replications, grid.base_seed, "alt")
     t_plus, t_minus = batch_statistics(rows, rs.ref, rs.m, rs.indices, rs.p_norm)
     stats = t_plus if grid.side is Side.UPPER else t_minus
     rate = float(np.mean(stats >= crit))

@@ -10,19 +10,16 @@ results are identical no matter how trials are scheduled.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
-import tempfile
-import zipfile
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ._seeds import _sorted_draws
+from . import _cache
+from ._cache import CACHE_DIR_ENV, clear_caches
+from ._seeds import _cached_draws
 from .distributions import RefFamily, TailInfo
 from .order_stats import (
     BoundStatus,
@@ -51,8 +48,6 @@ __all__ = [
     "select_indices",
     "statistic",
 ]
-
-CACHE_DIR_ENV = "CXORDER_CACHE_DIR"
 
 _FUZZ = 1e-9
 
@@ -257,16 +252,6 @@ class TestResult:
     config: dict
 
 
-_NULL_SAMPLE_CACHE: dict[tuple, np.ndarray] = {}
-_NULL_STAT_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def clear_caches() -> None:
-    """Drop all in-memory Monte Carlo caches (mainly for tests)."""
-    _NULL_SAMPLE_CACHE.clear()
-    _NULL_STAT_CACHE.clear()
-
-
 def _pnorm(parts: np.ndarray, p: float) -> np.ndarray | float:
     if math.isinf(p):
         return parts.max(axis=-1)
@@ -290,6 +275,20 @@ def _arrays_for(
     return np.vstack(rows), np.asarray(pis)
 
 
+def _gap_matrix(
+    sorted_rows: np.ndarray, ref: RefFamily, m: int, indices: Sequence[int]
+) -> np.ndarray:
+    """Rows x ranks gaps pi_j - F_hat(mu_hat_j); T+ and T- reduce them."""
+    trials, n = sorted_rows.shape
+    weight_mat, pis = _arrays_for(ref, n, m, indices)
+    mus = sorted_rows @ weight_mat.T
+    grid = np.arange(1, n + 1) / n
+    fts = np.empty_like(mus)
+    for r in range(trials):
+        fts[r] = np.interp(mus[r], sorted_rows[r], grid)
+    return pis[np.newaxis, :] - fts
+
+
 def batch_statistics(
     sorted_rows: np.ndarray,
     ref: RefFamily,
@@ -299,41 +298,22 @@ def batch_statistics(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Upper and lower statistics for each row of presorted samples.
 
-    Rows must be sorted ascending. Returns a pair of length-R arrays.
+    Rows must be sorted ascending. Returns a pair of length-R arrays. The
+    gap matrix does not depend on p_norm: for a draw table held by the
+    cache layer it is computed once per (reference, m, indices) and cached
+    alongside the table; for rows the caller built it is computed afresh.
     """
     if sorted_rows.ndim != 2:
         raise ValueError("sorted_rows must be a 2-D array")
-    trials, n = sorted_rows.shape
-    weight_mat, pis = _arrays_for(ref, n, m, indices)
-    mus = sorted_rows @ weight_mat.T
-    grid = np.arange(1, n + 1) / n
-    fts = np.empty_like(mus)
-    for r in range(trials):
-        fts[r] = np.interp(mus[r], sorted_rows[r], grid)
-    gaps = pis[np.newaxis, :] - fts
+    rows_key = _cache.source(sorted_rows)
+    if rows_key is None:
+        gaps = _gap_matrix(sorted_rows, ref, m, indices)
+    else:
+        key = ("gaps", rows_key, ref.identity(), m, tuple(int(j) for j in indices))
+        gaps = _cache.lookup(key, lambda: _gap_matrix(sorted_rows, ref, m, indices))
     t_plus = _pnorm(np.maximum(gaps, 0.0), p_norm)
     t_minus = _pnorm(np.maximum(-gaps, 0.0), p_norm)
     return np.asarray(t_plus), np.asarray(t_minus)
-
-
-def _null_sorted_samples(
-    ref: RefFamily, n: int, trials: int, seed: int
-) -> np.ndarray:
-    key = (ref.identity(), n, trials, seed)
-    rows = _NULL_SAMPLE_CACHE.get(key)
-    if rows is None:
-        rows = _sorted_draws(ref, n, trials, seed, "null", ref.cache_key())
-        rows.setflags(write=False)
-        _NULL_SAMPLE_CACHE[key] = rows
-    return rows
-
-
-def _disk_cache_path(key: tuple) -> Path | None:
-    root = os.environ.get(CACHE_DIR_ENV)
-    if not root:
-        return None
-    digest = hashlib.sha256(repr(key).encode()).hexdigest()
-    return Path(root) / f"null-{digest}.npz"
 
 
 def null_statistics(
@@ -345,62 +325,21 @@ def null_statistics(
     trials: int,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted upper and lower null statistics for the given configuration.
+    """Sorted, read-only upper and lower null statistics for the given
+    configuration.
 
-    Cached in memory, and on disk as well when the cache directory
-    environment variable is set. A disk entry is written to a temporary
-    file and renamed into place; one that does not load as two finite,
-    sorted arrays of length trials is recomputed and rewritten.
+    Held by the cache layer in memory, and on disk as well when the cache
+    directory environment variable is set.
     """
-    key = (
-        ref.identity(),
-        n,
-        m,
-        tuple(int(j) for j in indices),
-        float(p_norm),
-        trials,
-        seed,
-    )
-    hit = _NULL_STAT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    path = _disk_cache_path(key)
-    pair = _load_table(path, trials) if path is not None else None
-    if pair is None:
-        rows = _null_sorted_samples(ref, n, trials, seed)
+    key = ("null", ref.identity(), n, m, tuple(int(j) for j in indices), float(p_norm),
+           trials, seed)
+
+    def compute() -> tuple[np.ndarray, np.ndarray]:
+        rows = _cached_draws(ref, n, trials, seed, "null")
         t_plus, t_minus = batch_statistics(rows, ref, m, indices, p_norm)
-        pair = (np.sort(t_plus), np.sort(t_minus))
-        if path is not None:
-            _store_table(path, pair)
-    pair[0].setflags(write=False)
-    pair[1].setflags(write=False)
-    _NULL_STAT_CACHE[key] = pair
-    return pair
+        return np.sort(t_plus), np.sort(t_minus)
 
-
-def _load_table(path: Path, trials: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The pair stored at path, or None when it is missing or unusable."""
-    try:
-        with np.load(path) as archive:
-            pair = (archive["tplus"], archive["tminus"])
-    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile):
-        return None
-    for arr in pair:
-        if arr.shape != (trials,) or not np.all(np.isfinite(arr)) or np.any(np.diff(arr) < 0):
-            return None
-    return pair
-
-
-def _store_table(path: Path, pair: tuple[np.ndarray, np.ndarray]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, tplus=pair[0], tminus=pair[1])
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    return _cache.lookup(key, compute, disk_length=trials)
 
 
 def _quantile_rank(sig_level: float, trials: int) -> int:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cxorder import TiesWarning, ingest, normalized_spacings, pp_statistic, pp_test
-from cxorder.baselines import clear_caches
+from cxorder.baselines import _pair_counts, clear_caches
 
 
 def test_spacings_small_samples():
@@ -60,6 +60,17 @@ def test_pp_statistic_range_and_reversal():
 def test_pp_statistic_extremes():
     assert pp_statistic(np.arange(10.0)) == 0
     assert pp_statistic(np.arange(10.0)[::-1]) == 45
+
+
+def test_pair_counts_match_double_loop_with_ties():
+    # Spacings drawn from a few small integers, so most vectors have ties.
+    rng = np.random.default_rng(31)
+    for k in range(1, 13):
+        for _ in range(25):
+            d = rng.integers(0, 4, size=k).astype(float)
+            ihr = sum(d[i] > d[j] for i in range(k) for j in range(i + 1, k))
+            dhr = sum(d[i] < d[j] for i in range(k) for j in range(i + 1, k))
+            assert _pair_counts(d) == (ihr, dhr)
 
 
 def test_pp_statistic_validates_shape():

@@ -1,0 +1,162 @@
+"""The cache layer behind every Monte Carlo table: keys, read-only values,
+the byte budget, the disk version and clearing."""
+
+import math
+
+import numpy as np
+import pytest
+
+from cxorder import Exponential, PowerGrid, TestSpec, critical_value, pp_power
+from cxorder import _cache, baselines, simulation, testing
+from cxorder._seeds import _cached_draws, _sorted_draws
+from cxorder.baselines import _pp_null
+from cxorder.distributions import Alternative
+from cxorder.simulation import estimate_power
+from cxorder.testing import batch_statistics, null_statistics
+from test_testing import _unlabeled_customs
+
+
+@pytest.fixture(autouse=True)
+def cold():
+    _cache.clear_caches()
+    yield
+    _cache.clear_caches()
+
+
+def _kinds() -> set:
+    return {key[0] for key in _cache._entries}
+
+
+def _fill() -> np.ndarray:
+    """Put every kind of entry in the store; returns a cached draw table."""
+    grid = PowerGrid(alternative="weibull", params=(1.5,), n_grid=(20,), m_ell=((3, None),),
+                     ref=Exponential(), replications=50, mc_trials=120, base_seed=3)
+    estimate_power(grid)
+    pp_power("weibull", 1.5, 12, replications=50, mc_trials=120, base_seed=3)
+    assert _kinds() == {"draws", "gaps", "null", "pp-null"}
+    return _cached_draws(Alternative("weibull", 1.5), 20, 50, 3, "alt")
+
+
+def test_same_label_customs_get_their_own_gap_matrices_and_rates():
+    refs = _unlabeled_customs()
+    grids = [PowerGrid(alternative="weibull", params=(1.5,), n_grid=(40,), m_ell=((6, None),),
+                       ref=ref, replications=300, mc_trials=300, base_seed=2) for ref in refs]
+    fresh = []
+    for grid in grids:
+        _cache.clear_caches()
+        fresh.append(estimate_power(grid).rows[0].rate)
+    _cache.clear_caches()
+    # Both references score the same cached alternative table.
+    assert [estimate_power(grid).rows[0].rate for grid in grids] == fresh
+    rows = _cached_draws(Alternative("weibull", 1.5), 40, 300, 2, "alt")
+    gaps = [_cache._entries[("gaps", _cache.source(rows), ref.identity(), 6, tuple(range(1, 7)))]
+            for ref in refs]
+    assert gaps[0].tobytes() != gaps[1].tobytes()
+
+
+def test_null_and_alternative_tables_never_share_an_entry():
+    null_ref, alt = Exponential(), Alternative("weibull", 1.0)
+    for order in ((null_ref, alt), (alt, null_ref)):
+        _cache.clear_caches()
+        got = {}
+        for family in order:
+            label = "null" if family is null_ref else "alt"
+            got[label] = _cached_draws(family, 30, 200, 5, label)
+        assert _cache.source(got["null"]) != _cache.source(got["alt"])
+        assert got["null"].tobytes() == _sorted_draws(
+            null_ref, 30, 200, 5, "null", null_ref.cache_key()).tobytes()
+        assert got["alt"].tobytes() == _sorted_draws(
+            alt, 30, 200, 5, "alt", alt.cache_key()).tobytes()
+        assert got["null"].tobytes() != got["alt"].tobytes()
+
+
+@pytest.mark.parametrize("clear", [testing.clear_caches, simulation.clear_caches,
+                                   baselines.clear_caches, _cache.clear_caches],
+                         ids=["testing", "simulation", "baselines", "cache"])
+def test_each_clear_caches_alias_empties_every_kind(clear):
+    rows = _fill()
+    clear()
+    assert not _cache._entries
+    assert _cache._held == 0
+    assert _cache.source(rows) is None
+
+
+def test_every_array_the_layer_hands_out_is_read_only(tmp_path, monkeypatch):
+    monkeypatch.setenv(_cache.CACHE_DIR_ENV, str(tmp_path))
+    rows = _fill()
+    handed = [rows, *_pp_null(12, 120, 3), *null_statistics(Exponential(), 20, 3, (1, 2, 3),
+                                                             1.0, 120, 3)]
+    _cache.clear_caches()
+    handed += null_statistics(Exponential(), 20, 3, (1, 2, 3), 1.0, 120, 3)  # from disk
+    handed += [a for value in _cache._entries.values() for a in _cache._arrays(value)]
+    for arr in handed:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_disk_entry_of_another_version_is_recomputed(tmp_path, monkeypatch):
+    monkeypatch.setenv(_cache.CACHE_DIR_ENV, str(tmp_path))
+    args = (Exponential(), 20, 3, (1, 2, 3), 1.0, 300, 5)
+    with monkeypatch.context() as patched:
+        patched.setattr(_cache, "CACHE_VERSION", ("npz-pair-0", 0))
+        null_statistics(*args)
+    (old,) = tmp_path.glob("null-*.npz")
+    np.savez(old, tplus=np.full(300, 42.0), tminus=np.full(300, 42.0))
+    _cache.clear_caches()
+    got = [a.tobytes() for a in null_statistics(*args)]
+    assert len(list(tmp_path.glob("null-*.npz"))) == 2
+    monkeypatch.delenv(_cache.CACHE_DIR_ENV)
+    _cache.clear_caches()
+    assert got == [a.tobytes() for a in null_statistics(*args)]
+
+
+def test_tiny_budget_evicts_least_recently_used_and_recomputes_identically(monkeypatch):
+    ref = Exponential()
+    keys = [(ref, 25, 100, seed) for seed in (1, 2, 3)]
+    size = 25 * 100 * 8
+    monkeypatch.setattr(_cache, "BUDGET_BYTES", int(2.5 * size))
+    first = [_cached_draws(*key, "null").tobytes() for key in keys[:2]]
+    _cached_draws(*keys[0], "null")  # now keys[1] is the least recently used
+    third = _cached_draws(*keys[2], "null")
+    held = {key[5] for key in _cache._entries}
+    assert held == {1, 3}
+    assert _cache._held == 2 * size
+    assert _cache.source(third) is not None
+    again = [_cached_draws(*key, "null").tobytes() for key in keys[:2]]
+    assert again == first
+
+
+def test_tiny_budget_gives_identical_power_tables(monkeypatch):
+    grid = PowerGrid(alternative="weibull", params=(1.5, 2.0), n_grid=(20, 30),
+                     m_ell=((1, None), (3, None)), ref=Exponential(), p_norm=2.0,
+                     replications=60, mc_trials=120, base_seed=7)
+    want = estimate_power(grid).to_csv()
+    _cache.clear_caches()
+    # Two of the four draw tables (9.4 to 28 KiB each) fit at a time.
+    monkeypatch.setattr(_cache, "BUDGET_BYTES", 40_000)
+    assert estimate_power(grid).to_csv() == want
+    assert 0 < _cache._held <= 40_000
+
+
+def test_entry_over_budget_is_handed_out_read_only_and_not_held(monkeypatch):
+    monkeypatch.setattr(_cache, "BUDGET_BYTES", 1000)
+    rows = _cached_draws(Exponential(), 25, 100, 1, "null")
+    assert not rows.flags.writeable
+    assert _cache.source(rows) is None
+    assert not _cache._entries
+
+
+def test_caller_rows_are_scored_without_caching():
+    ref = Exponential()
+    rows = _cached_draws(ref, 20, 120, 4, "null").copy()
+    _cache.clear_caches()
+    batch_statistics(rows, ref, 3, (1, 2, 3), 1.0)
+    assert not _cache._entries
+
+
+def test_gap_matrix_is_shared_across_p_norms():
+    for p in (1.0, 2.0, math.inf):
+        critical_value(TestSpec(ref=Exponential(), m=4, p_norm=p, mc_trials=200, seed=8), 30)
+    assert sum(key[0] == "gaps" for key in _cache._entries) == 1
+    assert sum(key[0] == "null" for key in _cache._entries) == 3

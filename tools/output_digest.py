@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from cxorder import Cauchy, Exponential, Logistic, baselines, simulation, testing
+from cxorder import Cauchy, Exponential, Logistic
+from cxorder._cache import clear_caches as clear_tables
 from cxorder.cli import main
 from cxorder.order_stats import _weights_readonly
 from cxorder.simulation import EXHIBITS, reproduce
@@ -48,9 +49,8 @@ CLI_RUNS = {
 
 
 def clear_caches() -> None:
-    for clear in (testing.clear_caches, baselines.clear_caches, simulation.clear_caches,
-                  _weights_readonly.cache_clear):
-        clear()
+    clear_tables()
+    _weights_readonly.cache_clear()
 
 
 def _digest(data: bytes) -> str:
