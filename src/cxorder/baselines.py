@@ -18,7 +18,7 @@ import numpy as np
 from . import _cache
 from ._cache import clear_caches
 from ._seeds import _sorted_draws
-from .distributions import Exponential
+from .distributions import Alternative, Exponential, RefFamily
 from .order_stats import Sample
 from .testing import TestResult, _quantile_rank
 
@@ -76,14 +76,33 @@ def pp_statistic(d: np.ndarray) -> int:
     return _pair_counts(d)[0]
 
 
-def _pp_null(n: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted, read-only null pair counts (ihr, dhr), held by the cache layer."""
+def _pp_table(family: RefFamily | Alternative, n: int, count: int, seed: int,
+              label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted, read-only pair counts (ihr, dhr) of the drawn table
+    _sorted_draws(family, n, count, seed, label), held by the cache layer."""
 
     def compute() -> tuple[np.ndarray, np.ndarray]:
-        v_ihr, v_dhr = _pp_counts(_sorted_draws(Exponential(), n, trials, seed, "pp-null"))
+        v_ihr, v_dhr = _pp_counts(_sorted_draws(family, n, count, seed, label))
         return np.sort(v_ihr), np.sort(v_dhr)
 
-    return _cache.lookup(("pp-null", n, trials, seed), compute)
+    return _cache.lookup(("pairs", label, family.cache_key(), n, count, seed), compute)
+
+
+def _pp_null(n: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted, read-only null pair counts (ihr, dhr)."""
+    return _pp_table(Exponential(), n, trials, seed, "pp-null")
+
+
+def _check_pp_args(side: str, sig_level: float, mc_trials: int, n: int) -> None:
+    """The checks pp_test and pp_power share."""
+    if side not in _SIDES:
+        raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
+    if not 0.0 < sig_level < 1.0:
+        raise ValueError("sig_level must lie strictly between 0 and 1")
+    if mc_trials < 100:
+        raise ValueError("mc_trials must be at least 100")
+    if n < 3:
+        raise ValueError("need at least three observations")
 
 
 def pp_test(
@@ -99,14 +118,7 @@ def pp_test(
     "dhr" counts the reversed inequality and again rejects for large
     values. Needs at least three observations so that spacing pairs exist.
     """
-    if side not in _SIDES:
-        raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
-    if not 0.0 < sig_level < 1.0:
-        raise ValueError("sig_level must lie strictly between 0 and 1")
-    if mc_trials < 100:
-        raise ValueError("mc_trials must be at least 100")
-    if s.n < 3:
-        raise ValueError("need at least three observations")
+    _check_pp_args(side, sig_level, mc_trials, s.n)
     counts = _pair_counts(normalized_spacings(s))
     v_obs = float(counts[0] if side == "ihr" else counts[1])
     nulls = _pp_null(s.n, mc_trials, seed)

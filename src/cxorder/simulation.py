@@ -2,10 +2,11 @@
 
 A power grid crosses an alternative family's parameters with sample sizes
 and test configurations. Every cell is an independent job: its critical
-value comes from the shared Monte Carlo cache and its replication streams
-are derived from the base seed and the cell coordinates, so tables are
-reproducible bit for bit regardless of execution order. Cells run serially:
-they mostly hold the interpreter lock, and a two-thread pool ran slower.
+value comes from the shared Monte Carlo cache, and its replications are the
+alternative's draw table, whose streams are derived from the base seed,
+the alternative and the sample size, so tables are reproducible bit for
+bit regardless of execution order. Cells run serially: they mostly hold
+the interpreter lock, and a two-thread pool ran slower.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Iterable
 import numpy as np
 
 from ._cache import clear_caches
-from ._seeds import _cached_draws, _sorted_draws
-from .baselines import _pp_counts, _pp_null
+from ._seeds import _cached_draws
+from .baselines import _check_pp_args, _pp_null, _pp_table
 from .distributions import (
     Alternative,
     Exponential,
@@ -236,12 +237,13 @@ def pp_power(
     base_seed: int = 0,
 ) -> PowerRow:
     """Rejection rate of the Proschan-Pyke test under an alternative."""
+    _check_pp_args(side, sig_level, mc_trials, n)
+    if replications < 1:
+        raise ValueError("replications must be positive")
+    k = 0 if side == "ihr" else 1
+    crit = float(_pp_null(n, mc_trials, base_seed)[k][_quantile_rank(sig_level, mc_trials) - 1])
     alt = Alternative(alternative, param)
-    nulls = _pp_null(n, mc_trials, base_seed)
-    arr = nulls[0] if side == "ihr" else nulls[1]
-    crit = float(arr[_quantile_rank(sig_level, mc_trials) - 1])
-    rows = _sorted_draws(alt, n, replications, base_seed, "pp-alt", alt.cache_key())
-    v = _pp_counts(rows)[0 if side == "ihr" else 1]
+    v = _pp_table(alt, n, replications, base_seed, "pp-alt")[k]
     rate = int(np.count_nonzero(v >= crit)) / replications
     return PowerRow(
         family=alternative,
@@ -269,7 +271,7 @@ def _run_grids(grids: Iterable[PowerGrid]) -> list[PowerRow]:
     return rows
 
 
-def _exhibit_table1(replications, mc_trials, seed, threads) -> PowerTable:
+def _exhibit_table1(replications, mc_trials, seed) -> PowerTable:
     grids = [
         PowerGrid(
             alternative="weibull",
@@ -282,14 +284,13 @@ def _exhibit_table1(replications, mc_trials, seed, threads) -> PowerTable:
             replications=replications,
             mc_trials=mc_trials,
             base_seed=seed,
-            threads=threads,
         )
         for p in (1.0, 2.0, math.inf)
     ]
     return PowerTable(_run_grids(grids))
 
 
-def _exhibit_table2(replications, mc_trials, seed, threads) -> PowerTable:
+def _exhibit_table2(replications, mc_trials, seed) -> PowerTable:
     n_grid = (25, 50, 100, 200, 500)
     rows: list[PowerRow] = []
     for n in n_grid:
@@ -315,7 +316,6 @@ def _exhibit_table2(replications, mc_trials, seed, threads) -> PowerTable:
             replications=replications,
             mc_trials=mc_trials,
             base_seed=seed,
-            threads=threads,
         )
         rows.extend(estimate_power(grid).rows)
     return PowerTable(rows)
@@ -326,7 +326,7 @@ def _shape_grid(lo: float, hi: float) -> tuple[float, ...]:
     return tuple(round(lo + 0.1 * i, 10) for i in range(count + 1))
 
 
-def _exhibit_fig_drhr(replications, mc_trials, seed, threads) -> PowerTable:
+def _exhibit_fig_drhr(replications, mc_trials, seed) -> PowerTable:
     grid = PowerGrid(
         alternative="neg-weibull",
         params=_shape_grid(1.0, 2.0),
@@ -338,12 +338,11 @@ def _exhibit_fig_drhr(replications, mc_trials, seed, threads) -> PowerTable:
         replications=replications,
         mc_trials=mc_trials,
         base_seed=seed,
-        threads=threads,
     )
     return estimate_power(grid)
 
 
-def _exhibit_fig_ior(replications, mc_trials, seed, threads) -> PowerTable:
+def _exhibit_fig_ior(replications, mc_trials, seed) -> PowerTable:
     grid = PowerGrid(
         alternative="log-logistic",
         params=_shape_grid(1.0, 2.0),
@@ -355,12 +354,11 @@ def _exhibit_fig_ior(replications, mc_trials, seed, threads) -> PowerTable:
         replications=replications,
         mc_trials=mc_trials,
         base_seed=seed,
-        threads=threads,
     )
     return estimate_power(grid)
 
 
-def _exhibit_fig_dor(replications, mc_trials, seed, threads) -> PowerTable:
+def _exhibit_fig_dor(replications, mc_trials, seed) -> PowerTable:
     grid = PowerGrid(
         alternative="log-logistic",
         params=_shape_grid(0.1, 1.0),
@@ -373,12 +371,11 @@ def _exhibit_fig_dor(replications, mc_trials, seed, threads) -> PowerTable:
         replications=replications,
         mc_trials=mc_trials,
         base_seed=seed,
-        threads=threads,
     )
     return estimate_power(grid)
 
 
-def _exhibit_fig_pp(replications, mc_trials, seed, threads) -> PowerTable:
+def _exhibit_fig_pp(replications, mc_trials, seed) -> PowerTable:
     rows: list[PowerRow] = []
     params = _shape_grid(1.0, 2.0)
     n_grid = (25, 50, 100, 200)
@@ -404,13 +401,12 @@ def _exhibit_fig_pp(replications, mc_trials, seed, threads) -> PowerTable:
         replications=replications,
         mc_trials=mc_trials,
         base_seed=seed,
-        threads=threads,
     )
     rows.extend(estimate_power(grid).rows)
     return PowerTable(rows)
 
 
-def _exhibit_fig_3d(replications, mc_trials, seed, threads) -> PowerTable:
+def _exhibit_fig_3d(replications, mc_trials, seed) -> PowerTable:
     n_grid = (25, 50, 100, 200)
     m_values = (1, 2, 3, 5, 8, 10, 15, 20, 25, 30, 40)
     rows: list[PowerRow] = []
@@ -428,7 +424,6 @@ def _exhibit_fig_3d(replications, mc_trials, seed, threads) -> PowerTable:
                     replications=replications,
                     mc_trials=mc_trials,
                     base_seed=seed,
-                    threads=threads,
                 ),
                 PowerGrid(
                     alternative="log-logistic",
@@ -441,7 +436,6 @@ def _exhibit_fig_3d(replications, mc_trials, seed, threads) -> PowerTable:
                     replications=replications,
                     mc_trials=mc_trials,
                     base_seed=seed,
-                    threads=threads,
                 ),
                 PowerGrid(
                     alternative="weibull",
@@ -454,7 +448,6 @@ def _exhibit_fig_3d(replications, mc_trials, seed, threads) -> PowerTable:
                     replications=replications,
                     mc_trials=mc_trials,
                     base_seed=seed,
-                    threads=threads,
                 ),
             ]
         )
@@ -481,12 +474,18 @@ def reproduce(
     seed: int = 0,
     threads: int = 1,
 ) -> Path:
-    """Run one named power exhibit and write its CSV under out_dir."""
+    """Run one named power exhibit and write its CSV under out_dir.
+
+    threads is checked to be positive and otherwise ignored; cells run
+    serially.
+    """
     if target not in EXHIBITS:
         raise ValueError(
             f"unknown exhibit {target!r}; choose from {sorted(EXHIBITS)}"
         )
-    table = EXHIBITS[target](replications, mc_trials, seed, threads)
+    if threads < 1:
+        raise ValueError("threads must be positive")
+    table = EXHIBITS[target](replications, mc_trials, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{target}.csv"

@@ -4,8 +4,9 @@ The statistic measures, in a chosen p-norm, how far the interpolated ECDF
 evaluated at L-estimates of expected order statistics falls short of (or
 overshoots) the null exceedance bounds. Critical values and p-values come
 from Monte Carlo simulation under the standard member of the reference
-family. Each trial derives its own RNG stream from (seed, trial index), so
-results are identical no matter how trials are scheduled.
+family. The null trials are drawn in blocks of rows, each block from its
+own RNG stream derived from (seed, reference, n, block index), so results
+are identical no matter how the work is scheduled.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ def _fill() -> np.ndarray:
                      ref=Exponential(), replications=50, mc_trials=120, base_seed=3)
     estimate_power(grid)
     pp_power("weibull", 1.5, 12, replications=50, mc_trials=120, base_seed=3)
-    assert _kinds() == {"draws", "gaps", "null", "pp-null"}
+    assert _kinds() == {"draws", "gaps", "null", "pairs"}
     return _cached_draws(Alternative("weibull", 1.5), 20, 50, 3, "alt")
 
 
@@ -63,10 +63,8 @@ def test_null_and_alternative_tables_never_share_an_entry():
             label = "null" if family is null_ref else "alt"
             got[label] = _cached_draws(family, 30, 200, 5, label)
         assert _cache.source(got["null"]) != _cache.source(got["alt"])
-        assert got["null"].tobytes() == _sorted_draws(
-            null_ref, 30, 200, 5, "null", null_ref.cache_key()).tobytes()
-        assert got["alt"].tobytes() == _sorted_draws(
-            alt, 30, 200, 5, "alt", alt.cache_key()).tobytes()
+        assert got["null"].tobytes() == _sorted_draws(null_ref, 30, 200, 5, "null").tobytes()
+        assert got["alt"].tobytes() == _sorted_draws(alt, 30, 200, 5, "alt").tobytes()
         assert got["null"].tobytes() != got["alt"].tobytes()
 
 
@@ -160,3 +158,22 @@ def test_gap_matrix_is_shared_across_p_norms():
         critical_value(TestSpec(ref=Exponential(), m=4, p_norm=p, mc_trials=200, seed=8), 30)
     assert sum(key[0] == "gaps" for key in _cache._entries) == 1
     assert sum(key[0] == "null" for key in _cache._entries) == 3
+
+
+def test_pair_counts_of_a_table_serve_both_sides(monkeypatch):
+    drawn = []
+    real = baselines._sorted_draws
+
+    def counting(family, n, count, seed, label):
+        drawn.append(label)
+        return real(family, n, count, seed, label)
+
+    monkeypatch.setattr(baselines, "_sorted_draws", counting)
+    for side in ("ihr", "dhr"):
+        pp_power("weibull", 1.5, 12, side=side, replications=50, mc_trials=120, base_seed=3)
+    assert drawn == ["pp-null", "pp-alt"]
+    alt = Alternative("weibull", 1.5)
+    assert {key for key in _cache._entries if key[0] == "pairs"} == {
+        ("pairs", "pp-null", Exponential().cache_key(), 12, 120, 3),
+        ("pairs", "pp-alt", alt.cache_key(), 12, 50, 3),
+    }

@@ -238,6 +238,14 @@ class TestPowerCommand:
         assert row[6] == "ihr"
         assert row[3] == row[4] == row[5] == ""
 
+    def test_pp_with_two_point_samples_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "power", "--family", "weibull", "--params", "1.5",
+            "--n", "2", "--pp", "--replications", "10",
+            "--trials", "120", "--seed", "3",
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_thread_count_leaves_bytes_unchanged(self, capsys):
         _, serial, _ = run_cli(capsys, *self.ARGS, "--params", "1.5")
         _, threaded, _ = run_cli(
@@ -258,6 +266,14 @@ class TestReproduceCommand:
         rows = list(csv.reader(io.StringIO(path.read_text())))
         assert tuple(rows[0]) == CSV_HEADER
         assert len(rows) == 1 + 48
+
+    def test_zero_threads_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "reproduce", "table1", "--out-dir", str(tmp_path),
+            "--replications", "2", "--trials", "100", "--seed", "1", "--threads", "0",
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert not (tmp_path / "table1.csv").exists()
 
     def test_unknown_target_rejected_by_parser(self, capsys, tmp_path):
         with pytest.raises(SystemExit):

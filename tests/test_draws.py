@@ -1,5 +1,5 @@
 """The block draw engine behind every Monte Carlo table, checked bit for bit
-against the per-trial loops it replaced."""
+against written-out loops over its per-block streams."""
 
 import math
 
@@ -45,8 +45,14 @@ FAMILIES = [
 ]
 
 
-def _per_trial(family, n, count, seed, *path):
-    rows = [np.sort(family.sample(n, derive_rng(seed, *path, n, t))) for t in range(count)]
+def _per_trial(family, n, count, seed, label):
+    # Trial t is row t % _BLOCK_ROWS of block t // _BLOCK_ROWS, and a block's
+    # rows are drawn one after another from the block's own stream.
+    rows = []
+    for b in range(math.ceil(count / _BLOCK_ROWS)):
+        rng = derive_rng(seed, label, family.cache_key(), n, b)
+        for _ in range(min(_BLOCK_ROWS, count - b * _BLOCK_ROWS)):
+            rows.append(np.sort(family.sample(n, rng)))
     return np.array(rows).reshape(count, n)
 
 
@@ -54,10 +60,17 @@ def _per_trial(family, n, count, seed, *path):
 @pytest.mark.parametrize("n", [1, 2, 37])
 @pytest.mark.parametrize("count", [3, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 5])
 def test_rows_equal_per_trial_streams(family, n, count):
-    got = _sorted_draws(family, n, count, 11, "label", family.cache_key())
-    want = _per_trial(family, n, count, 11, "label", family.cache_key())
+    got = _sorted_draws(family, n, count, 11, "label")
+    want = _per_trial(family, n, count, 11, "label")
     assert got.shape == (count, n)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.cache_key())
+@pytest.mark.parametrize("k", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+def test_first_rows_are_the_shorter_table(family, k):
+    full = _sorted_draws(family, 37, 2 * _BLOCK_ROWS + 5, 6, "label")
+    assert _sorted_draws(family, 37, k, 6, "label").tobytes() == full[:k].tobytes()
 
 
 def _pair_count_loop(x):
@@ -69,12 +82,13 @@ def _pair_count_loop(x):
     return ihr, dhr
 
 
+def _pair_counts_loop(family, n, count, seed, label):
+    return [_pair_count_loop(x) for x in _per_trial(family, n, count, seed, label)]
+
+
 def test_pp_null_equals_per_trial_loop():
     n, trials, seed = 7, 150, 4
-    counts = [
-        _pair_count_loop(np.sort(Exponential().sample(n, derive_rng(seed, "pp-null", n, t))))
-        for t in range(trials)
-    ]
+    counts = _pair_counts_loop(Exponential(), n, trials, seed, "pp-null")
     clear_caches()
     ihr, dhr = _pp_null(n, trials, seed)
     assert ihr.tolist() == sorted(float(c[0]) for c in counts)
@@ -85,17 +99,10 @@ def test_pp_null_equals_per_trial_loop():
 def test_pp_power_equals_per_trial_loop(side):
     n, reps, trials, seed = 8, 200, 150, 9
     k = 0 if side == "ihr" else 1
-    null = sorted(
-        _pair_count_loop(np.sort(Exponential().sample(n, derive_rng(seed, "pp-null", n, t))))[k]
-        for t in range(trials)
-    )
+    null = sorted(c[k] for c in _pair_counts_loop(Exponential(), n, trials, seed, "pp-null"))
     crit = null[math.ceil(0.9 * trials) - 1]
     alt = Alternative("weibull", 1.7)
-    hits = sum(
-        _pair_count_loop(np.sort(alt.sample(n, derive_rng(seed, "pp-alt", alt.cache_key(), n, r))))[k]
-        >= crit
-        for r in range(reps)
-    )
+    hits = sum(c[k] >= crit for c in _pair_counts_loop(alt, n, reps, seed, "pp-alt"))
     clear_caches()
     row = pp_power("weibull", 1.7, n, side=side, replications=reps, mc_trials=trials,
                    base_seed=seed)

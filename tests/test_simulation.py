@@ -5,6 +5,7 @@ acceptance suite."""
 import csv
 import io
 import math
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,8 @@ from cxorder import (
     pp_power,
     reproduce,
 )
-from cxorder.simulation import CSV_HEADER, EXHIBITS, PowerTable
+from cxorder import baselines
+from cxorder.simulation import CSV_HEADER, EXHIBITS, PowerTable, clear_caches
 
 
 def small_grid(**overrides) -> PowerGrid:
@@ -132,6 +134,47 @@ def test_pp_power_row_shape():
     assert 0.0 <= row.rate <= 1.0
     again = pp_power("weibull", 1.5, 20, side="ihr", replications=50, mc_trials=150)
     assert again == row
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(side="DHR"),
+        dict(replications=0),
+        dict(n=2),
+        dict(sig_level=1.5, mc_trials=10),
+        dict(sig_level=1.5),
+        dict(mc_trials=10),
+    ],
+    ids=["side-case", "no-replications", "n-2", "sig-and-trials", "sig-level", "trials"],
+)
+def test_pp_power_rejects_what_pp_test_rejects(overrides):
+    args = dict(alternative="weibull", param=1.5, n=20, side="ihr", replications=50,
+                mc_trials=150)
+    args.update(overrides)
+    with pytest.raises(ValueError):
+        pp_power(**args)
+
+
+def test_table2_draws_each_proschan_pyke_table_once(tmp_path, monkeypatch):
+    drawn = Counter()
+    real = baselines._sorted_draws
+
+    def counting(family, n, count, seed, label):
+        drawn[label] += 1
+        return real(family, n, count, seed, label)
+
+    monkeypatch.setattr(baselines, "_sorted_draws", counting)
+    clear_caches()
+    reproduce("table2", out_dir=tmp_path, replications=100, mc_trials=100)
+    # One null and one alternative table for each of the five sample sizes.
+    assert drawn == {"pp-null": 5, "pp-alt": 5}
+
+
+def test_reproduce_rejects_nonpositive_threads(tmp_path):
+    with pytest.raises(ValueError):
+        reproduce("table1", out_dir=tmp_path, replications=2, mc_trials=100, threads=0)
+    assert not (tmp_path / "table1.csv").exists()
 
 
 def test_exhibit_registry_names():
