@@ -10,7 +10,6 @@ the statistic invariant under location and scale changes.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -20,7 +19,7 @@ from ._cache import clear_caches
 from ._seeds import _sorted_draws
 from .distributions import Alternative, Exponential, RefFamily
 from .order_stats import Sample
-from .testing import TestResult, _quantile_rank
+from .testing import TestResult, _check_mc, _critical, _p_value
 
 __all__ = ["normalized_spacings", "pp_statistic", "pp_test"]
 
@@ -97,10 +96,7 @@ def _check_pp_args(side: str, sig_level: float, mc_trials: int, n: int) -> None:
     """The checks pp_test and pp_power share."""
     if side not in _SIDES:
         raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
-    if not 0.0 < sig_level < 1.0:
-        raise ValueError("sig_level must lie strictly between 0 and 1")
-    if mc_trials < 100:
-        raise ValueError("mc_trials must be at least 100")
+    _check_mc(sig_level, mc_trials)
     if n < 3:
         raise ValueError("need at least three observations")
 
@@ -119,17 +115,15 @@ def pp_test(
     values. Needs at least three observations so that spacing pairs exist.
     """
     _check_pp_args(side, sig_level, mc_trials, s.n)
-    counts = _pair_counts(normalized_spacings(s))
-    v_obs = float(counts[0] if side == "ihr" else counts[1])
-    nulls = _pp_null(s.n, mc_trials, seed)
-    arr = nulls[0] if side == "ihr" else nulls[1]
-    crit = float(arr[_quantile_rank(sig_level, mc_trials) - 1])
-    count_ge = int(np.count_nonzero(arr >= v_obs))
+    k = _SIDES.index(side)
+    v_obs = float(_pair_counts(normalized_spacings(s))[k])
+    null = _pp_null(s.n, mc_trials, seed)[k]
+    crit = _critical(null, sig_level)
     return TestResult(
         side=side,
         statistic=v_obs,
         critical_value=crit,
-        p_value=(1 + count_ge) / (mc_trials + 1),
+        p_value=_p_value(null, v_obs),
         reject=bool(v_obs >= crit),
         n=s.n,
         per_index=(),

@@ -37,7 +37,8 @@ from .testing import Side, TestResult, TestSpec, critical_value, default_m, run_
 
 __all__ = ["main"]
 
-THREADS_HELP = "accepted and ignored; power cells always run serially"
+THREADS_HELP = "must be positive, otherwise ignored; power cells always run serially"
+INDICES_HELP = "explicit comma-separated ranks; give either this or --ell, not both"
 
 
 class CliError(Exception):
@@ -255,29 +256,29 @@ def cmd_critical_value(args) -> int:
     ref = parse_family(args.g)
     sides = [s.strip() for s in args.side.split(",") if s.strip()]
     m_values = _parse_int_list(args.m) if args.m is not None else None
+    indices = _parse_int_list(args.indices) if args.indices else None
     rows = []
     for n in _parse_int_list(args.n):
         for m in m_values if m_values is not None else (default_m(n),):
             for p_text in args.p.split(","):
                 p = _parse_p(p_text)
                 for side in sides:
-                    spec = TestSpec(
+                    pinned = TestSpec(
                         ref=ref,
                         m=m,
                         p_norm=p,
                         side=Side(side),
+                        indices=indices,
                         ell=args.ell,
                         assumed_tails=_assumed_tails(args),
                         index_rule=args.index_rule,
                         sig_level=args.alpha,
                         mc_trials=args.trials,
                         seed=seed,
-                    )
-                    crit = critical_value(spec, n)
-                    ell = args.ell if args.ell is not None else m
+                    ).resolve(n)
                     rows.append(
-                        (n, m, ell, _jsonable(p), side, args.alpha, crit,
-                         args.trials, seed)
+                        (n, m, len(pinned.indices), _jsonable(p), side, args.alpha,
+                         critical_value(pinned, n), args.trials, seed)
                     )
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -387,8 +388,6 @@ def _add_spec_flags(sub, m_list: bool = False) -> None:
     sub.add_argument("--p", default="1", help="norm order: 1, 2, ... or inf")
     sub.add_argument("--ell", type=int, default=None,
                      help="select this many ranks automatically")
-    sub.add_argument("--indices", default=None,
-                     help="explicit comma-separated ranks, overrides --ell")
     sub.add_argument("--assumed-alpha", type=float, default=None,
                      help="assumed right tail index of the data")
     sub.add_argument("--assumed-beta", type=float, default=None,
@@ -407,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("test", help="test a data file against a reference family")
     sub.add_argument("input", help="data file, one numeric value per line")
     _add_spec_flags(sub)
+    sub.add_argument("--indices", default=None, help=INDICES_HELP)
     sub.add_argument("--side", choices=("upper", "lower", "both"), default="upper")
     sub.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     _add_common_mc(sub)
@@ -421,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("critical-value", help="tabulate Monte Carlo critical values")
     sub.add_argument("--n", required=True, help="comma-separated sample sizes")
     _add_spec_flags(sub, m_list=True)
+    sub.add_argument("--indices", default=None, help=INDICES_HELP)
     sub.add_argument("--side", default="upper",
                      help="comma-separated subset of upper,lower")
     _add_common_mc(sub)
@@ -465,6 +466,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise CliError("threads must be positive")
         return args.func(args)
     except (CliError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from io import StringIO
 from pathlib import Path
 from typing import Iterable
@@ -35,9 +35,9 @@ from .testing import (
     InfeasibleSpecError,
     Side,
     TestSpec,
-    _quantile_rank,
+    _critical,
+    _null_side,
     batch_statistics,
-    null_statistics,
 )
 
 __all__ = [
@@ -81,22 +81,7 @@ class PowerRow:
                 return "inf"
             return v
 
-        return tuple(
-            fmt(v)
-            for v in (
-                self.family,
-                self.param,
-                self.n,
-                self.m,
-                self.ell,
-                self.p,
-                self.side,
-                self.rate,
-                self.se,
-                self.trials,
-                self.seed,
-            )
-        )
+        return tuple(fmt(getattr(self, f.name)) for f in fields(self))
 
 
 @dataclass
@@ -160,8 +145,19 @@ class PowerGrid:
             raise ValueError("threads must be positive")
 
 
+def _power_row(family: str, param: float, n: int, side: str, trials: int, seed: int,
+               rejects: np.ndarray | None, m: int | None = None, ell: int | None = None,
+               p: float | None = None) -> PowerRow:
+    """One power-table row: rate is the share of replications that reject,
+    se its binomial standard error; both are None for an infeasible cell."""
+    rate = se = None
+    if rejects is not None:
+        rate = float(np.mean(rejects))
+        se = math.sqrt(rate * (1.0 - rate) / trials)
+    return PowerRow(family, param, n, m, ell, p, side, rate, se, trials, seed)
+
+
 def _power_cell(grid: PowerGrid, param: float, n: int, m: int, ell: int | None) -> PowerRow:
-    alt = Alternative(grid.alternative, param)
     spec = TestSpec(
         ref=grid.ref,
         m=m,
@@ -174,45 +170,17 @@ def _power_cell(grid: PowerGrid, param: float, n: int, m: int, ell: int | None) 
         mc_trials=grid.mc_trials,
         seed=grid.base_seed,
     )
+    cell = (grid.alternative, param, n, grid.side.value, grid.replications, grid.base_seed)
     try:
         rs = spec.resolve(n)
     except InfeasibleSpecError:
-        return PowerRow(
-            family=grid.alternative,
-            param=param,
-            n=n,
-            m=m,
-            ell=ell,
-            p=grid.p_norm,
-            side=grid.side.value,
-            rate=None,
-            se=None,
-            trials=grid.replications,
-            seed=grid.base_seed,
-        )
-    t_plus_null, t_minus_null = null_statistics(
-        rs.ref, n, rs.m, rs.indices, rs.p_norm, rs.mc_trials, rs.seed
-    )
-    null_arr = t_plus_null if grid.side is Side.UPPER else t_minus_null
-    crit = float(null_arr[_quantile_rank(rs.sig_level, rs.mc_trials) - 1])
-    rows = _cached_draws(alt, n, grid.replications, grid.base_seed, "alt")
+        return _power_row(*cell, None, m, ell, grid.p_norm)
+    crit = _critical(_null_side(rs, n, grid.side), rs.sig_level)
+    rows = _cached_draws(Alternative(grid.alternative, param), n, grid.replications,
+                         grid.base_seed, "alt")
     t_plus, t_minus = batch_statistics(rows, rs.ref, rs.m, rs.indices, rs.p_norm)
     stats = t_plus if grid.side is Side.UPPER else t_minus
-    rate = float(np.mean(stats >= crit))
-    se = math.sqrt(rate * (1.0 - rate) / grid.replications)
-    return PowerRow(
-        family=grid.alternative,
-        param=param,
-        n=n,
-        m=rs.m,
-        ell=len(rs.indices),
-        p=grid.p_norm,
-        side=grid.side.value,
-        rate=rate,
-        se=se,
-        trials=grid.replications,
-        seed=grid.base_seed,
-    )
+    return _power_row(*cell, stats >= crit, rs.m, len(rs.indices), grid.p_norm)
 
 
 def estimate_power(grid: PowerGrid) -> PowerTable:
@@ -241,23 +209,9 @@ def pp_power(
     if replications < 1:
         raise ValueError("replications must be positive")
     k = 0 if side == "ihr" else 1
-    crit = float(_pp_null(n, mc_trials, base_seed)[k][_quantile_rank(sig_level, mc_trials) - 1])
-    alt = Alternative(alternative, param)
-    v = _pp_table(alt, n, replications, base_seed, "pp-alt")[k]
-    rate = int(np.count_nonzero(v >= crit)) / replications
-    return PowerRow(
-        family=alternative,
-        param=param,
-        n=n,
-        m=None,
-        ell=None,
-        p=None,
-        side=side,
-        rate=rate,
-        se=math.sqrt(rate * (1.0 - rate) / replications),
-        trials=replications,
-        seed=base_seed,
-    )
+    crit = _critical(_pp_null(n, mc_trials, base_seed)[k], sig_level)
+    v = _pp_table(Alternative(alternative, param), n, replications, base_seed, "pp-alt")[k]
+    return _power_row(alternative, param, n, side, replications, base_seed, v >= crit)
 
 
 def _std_m_grid() -> tuple[tuple[int, int | None], ...]:

@@ -12,7 +12,7 @@ are identical no matter how the work is scheduled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -35,7 +35,6 @@ __all__ = [
     "CACHE_DIR_ENV",
     "IndexDiagnostic",
     "InfeasibleSpecError",
-    "ResolvedSpec",
     "Side",
     "TestResult",
     "TestSpec",
@@ -84,14 +83,16 @@ def select_indices(
     A rank j is eligible when j > 1/beta and j < m + 1 - 1/alpha, where
     alpha and beta are the weaker (smaller) of the reference tail indices
     and the assumed data tail indices; a finite-mean side contributes no
-    constraint. Ranks whose exceedance bound is undefined are dropped.
+    constraint. Both inequalities are strict, so every eligible rank has a
+    finite exceedance bound.
 
     When only the right-tail constraint binds the ell smallest eligible
     ranks are returned, keeping farthest from the dangerous tail; a binding
     left tail mirrors this with the ell largest; when both or neither bind,
     the most central block is used. `rule` overrides the default with one
-    of "low", "high", "central". An explicit index list on the spec always
-    takes precedence over this selection.
+    of "low", "high", "central". A spec gives either ell, which leads
+    here, or an explicit index list, which bypasses this selection; never
+    both.
     """
     if not 1 <= ell <= m:
         raise ValueError(f"require 1 <= ell <= m, got ell={ell}, m={m}")
@@ -105,11 +106,7 @@ def select_indices(
     inv_beta = 0.0 if math.isinf(beta) else 1.0 / beta
     upper_lim = m + 1 - inv_alpha
     eligible = [
-        j
-        for j in range(1, m + 1)
-        if j > inv_beta + _FUZZ
-        and j < upper_lim - _FUZZ
-        and bound_status(ref, j, m) is not BoundStatus.UNDEFINED
+        j for j in range(1, m + 1) if inv_beta + _FUZZ < j < upper_lim - _FUZZ
     ]
     if len(eligible) < ell:
         raise InfeasibleSpecError(
@@ -167,10 +164,7 @@ class TestSpec:
             raise ValueError("m must be positive")
         if not self.p_norm >= 1.0:
             raise ValueError("p_norm must be at least 1 (math.inf allowed)")
-        if not 0.0 < self.sig_level < 1.0:
-            raise ValueError("sig_level must lie strictly between 0 and 1")
-        if self.mc_trials < 100:
-            raise ValueError("mc_trials must be at least 100")
+        _check_mc(self.sig_level, self.mc_trials)
         if self.indices is not None and self.ell is not None:
             raise ValueError("give either explicit indices or ell, not both")
         if self.indices is not None:
@@ -178,8 +172,9 @@ class TestSpec:
                 self, "indices", tuple(int(j) for j in self.indices)
             )
 
-    def resolve(self, n: int) -> "ResolvedSpec":
-        """Pin m and the index set for a sample of size n."""
+    def resolve(self, n: int) -> "TestSpec":
+        """The pinned spec for a sample of size n: m and the index set filled
+        in, ell cleared. A pinned spec resolves to itself."""
         if n < 1:
             raise ValueError("n must be positive")
         m = self.m if self.m is not None else default_m(n)
@@ -204,30 +199,7 @@ class TestSpec:
                     f"exceedance bound undefined at j={j}, m={m} under "
                     f"{self.ref.cache_key()}{hint}"
                 )
-        return ResolvedSpec(
-            ref=self.ref,
-            n=n,
-            m=m,
-            p_norm=self.p_norm,
-            indices=idx,
-            sig_level=self.sig_level,
-            mc_trials=self.mc_trials,
-            seed=self.seed,
-        )
-
-
-@dataclass(frozen=True)
-class ResolvedSpec:
-    """A TestSpec with m and the index set pinned for a given n."""
-
-    ref: RefFamily
-    n: int
-    m: int
-    p_norm: float
-    indices: tuple[int, ...]
-    sig_level: float
-    mc_trials: int
-    seed: int
+        return replace(self, m=m, indices=idx, ell=None)
 
 
 @dataclass(frozen=True)
@@ -253,12 +225,25 @@ class TestResult:
     config: dict
 
 
+def _check_mc(sig_level: float, mc_trials: int) -> None:
+    """The Monte Carlo settings every test checks."""
+    if not 0.0 < sig_level < 1.0:
+        raise ValueError("sig_level must lie strictly between 0 and 1")
+    if mc_trials < 100:
+        raise ValueError("mc_trials must be at least 100")
+
+
 def _pnorm(parts: np.ndarray, p: float) -> np.ndarray | float:
     if math.isinf(p):
         return parts.max(axis=-1)
     if p == 1.0:
         return parts.sum(axis=-1)
     return np.power(np.power(parts, p).sum(axis=-1), 1.0 / p)
+
+
+def _t_pair(gaps: np.ndarray, p: float) -> tuple:
+    """T+ and T- of a gap vector, or of each row of a gap matrix."""
+    return _pnorm(np.maximum(gaps, 0.0), p), _pnorm(np.maximum(-gaps, 0.0), p)
 
 
 def _arrays_for(
@@ -312,8 +297,7 @@ def batch_statistics(
     else:
         key = ("gaps", rows_key, ref.identity(), m, tuple(int(j) for j in indices))
         gaps = _cache.lookup(key, lambda: _gap_matrix(sorted_rows, ref, m, indices))
-    t_plus = _pnorm(np.maximum(gaps, 0.0), p_norm)
-    t_minus = _pnorm(np.maximum(-gaps, 0.0), p_norm)
+    t_plus, t_minus = _t_pair(gaps, p_norm)
     return np.asarray(t_plus), np.asarray(t_minus)
 
 
@@ -343,47 +327,52 @@ def null_statistics(
     return _cache.lookup(key, compute, disk_length=trials)
 
 
-def _quantile_rank(sig_level: float, trials: int) -> int:
-    return min(trials, max(1, math.ceil((1.0 - sig_level) * trials)))
+def _critical(null_sorted: np.ndarray, sig_level: float) -> float:
+    """The ceil((1 - sig_level) T)-th of T sorted null statistics: every
+    test rejects when its statistic reaches it."""
+    trials = len(null_sorted)
+    rank = min(trials, max(1, math.ceil((1.0 - sig_level) * trials)))
+    return float(null_sorted[rank - 1])
 
 
-def _null_side(spec: TestSpec, rs: ResolvedSpec, side: Side) -> np.ndarray:
+def _p_value(null_sorted: np.ndarray, t_obs: float) -> float:
+    """Add-one p-value (1 + #{T_sim >= t_obs}) / (T + 1) of T null statistics."""
+    return (1 + int(np.count_nonzero(null_sorted >= t_obs))) / (len(null_sorted) + 1)
+
+
+def _null_side(pinned: TestSpec, n: int, side: Side) -> np.ndarray:
+    """Sorted null statistics of one side for a pinned spec."""
     t_plus, t_minus = null_statistics(
-        rs.ref, rs.n, rs.m, rs.indices, rs.p_norm, rs.mc_trials, rs.seed
+        pinned.ref, n, pinned.m, pinned.indices, pinned.p_norm, pinned.mc_trials,
+        pinned.seed,
     )
     return t_plus if side is Side.UPPER else t_minus
 
 
 def critical_value(spec: TestSpec, n: int) -> float:
-    """Monte Carlo critical value: the ceil((1 - sig_level) * trials)-th
-    order statistic of the simulated null statistics."""
+    """Monte Carlo critical value for a sample of size n: the test rejects
+    when its statistic reaches it."""
     if spec.side is Side.BOTH:
         raise ValueError("critical_value needs side upper or lower")
-    rs = spec.resolve(n)
-    arr = _null_side(spec, rs, spec.side)
-    return float(arr[_quantile_rank(spec.sig_level, rs.mc_trials) - 1])
+    return _critical(_null_side(spec.resolve(n), n, spec.side), spec.sig_level)
 
 
 def p_value(spec: TestSpec, t_obs: float, n: int) -> float:
-    """Add-one Monte Carlo p-value: (1 + #{T_sim >= t_obs}) / (trials + 1)."""
+    """Add-one Monte Carlo p-value of the statistic t_obs at sample size n."""
     if spec.side is Side.BOTH:
         raise ValueError("p_value needs side upper or lower")
     if not t_obs >= 0.0:
         raise ValueError("observed statistic must be nonnegative")
-    rs = spec.resolve(n)
-    arr = _null_side(spec, rs, spec.side)
-    count = int(np.count_nonzero(arr >= t_obs))
-    return (1 + count) / (rs.mc_trials + 1)
+    return _p_value(_null_side(spec.resolve(n), n, spec.side), t_obs)
 
 
 def _observed(
     s: Sample, spec: TestSpec
-) -> tuple[ResolvedSpec, tuple[IndexDiagnostic, ...], float, float]:
+) -> tuple[TestSpec, tuple[IndexDiagnostic, ...], float, float]:
     rs = spec.resolve(s.n)
     weight_mat, pis = _arrays_for(rs.ref, s.n, rs.m, rs.indices)
     mus = weight_mat @ s.values
-    ecdf = interp_ecdf(s)
-    fts = ecdf(mus) if len(rs.indices) > 1 else np.atleast_1d(ecdf(mus))
+    fts = np.atleast_1d(interp_ecdf(s)(mus))
     gaps = pis - fts
     diags = tuple(
         IndexDiagnostic(
@@ -395,9 +384,8 @@ def _observed(
         )
         for i, j in enumerate(rs.indices)
     )
-    t_plus = float(_pnorm(np.maximum(gaps, 0.0), rs.p_norm))
-    t_minus = float(_pnorm(np.maximum(-gaps, 0.0), rs.p_norm))
-    return rs, diags, t_plus, t_minus
+    t_plus, t_minus = _t_pair(gaps, rs.p_norm)
+    return rs, diags, float(t_plus), float(t_minus)
 
 
 def statistic(
@@ -410,11 +398,11 @@ def statistic(
     return (t_plus if spec.side is Side.UPPER else t_minus), diags
 
 
-def _echo(rs: ResolvedSpec, side: Side) -> dict:
+def _echo(rs: TestSpec, n: int, side: Side) -> dict:
     return {
         "g": rs.ref.name,
         "g_params": rs.ref.params(),
-        "n": rs.n,
+        "n": n,
         "m": rs.m,
         "p": rs.p_norm,
         "ell": len(rs.indices),
@@ -435,19 +423,18 @@ def run_test(s: Sample, spec: TestSpec):
     rs, diags, t_plus, t_minus = _observed(s, spec)
 
     def one(side: Side) -> TestResult:
-        arr = _null_side(spec, rs, side)
+        null = _null_side(rs, s.n, side)
         t_obs = t_plus if side is Side.UPPER else t_minus
-        crit = float(arr[_quantile_rank(rs.sig_level, rs.mc_trials) - 1])
-        count = int(np.count_nonzero(arr >= t_obs))
+        crit = _critical(null, rs.sig_level)
         return TestResult(
             side=side.value,
             statistic=t_obs,
             critical_value=crit,
-            p_value=(1 + count) / (rs.mc_trials + 1),
+            p_value=_p_value(null, t_obs),
             reject=bool(t_obs >= crit),
             n=s.n,
             per_index=diags,
-            config=_echo(rs, side),
+            config=_echo(rs, s.n, side),
         )
 
     if spec.side is Side.BOTH:

@@ -5,13 +5,15 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cxorder.cli import CliError, main, parse_family, read_data_file
-from cxorder.distributions import Frechet, LogLogistic
+from cxorder.distributions import Exponential, Frechet, LogLogistic
 from cxorder.simulation import CSV_HEADER
+from cxorder.testing import TestSpec, critical_value
 
 RESULT_KEYS = {
     "g", "g_params", "n", "m", "p", "ell", "indices", "side", "statistic",
@@ -84,6 +86,11 @@ class TestTestCommand:
         assert record["seed"] == 11 and record["trials"] == 200
         assert record["reject"] == (record["statistic"] >= record["critical_value"])
         assert 0.0 < record["p_value"] <= 1.0
+
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_nonpositive_threads_exit_2(self, capsys, data_file, threads):
+        code, out, err = run_cli(capsys, "test", data_file, *self.ARGS, "--threads", threads)
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_output_is_reproducible_and_thread_invariant(self, capsys, data_file):
         _, first, _ = run_cli(capsys, "test", data_file, *self.ARGS)
@@ -191,6 +198,18 @@ class TestCriticalValueCommand:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert [(int(r[0]), int(r[1])) for r in rows] == [(20, 3), (30, 5)]
 
+    def test_explicit_indices_are_used_and_counted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "critical-value", "--n", "50", "--m", "5", "--indices", "2,3",
+            "--trials", "200", "--seed", "1",
+        )
+        assert code == 0
+        (row,) = list(csv.reader(io.StringIO(out)))[1:]
+        spec = TestSpec(ref=Exponential(), m=5, indices=(2, 3), mc_trials=200, seed=1)
+        assert row[2] == "2"
+        assert float(row[6]) == critical_value(spec, 50)
+        assert float(row[6]) != critical_value(replace(spec, indices=None), 50)
+
 
 class TestPowerCommand:
     ARGS = (
@@ -245,6 +264,20 @@ class TestPowerCommand:
             "--trials", "120", "--seed", "3",
         )
         assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_pp_zero_threads_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "power", "--family", "weibull", "--params", "1.5",
+            "--n", "20", "--pp", "--replications", "10",
+            "--trials", "120", "--seed", "3", "--threads", "0",
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_indices_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["power", "--family", "weibull", "--params", "1.5", "--n", "20",
+                  "--m", "5", "--indices", "2,3", "--seed", "3"])
+        capsys.readouterr()
 
     def test_thread_count_leaves_bytes_unchanged(self, capsys):
         _, serial, _ = run_cli(capsys, *self.ARGS, "--params", "1.5")

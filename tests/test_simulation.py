@@ -87,6 +87,10 @@ def test_infeasible_cell_reports_none_rate():
     )
     (row,) = estimate_power(grid).rows
     assert row.rate is None and row.se is None
+    assert (row.family, row.param, row.n) == ("log-logistic", 1.5, 25)
+    assert (row.m, row.ell, row.p, row.side) == (2, 2, 1.0, "upper")
+    assert row.trials == grid.replications == 40
+    assert row.seed == grid.base_seed == 7
 
 
 def test_power_moves_in_the_right_direction():

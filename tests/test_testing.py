@@ -124,6 +124,21 @@ def test_resolve_routes_ell_through_selection():
     assert spec.resolve(30).indices == (1, 2, 3)
 
 
+@pytest.mark.parametrize("spec", [
+    TestSpec(ref=Exponential(), mc_trials=200),
+    TestSpec(ref=Exponential(), m=4, indices=(1, 3), mc_trials=200),
+    TestSpec(ref=LogLogistic(1.0), m=5, ell=3, assumed_tails=TailInfo(1.0, math.inf),
+             mc_trials=200),
+    TestSpec(ref=Cauchy(), m=9, ell=4, index_rule="low", mc_trials=200),
+])
+def test_resolve_pins_a_spec_that_resolves_to_itself(spec):
+    pinned = spec.resolve(30)
+    assert isinstance(pinned, TestSpec)
+    assert pinned.m is not None and pinned.ell is None
+    assert pinned.resolve(30) == pinned
+    assert critical_value(pinned, 30) == critical_value(spec, 30)
+
+
 # -------------------------------------------------------------- statistic
 
 def test_statistic_two_point_uniform_example():
@@ -289,6 +304,18 @@ def test_run_test_both_returns_upper_lower_pair():
     assert single.statistic == upper.statistic
     assert single.critical_value == upper.critical_value
     assert single.p_value == upper.p_value
+
+
+@pytest.mark.parametrize("ref, m, ell", [(Exponential(), 5, None), (Cauchy(), 6, 4)])
+def test_run_test_agrees_with_critical_value_and_p_value(ref, m, ell):
+    rng = np.random.default_rng(41)
+    s = ingest(rng.weibull(1.4, size=50))
+    spec = TestSpec(ref=ref, m=m, ell=ell, mc_trials=300, seed=9, side="both")
+    for res in run_test(s, spec):
+        one = replace(spec, side=Side(res.side))
+        assert res.critical_value == critical_value(one, s.n)
+        assert res.p_value == p_value(one, res.statistic, s.n)
+        assert res.reject == (res.statistic >= res.critical_value)
 
 
 def test_run_test_decision_invariant_under_affine_maps():

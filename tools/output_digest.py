@@ -7,8 +7,9 @@ this script in two checkouts and comparing the two listings:
 
 It covers the seven exhibit CSVs at R = T = 300 on one and on two threads,
 `cxorder test` JSON records for several references and rank-selection
-modes, `pp-test` and `power` output, and raw null-statistic tables for
-small and medium n. Takes about 15 s on two cores.
+modes, `pp-test`, `critical-value` and `power` output (one power grid
+with an infeasible cell), and raw null-statistic tables for small and
+medium n. Takes about 15 s on two cores.
 """
 
 from __future__ import annotations
@@ -40,11 +41,17 @@ CLI_RUNS = {
     "test-log-logistic-assumed": ["test", "{x}", "--g", "log-logistic", "--m", "20",
                                   "--ell", "8", "--assumed-alpha", "0.5", "--side", "upper"],
     "pp-test": ["pp-test", "{x}", "--side", "dhr"],
+    "critical-value": ["critical-value", "--n", "20,50", "--m", "3,6", "--p", "1,inf",
+                       "--side", "upper,lower"],
     "power-shifted-exponential": ["power", "--family", "shifted-exponential",
                                   "--params", "0.5", "--n", "20,40", "--m", "4",
                                   "--replications", "400"],
     "power-pp-student-t": ["power", "--family", "student-t", "--params", "3",
                            "--n", "30", "--pp", "--replications", "400"],
+    # The m = 1 cell is infeasible: a Cauchy reference has no bound at j = 1 of 1.
+    "power-student-t-cauchy": ["power", "--family", "student-t", "--params", "3",
+                               "--n", "30", "--g", "cauchy", "--m", "1,4",
+                               "--replications", "400"],
 }
 
 
