@@ -34,12 +34,15 @@ def normalized_spacings(s: Sample) -> np.ndarray:
     exponential. An increasing hazard rate pushes the sequence
     stochastically downward along i.
     """
-    x = s.values
-    n = x.size
-    if n < 2:
+    if s.n < 2:
         raise ValueError("need at least two observations for spacings")
-    coef = np.arange(n - 1, 0, -1, dtype=float)
-    return coef * np.diff(x)
+    return _spacings(s.values)
+
+
+def _spacings(x: np.ndarray) -> np.ndarray:
+    """Normalized spacings along the last axis of presorted x."""
+    coef = np.arange(x.shape[-1] - 1, 0, -1, dtype=float)
+    return coef * np.diff(x, axis=-1)
 
 
 @lru_cache(maxsize=64)
@@ -59,8 +62,7 @@ def _pair_counts(d: np.ndarray) -> tuple[int, int]:
 
 def _pp_counts(sorted_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pair counts (ihr, dhr) of the normalized spacings of each presorted row."""
-    coef = np.arange(sorted_rows.shape[1] - 1, 0, -1, dtype=float)
-    d = coef * np.diff(sorted_rows, axis=1)
+    d = _spacings(sorted_rows)
     counts = np.array([_pair_counts(row) for row in d], dtype=float).reshape(-1, 2)
     return counts[:, 0], counts[:, 1]
 

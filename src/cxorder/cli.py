@@ -32,7 +32,7 @@ from .distributions import (
     Uniform,
 )
 from .order_stats import Sample, hill_estimate, ingest
-from .simulation import PowerGrid, PowerTable, estimate_power, pp_power, reproduce
+from .simulation import PowerGrid, PowerTable, _pp_rows, estimate_power, reproduce
 from .testing import Side, TestResult, TestSpec, critical_value, default_m, run_test
 
 __all__ = ["main"]
@@ -124,6 +124,8 @@ def _parse_params(args) -> tuple[float, ...]:
             lo, hi, step = (float(t) for t in args.param_range.split(":"))
         except ValueError as exc:
             raise CliError("param range must be lo:hi:step") from exc
+        if not all(math.isfinite(v) for v in (lo, hi, step)):
+            raise CliError("param range bounds and step must be finite")
         if step <= 0 or hi < lo:
             raise CliError("param range must be lo:hi:step with step > 0")
         count = int(round((hi - lo) / step))
@@ -143,6 +145,22 @@ def _assumed_tails(args) -> TailInfo | None:
     return TailInfo(
         args.assumed_alpha if args.assumed_alpha is not None else math.inf,
         args.assumed_beta if args.assumed_beta is not None else math.inf,
+    )
+
+
+def _spec(args, seed: int, **fields) -> TestSpec:
+    """The TestSpec fields test and critical-value read from the same flags;
+    the caller gives m, p_norm and side."""
+    return TestSpec(
+        ref=parse_family(args.g),
+        indices=_parse_int_list(args.indices) if args.indices else None,
+        ell=args.ell,
+        assumed_tails=_assumed_tails(args),
+        index_rule=args.index_rule,
+        sig_level=args.alpha,
+        mc_trials=args.trials,
+        seed=seed,
+        **fields,
     )
 
 
@@ -197,21 +215,8 @@ def _load_sample(path: str) -> tuple[Sample, list[str]]:
 
 def cmd_test(args) -> int:
     seed = _resolve_seed(args)
-    ref = parse_family(args.g)
+    spec = _spec(args, seed, m=args.m, p_norm=_parse_p(args.p), side=Side(args.side))
     sample, warn_list = _load_sample(args.input)
-    spec = TestSpec(
-        ref=ref,
-        m=args.m,
-        p_norm=_parse_p(args.p),
-        side=Side(args.side),
-        indices=_parse_int_list(args.indices) if args.indices else None,
-        ell=args.ell,
-        assumed_tails=_assumed_tails(args),
-        index_rule=args.index_rule,
-        sig_level=args.alpha,
-        mc_trials=args.trials,
-        seed=seed,
-    )
     # No threads echo: output bytes must not depend on worker count.
     extra = {"input": args.input}
     result = run_test(sample, spec)
@@ -253,29 +258,15 @@ def cmd_pp_test(args) -> int:
 
 def cmd_critical_value(args) -> int:
     seed = _resolve_seed(args)
-    ref = parse_family(args.g)
     sides = [s.strip() for s in args.side.split(",") if s.strip()]
     m_values = _parse_int_list(args.m) if args.m is not None else None
-    indices = _parse_int_list(args.indices) if args.indices else None
     rows = []
     for n in _parse_int_list(args.n):
         for m in m_values if m_values is not None else (default_m(n),):
             for p_text in args.p.split(","):
                 p = _parse_p(p_text)
                 for side in sides:
-                    pinned = TestSpec(
-                        ref=ref,
-                        m=m,
-                        p_norm=p,
-                        side=Side(side),
-                        indices=indices,
-                        ell=args.ell,
-                        assumed_tails=_assumed_tails(args),
-                        index_rule=args.index_rule,
-                        sig_level=args.alpha,
-                        mc_trials=args.trials,
-                        seed=seed,
-                    ).resolve(n)
+                    pinned = _spec(args, seed, m=m, p_norm=p, side=Side(side)).resolve(n)
                     rows.append(
                         (n, m, len(pinned.indices), _jsonable(p), side, args.alpha,
                          critical_value(pinned, n), args.trials, seed)
@@ -290,25 +281,30 @@ def cmd_critical_value(args) -> int:
     return 0
 
 
+def _check_pp_flags(args) -> None:
+    """Reject test-spec flags under --pp: the Proschan-Pyke test reads none."""
+    given = (
+        ("--g", parse_family(args.g) != Exponential()),
+        ("--m", args.m is not None),
+        ("--p", _parse_p(args.p) != 1.0),
+        ("--ell", args.ell is not None),
+        ("--assumed-alpha", args.assumed_alpha is not None),
+        ("--assumed-beta", args.assumed_beta is not None),
+        ("--index-rule", args.index_rule is not None),
+    )
+    flags = [flag for flag, is_set in given if is_set]
+    if flags:
+        raise CliError(f"--pp runs the Proschan-Pyke test, which takes no {', '.join(flags)}")
+
+
 def cmd_power(args) -> int:
     seed = _resolve_seed(args)
     params = _parse_params(args)
-    rows = []
     if args.pp:
+        _check_pp_flags(args)
         side = "ihr" if Side(args.side) is Side.UPPER else "dhr"
-        for param in params:
-            for n in _parse_int_list(args.n):
-                rows.append(
-                    pp_power(
-                        args.family, param, n,
-                        side=side,
-                        replications=args.replications,
-                        mc_trials=args.trials,
-                        sig_level=args.alpha,
-                        base_seed=seed,
-                    )
-                )
-        table = PowerTable(rows)
+        table = PowerTable(_pp_rows(args.family, params, _parse_int_list(args.n), (side,),
+                                    args.replications, args.trials, seed, args.alpha))
     else:
         if args.m is None:
             raise CliError("give --m for power grids")

@@ -200,8 +200,8 @@ class LogLogistic(RefFamily):
     name: str = "log-logistic"
 
     def __post_init__(self) -> None:
-        if not self.a > 0.0:
-            raise ValueError("shape a must be positive")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError("shape a must be positive and finite")
 
     def params(self) -> dict[str, float]:
         return {"a": self.a}
@@ -257,8 +257,8 @@ class Frechet(RefFamily):
     name: str = "frechet"
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise ValueError("shape alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("shape alpha must be positive and finite")
 
     def params(self) -> dict[str, float]:
         return {"alpha": self.alpha}
@@ -384,6 +384,8 @@ class Alternative:
     def __post_init__(self) -> None:
         if self.kind not in _ALT_KINDS:
             raise ValueError(f"unknown alternative family {self.kind!r}")
+        if not math.isfinite(self.param):
+            raise ValueError(f"{self.kind} needs a finite parameter")
         if self.kind != "shifted-exponential" and not self.param > 0.0:
             raise ValueError(f"{self.kind} needs a positive parameter")
 

@@ -1,4 +1,4 @@
-"""Grid-based power studies and canned reproduction of the power exhibits.
+"""Grid-based power studies and the power exhibits, held as data.
 
 A power grid crosses an alternative family's parameters with sample sizes
 and test configurations. Every cell is an independent job: its critical
@@ -7,17 +7,19 @@ alternative's draw table, whose streams are derived from the base seed,
 the alternative and the sample size, so tables are reproducible bit for
 bit regardless of execution order. Cells run serially: they mostly hold
 the interpreter lock, and a two-thread pool ran slower.
+
+Each exhibit in EXHIBITS is a tuple of parts in row order: power grids
+and sets of Proschan-Pyke rows. reproduce fills in the budgets and the
+seed and runs the parts.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from io import StringIO
 from pathlib import Path
-from typing import Iterable
-
 import numpy as np
 
 from ._cache import clear_caches
@@ -214,65 +216,16 @@ def pp_power(
     return _power_row(alternative, param, n, side, replications, base_seed, v >= crit)
 
 
-def _std_m_grid() -> tuple[tuple[int, int | None], ...]:
-    return ((1, None), (5, None), (10, None), (20, None))
-
-
-def _run_grids(grids: Iterable[PowerGrid]) -> list[PowerRow]:
-    rows: list[PowerRow] = []
-    for grid in grids:
-        rows.extend(estimate_power(grid).rows)
-    return rows
-
-
-def _exhibit_table1(replications, mc_trials, seed) -> PowerTable:
-    grids = [
-        PowerGrid(
-            alternative="weibull",
-            params=(1.5,),
-            n_grid=(25, 50, 100, 200),
-            m_ell=_std_m_grid(),
-            ref=Exponential(),
-            p_norm=p,
-            side=Side.UPPER,
-            replications=replications,
-            mc_trials=mc_trials,
-            base_seed=seed,
-        )
-        for p in (1.0, 2.0, math.inf)
+def _pp_rows(alternative: str, params: tuple[float, ...], n_grid: tuple[int, ...],
+             sides: tuple[str, ...], replications: int, mc_trials: int, seed: int,
+             sig_level: float = 0.1) -> list[PowerRow]:
+    """Proschan-Pyke rows over parameter, then sample size, then side."""
+    return [
+        pp_power(alternative, param, n, side, replications, mc_trials, sig_level, seed)
+        for param in params
+        for n in n_grid
+        for side in sides
     ]
-    return PowerTable(_run_grids(grids))
-
-
-def _exhibit_table2(replications, mc_trials, seed) -> PowerTable:
-    n_grid = (25, 50, 100, 200, 500)
-    rows: list[PowerRow] = []
-    for n in n_grid:
-        for side in ("ihr", "dhr"):
-            rows.append(
-                pp_power(
-                    "student-t", 1.1, n,
-                    side=side,
-                    replications=replications,
-                    mc_trials=mc_trials,
-                    base_seed=seed,
-                )
-            )
-    for side in (Side.UPPER, Side.LOWER):
-        grid = PowerGrid(
-            alternative="student-t",
-            params=(1.1,),
-            n_grid=n_grid,
-            m_ell=_std_m_grid(),
-            ref=Exponential(),
-            p_norm=1.0,
-            side=side,
-            replications=replications,
-            mc_trials=mc_trials,
-            base_seed=seed,
-        )
-        rows.extend(estimate_power(grid).rows)
-    return PowerTable(rows)
 
 
 def _shape_grid(lo: float, hi: float) -> tuple[float, ...]:
@@ -280,143 +233,46 @@ def _shape_grid(lo: float, hi: float) -> tuple[float, ...]:
     return tuple(round(lo + 0.1 * i, 10) for i in range(count + 1))
 
 
-def _exhibit_fig_drhr(replications, mc_trials, seed) -> PowerTable:
-    grid = PowerGrid(
-        alternative="neg-weibull",
-        params=_shape_grid(1.0, 2.0),
-        n_grid=(25, 50, 100, 200),
-        m_ell=_std_m_grid(),
-        ref=NegExponential(),
-        p_norm=1.0,
-        side=Side.UPPER,
-        replications=replications,
-        mc_trials=mc_trials,
-        base_seed=seed,
-    )
-    return estimate_power(grid)
+_N4 = (25, 50, 100, 200)
+_N5 = (25, 50, 100, 200, 500)
+_STD_M = ((1, None), (5, None), (10, None), (20, None))
+_M_3D = (1, 2, 3, 5, 8, 10, 15, 20, 25, 30, 40)
+_SHAPES = _shape_grid(1.0, 2.0)
 
-
-def _exhibit_fig_ior(replications, mc_trials, seed) -> PowerTable:
-    grid = PowerGrid(
-        alternative="log-logistic",
-        params=_shape_grid(1.0, 2.0),
-        n_grid=(25, 50, 100, 200),
-        m_ell=((3, 1), (5, 3), (10, 8), (20, 18)),
-        ref=LogLogistic(1.0),
-        p_norm=1.0,
-        side=Side.UPPER,
-        replications=replications,
-        mc_trials=mc_trials,
-        base_seed=seed,
-    )
-    return estimate_power(grid)
-
-
-def _exhibit_fig_dor(replications, mc_trials, seed) -> PowerTable:
-    grid = PowerGrid(
-        alternative="log-logistic",
-        params=_shape_grid(0.1, 1.0),
-        n_grid=(25, 50, 100, 200),
-        m_ell=((25, 5), (30, 10), (35, 15), (40, 20)),
-        ref=LogLogistic(1.0),
-        p_norm=1.0,
-        side=Side.LOWER,
-        assumed_tails=TailInfo(0.1, math.inf),
-        replications=replications,
-        mc_trials=mc_trials,
-        base_seed=seed,
-    )
-    return estimate_power(grid)
-
-
-def _exhibit_fig_pp(replications, mc_trials, seed) -> PowerTable:
-    rows: list[PowerRow] = []
-    params = _shape_grid(1.0, 2.0)
-    n_grid = (25, 50, 100, 200)
-    for param in params:
-        for n in n_grid:
-            rows.append(
-                pp_power(
-                    "weibull", param, n,
-                    side="ihr",
-                    replications=replications,
-                    mc_trials=mc_trials,
-                    base_seed=seed,
-                )
-            )
-    grid = PowerGrid(
-        alternative="weibull",
-        params=params,
-        n_grid=n_grid,
-        m_ell=_std_m_grid(),
-        ref=Exponential(),
-        p_norm=1.0,
-        side=Side.UPPER,
-        replications=replications,
-        mc_trials=mc_trials,
-        base_seed=seed,
-    )
-    rows.extend(estimate_power(grid).rows)
-    return PowerTable(rows)
-
-
-def _exhibit_fig_3d(replications, mc_trials, seed) -> PowerTable:
-    n_grid = (25, 50, 100, 200)
-    m_values = (1, 2, 3, 5, 8, 10, 15, 20, 25, 30, 40)
-    rows: list[PowerRow] = []
-    rows.extend(
-        _run_grids(
-            [
-                PowerGrid(
-                    alternative="neg-weibull",
-                    params=(1.5,),
-                    n_grid=n_grid,
-                    m_ell=tuple((m, None) for m in m_values),
-                    ref=NegExponential(),
-                    p_norm=1.0,
-                    side=Side.UPPER,
-                    replications=replications,
-                    mc_trials=mc_trials,
-                    base_seed=seed,
-                ),
-                PowerGrid(
-                    alternative="log-logistic",
-                    params=(1.5,),
-                    n_grid=n_grid,
-                    m_ell=tuple((m, m - 2) for m in m_values if m >= 3),
-                    ref=LogLogistic(1.0),
-                    p_norm=1.0,
-                    side=Side.UPPER,
-                    replications=replications,
-                    mc_trials=mc_trials,
-                    base_seed=seed,
-                ),
-                PowerGrid(
-                    alternative="weibull",
-                    params=(1.5,),
-                    n_grid=n_grid,
-                    m_ell=tuple((m, None) for m in m_values),
-                    ref=Exponential(),
-                    p_norm=1.0,
-                    side=Side.UPPER,
-                    replications=replications,
-                    mc_trials=mc_trials,
-                    base_seed=seed,
-                ),
-            ]
-        )
-    )
-    return PowerTable(rows)
-
-
+# Each exhibit's parts in row order: a PowerGrid, whose replications,
+# mc_trials and base_seed reproduce fills in, or an (alternative, params,
+# n_grid, sides) tuple of Proschan-Pyke rows.
 EXHIBITS = {
-    "table1": _exhibit_table1,
-    "table2": _exhibit_table2,
-    "fig_drhr": _exhibit_fig_drhr,
-    "fig_ior": _exhibit_fig_ior,
-    "fig_dor": _exhibit_fig_dor,
-    "fig_pp": _exhibit_fig_pp,
-    "fig_3d": _exhibit_fig_3d,
+    "table1": tuple(
+        PowerGrid("weibull", (1.5,), _N4, _STD_M, Exponential(), p_norm=p)
+        for p in (1.0, 2.0, math.inf)
+    ),
+    "table2": (
+        ("student-t", (1.1,), _N5, ("ihr", "dhr")),
+        PowerGrid("student-t", (1.1,), _N5, _STD_M, Exponential()),
+        PowerGrid("student-t", (1.1,), _N5, _STD_M, Exponential(), side=Side.LOWER),
+    ),
+    "fig_drhr": (PowerGrid("neg-weibull", _SHAPES, _N4, _STD_M, NegExponential()),),
+    "fig_ior": (
+        PowerGrid("log-logistic", _SHAPES, _N4, ((3, 1), (5, 3), (10, 8), (20, 18)),
+                  LogLogistic(1.0)),
+    ),
+    "fig_dor": (
+        PowerGrid("log-logistic", _shape_grid(0.1, 1.0), _N4,
+                  ((25, 5), (30, 10), (35, 15), (40, 20)), LogLogistic(1.0),
+                  side=Side.LOWER, assumed_tails=TailInfo(0.1, math.inf)),
+    ),
+    "fig_pp": (
+        ("weibull", _SHAPES, _N4, ("ihr",)),
+        PowerGrid("weibull", _SHAPES, _N4, _STD_M, Exponential()),
+    ),
+    "fig_3d": (
+        PowerGrid("neg-weibull", (1.5,), _N4, tuple((m, None) for m in _M_3D),
+                  NegExponential()),
+        PowerGrid("log-logistic", (1.5,), _N4, tuple((m, m - 2) for m in _M_3D if m >= 3),
+                  LogLogistic(1.0)),
+        PowerGrid("weibull", (1.5,), _N4, tuple((m, None) for m in _M_3D), Exponential()),
+    ),
 }
 
 
@@ -439,9 +295,16 @@ def reproduce(
         )
     if threads < 1:
         raise ValueError("threads must be positive")
-    table = EXHIBITS[target](replications, mc_trials, seed)
+    rows: list[PowerRow] = []
+    for part in EXHIBITS[target]:
+        if isinstance(part, PowerGrid):
+            grid = replace(part, replications=replications, mc_trials=mc_trials,
+                           base_seed=seed)
+            rows.extend(estimate_power(grid).rows)
+        else:
+            rows.extend(_pp_rows(*part, replications, mc_trials, seed))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{target}.csv"
-    table.to_csv(path)
+    PowerTable(rows).to_csv(path)
     return path

@@ -145,6 +145,11 @@ class TestTestCommand:
         )
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("g", ["frechet:inf", "log-logistic:inf", "log-logistic:nan"])
+    def test_non_finite_shape_exits_2(self, capsys, data_file, g):
+        code, out, err = run_cli(capsys, "test", data_file, "--g", g, "--seed", "1")
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_unparseable_data_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("1.0\ntwo\n")
@@ -278,6 +283,42 @@ class TestPowerCommand:
             main(["power", "--family", "weibull", "--params", "1.5", "--n", "20",
                   "--m", "5", "--indices", "2,3", "--seed", "3"])
         capsys.readouterr()
+
+    @pytest.mark.parametrize("family, value", [
+        ("shifted-exponential", "nan"), ("weibull", "inf"), ("student-t", "inf"),
+    ])
+    def test_non_finite_parameter_exits_2(self, capsys, family, value):
+        code, out, err = run_cli(
+            capsys, "power", "--family", family, "--params", value, "--n", "20",
+            "--m", "4", "--replications", "200", "--trials", "200", "--seed", "1",
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ["1:inf:0.5", "nan:2:0.5", "1:2:inf", "1:2:nan"])
+    def test_non_finite_param_range_exits_2(self, capsys, text):
+        code, out, err = run_cli(capsys, *self.ARGS, "--param-range", text)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    PP_ARGS = (
+        "power", "--family", "weibull", "--params", "1.5", "--n", "20", "--pp",
+        "--replications", "10", "--trials", "100", "--seed", "1",
+    )
+
+    @pytest.mark.parametrize("flag, value", [("--g", "cauchy"), ("--m", "5"), ("--p", "2")])
+    def test_pp_rejects_test_spec_flags(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, *self.PP_ARGS, flag, value)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert flag in err
+
+    def test_pp_accepts_default_spec_values_and_run_flags(self, capsys):
+        _, plain, _ = run_cli(capsys, *self.PP_ARGS)
+        code, same, _ = run_cli(capsys, *self.PP_ARGS, "--g", "exponential", "--p", "1.0",
+                                "--threads", "2")
+        assert code == 0 and same == plain
+        code, out, _ = run_cli(capsys, *self.PP_ARGS, "--side", "lower", "--alpha", "0.2")
+        assert code == 0
+        (row,) = list(csv.reader(io.StringIO(out)))[1:]
+        assert row[6] == "dhr"
 
     def test_thread_count_leaves_bytes_unchanged(self, capsys):
         _, serial, _ = run_cli(capsys, *self.ARGS, "--params", "1.5")

@@ -155,6 +155,26 @@ def test_shape_parameters_validated():
         Frechet(-1.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_log_logistic_rejects_non_finite_shape(value):
+    with pytest.raises(ValueError):
+        LogLogistic(value)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_frechet_rejects_non_finite_shape(value):
+    with pytest.raises(ValueError):
+        Frechet(value)
+
+
+@pytest.mark.parametrize("kind", ["weibull", "log-logistic", "neg-weibull", "student-t",
+                                  "shifted-exponential"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_alternative_rejects_non_finite_parameter(kind, value):
+    with pytest.raises(ValueError):
+        Alternative(kind, value)
+
+
 def test_cache_keys_distinguish_parameters():
     assert Exponential().cache_key() == "exponential()"
     assert LogLogistic(1.5).cache_key() != LogLogistic(2.0).cache_key()

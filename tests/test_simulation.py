@@ -3,6 +3,7 @@ exhibit targets. Budgets here are tiny; statistical targets live in the
 acceptance suite."""
 
 import csv
+import hashlib
 import io
 import math
 from collections import Counter
@@ -187,17 +188,36 @@ def test_exhibit_registry_names():
     }
 
 
-def test_reproduce_writes_named_csv(tmp_path):
+# Row count and SHA-256 of the key columns (family, param, n, m, ell, p,
+# side), one comma-joined line per row in row order, of each exhibit.
+EXHIBIT_LAYOUTS = {
+    "table1": (48, "7dda9b630f50d95a04bfde0e242be3cb48602f12513ba4c8cc93f1d83b4200f7"),
+    "table2": (50, "36c0f21e4a08304011404c1691c70c891bfdca9b5073135b5837f7b83ed932a8"),
+    "fig_drhr": (176, "f1144dbe214c3515e6a88d898113789084f76398a220d4ad9836b2d84b0f81df"),
+    "fig_ior": (176, "d011ccf6b75826a4d0967229aa2c65eca01fbf939ef454aabc13ab8e4ebe8257"),
+    "fig_dor": (160, "9106abfe20eea9c468e12598f561e7bf17f9a4d1d8c37acfb8ce53a47a735ec3"),
+    "fig_pp": (220, "a9d305963bb1551c5f82719fb6522f239b8e4e14ccf7dee5bc950f1312d5678b"),
+    "fig_3d": (124, "5d68b1542a03273bd4042c0f2cbe352d9b7b50d45d944f4709e4750aa6c8eb12"),
+}
+
+
+@pytest.mark.parametrize("target", sorted(EXHIBIT_LAYOUTS))
+def test_reproduce_writes_named_csv(tmp_path, target):
     path = reproduce(
-        "fig_dor", out_dir=tmp_path, replications=2, mc_trials=100, seed=3
+        target, out_dir=tmp_path, replications=1, mc_trials=100, seed=3
     )
-    assert path == tmp_path / "fig_dor.csv"
+    assert path == tmp_path / f"{target}.csv"
     rows = list(csv.reader(io.StringIO(path.read_text())))
     assert tuple(rows[0]) == CSV_HEADER
-    # 10 shapes, 4 sample sizes, 4 (m, ell) settings
-    assert len(rows) == 1 + 160
-    sides = {r[6] for r in rows[1:]}
-    assert sides == {"lower"}
+    count, digest = EXHIBIT_LAYOUTS[target]
+    assert len(rows) == 1 + count
+    keys = "".join(",".join(r[:7]) + "\n" for r in rows[1:])
+    assert hashlib.sha256(keys.encode()).hexdigest() == digest
+    if target == "fig_dor":
+        # 10 shapes, 4 sample sizes, 4 (m, ell) settings
+        assert len(rows) == 1 + 160
+        sides = {r[6] for r in rows[1:]}
+        assert sides == {"lower"}
 
 
 def test_reproduce_rejects_unknown_target(tmp_path):

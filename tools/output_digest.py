@@ -1,9 +1,14 @@
 """Print a SHA-256 digest of each output covered by the determinism contract.
 
-A change that claims to leave every output byte alone is checked by running
-this script in two checkouts and comparing the two listings:
+A change that claims to leave every output byte alone is checked by
+comparing this script's listing with the committed one:
 
-    PYTHONPATH=src python3 tools/output_digest.py > digests.txt
+    diff <(PYTHONPATH=src python3 tools/output_digest.py) tools/output_digest.txt
+
+A change that alters outputs regenerates tools/output_digest.txt and says
+which lines changed. The committed listing holds for numpy 2.4.6 with
+OpenBLAS 0.3.31 (scipy-openblas, Haswell kernels) on x86-64; another
+numpy or BLAS may round differently, so compare two checkouts there.
 
 It covers the seven exhibit CSVs at R = T = 300 on one and on two threads,
 `cxorder test` JSON records for several references and rank-selection
