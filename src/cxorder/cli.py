@@ -15,6 +15,7 @@ import math
 import secrets
 import sys
 import warnings
+from dataclasses import replace
 from io import StringIO
 from pathlib import Path
 
@@ -45,32 +46,30 @@ class CliError(Exception):
     """User-facing configuration or input problem."""
 
 
+_PLAIN_FAMILIES = {
+    "uniform": Uniform,
+    "exponential": Exponential,
+    "neg-exponential": NegExponential,
+    "logistic": Logistic,
+    "cauchy": Cauchy,
+}
+
+
 def parse_family(text: str) -> RefFamily:
     """Parse a --g flag value like exponential, log-logistic:2, frechet:0.5."""
     name, sep, arg = text.partition(":")
     name = name.strip().lower()
-    if name == "uniform":
-        fam: RefFamily = Uniform()
-    elif name == "exponential":
-        fam = Exponential()
-    elif name == "neg-exponential":
-        fam = NegExponential()
-    elif name == "logistic":
-        fam = Logistic()
-    elif name == "cauchy":
-        fam = Cauchy()
-    elif name == "log-logistic":
-        fam = LogLogistic(float(arg) if sep else 1.0)
-        return fam
-    elif name == "frechet":
+    if name in _PLAIN_FAMILIES:
+        if sep:
+            raise CliError(f"{name} takes no parameter, got {text!r}")
+        return _PLAIN_FAMILIES[name]()
+    if name == "log-logistic":
+        return LogLogistic(float(arg) if sep else 1.0)
+    if name == "frechet":
         if not sep:
             raise CliError("frechet needs a shape, e.g. frechet:0.5")
         return Frechet(float(arg))
-    else:
-        raise CliError(f"unknown reference family {text!r}")
-    if sep:
-        raise CliError(f"{name} takes no parameter, got {text!r}")
-    return fam
+    raise CliError(f"unknown reference family {text!r}")
 
 
 def read_data_file(path: str) -> list[float]:
@@ -149,11 +148,12 @@ def _assumed_tails(args) -> TailInfo | None:
 
 
 def _spec(args, seed: int, **fields) -> TestSpec:
-    """The TestSpec fields test and critical-value read from the same flags;
-    the caller gives m, p_norm and side."""
+    """The TestSpec fields every test command reads from the same flags;
+    the caller gives m (power grids give it per cell), p_norm and side."""
+    indices = getattr(args, "indices", None)
     return TestSpec(
         ref=parse_family(args.g),
-        indices=_parse_int_list(args.indices) if args.indices else None,
+        indices=_parse_int_list(indices) if indices else None,
         ell=args.ell,
         assumed_tails=_assumed_tails(args),
         index_rule=args.index_rule,
@@ -179,30 +179,14 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _result_record(res: TestResult, seed: int, warnings_list: list[str],
-                   extra: dict | None = None) -> dict:
-    cfg = res.config
-    record = {
-        "g": cfg.get("g"),
-        "g_params": cfg.get("g_params", {}),
-        "n": res.n,
-        "m": cfg.get("m"),
-        "p": _jsonable(cfg.get("p")),
-        "ell": cfg.get("ell"),
-        "indices": cfg.get("indices"),
-        "side": res.side,
-        "statistic": res.statistic,
-        "critical_value": res.critical_value,
-        "p_value": res.p_value,
-        "reject": res.reject,
-        "alpha": cfg.get("alpha"),
-        "trials": cfg.get("trials"),
-        "seed": seed,
-        "warnings": warnings_list,
-    }
-    if extra:
-        record.update(extra)
-    return record
+def _result_record(res: TestResult, warnings_list: list[str], path: str) -> dict:
+    # Key order follows testing._echo: the config's keys through side, the
+    # outcome, then the rest of the config (alpha, trials, seed).
+    items = [(k, _jsonable(v)) for k, v in res.config.items()]
+    cut = [k for k, _ in items].index("side") + 1
+    outcome = [("statistic", res.statistic), ("critical_value", res.critical_value),
+               ("p_value", res.p_value), ("reject", res.reject)]
+    return dict(items[:cut] + outcome + items[cut:], warnings=warnings_list, input=path)
 
 
 def _load_sample(path: str) -> tuple[Sample, list[str]]:
@@ -218,16 +202,12 @@ def cmd_test(args) -> int:
     spec = _spec(args, seed, m=args.m, p_norm=_parse_p(args.p), side=Side(args.side))
     sample, warn_list = _load_sample(args.input)
     # No threads echo: output bytes must not depend on worker count.
-    extra = {"input": args.input}
     result = run_test(sample, spec)
     if isinstance(result, tuple):
-        payload = [
-            _result_record(r, seed, warn_list, extra) for r in result
-        ]
-        _emit(json.dumps(payload, indent=2), args.out)
+        payload = [_result_record(r, warn_list, args.input) for r in result]
     else:
-        _emit(json.dumps(_result_record(result, seed, warn_list, extra), indent=2),
-              args.out)
+        payload = _result_record(result, warn_list, args.input)
+    _emit(json.dumps(payload, indent=2), args.out)
     return 0
 
 
@@ -308,22 +288,10 @@ def cmd_power(args) -> int:
     else:
         if args.m is None:
             raise CliError("give --m for power grids")
-        grid = PowerGrid(
-            alternative=args.family,
-            params=params,
-            n_grid=_parse_int_list(args.n),
-            m_ell=tuple((m, args.ell) for m in _parse_int_list(args.m)),
-            ref=parse_family(args.g),
-            p_norm=_parse_p(args.p),
-            side=Side(args.side),
-            assumed_tails=_assumed_tails(args),
-            index_rule=args.index_rule,
-            replications=args.replications,
-            mc_trials=args.trials,
-            sig_level=args.alpha,
-            base_seed=seed,
-            threads=args.threads,
-        )
+        spec = _spec(args, seed, p_norm=_parse_p(args.p), side=Side(args.side))
+        grid = PowerGrid(args.family, params, _parse_int_list(args.n),
+                         tuple((m, spec.ell) for m in _parse_int_list(args.m)),
+                         replace(spec, ell=None), args.replications)
         table = estimate_power(grid)
     _emit(table.to_csv(), args.out)
     return 0

@@ -89,30 +89,25 @@ class RefFamily:
         out = self._cdf_arr(arr)
         return float(out) if arr.ndim == 0 else out
 
-    def quantile(self, p):
+    def _invert(self, p, inner_fn, complement: bool):
+        # Checks, clips to the open interval and pins the support's ends.
         arr = np.asarray(p, dtype=float)
         if np.any(np.isnan(arr)) or np.any((arr < 0.0) | (arr > 1.0)):
             raise ValueError("probabilities must lie in [0, 1]")
         lo, hi = self.support()
         inner = np.clip(arr, _P_LOW, _P_HIGH)
         with np.errstate(divide="ignore", over="ignore"):
-            q = self._quantile_arr(inner)
-        q = np.where(arr == 0.0, lo, q)
-        q = np.where(arr == 1.0, hi, q)
-        return float(q) if arr.ndim == 0 else q
+            out = inner_fn(inner)
+        out = np.where(arr == 0.0, hi if complement else lo, out)
+        out = np.where(arr == 1.0, lo if complement else hi, out)
+        return float(out) if arr.ndim == 0 else out
+
+    def quantile(self, p):
+        return self._invert(p, self._quantile_arr, complement=False)
 
     def quantile_complement(self, q):
         """Quantile at probability 1 - q, accurate for q near zero."""
-        arr = np.asarray(q, dtype=float)
-        if np.any(np.isnan(arr)) or np.any((arr < 0.0) | (arr > 1.0)):
-            raise ValueError("probabilities must lie in [0, 1]")
-        lo, hi = self.support()
-        inner = np.clip(arr, _P_LOW, _P_HIGH)
-        with np.errstate(divide="ignore", over="ignore"):
-            out = self._quantile_comp_arr(inner)
-        out = np.where(arr == 0.0, hi, out)
-        out = np.where(arr == 1.0, lo, out)
-        return float(out) if arr.ndim == 0 else out
+        return self._invert(q, self._quantile_comp_arr, complement=True)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n independent draws by inversion, one uniform per draw."""

@@ -1,12 +1,13 @@
 """Grid-based power studies and the power exhibits, held as data.
 
-A power grid crosses an alternative family's parameters with sample sizes
-and test configurations. Every cell is an independent job: its critical
-value comes from the shared Monte Carlo cache, and its replications are the
-alternative's draw table, whose streams are derived from the base seed,
-the alternative and the sample size, so tables are reproducible bit for
-bit regardless of execution order. Cells run serially: they mostly hold
-the interpreter lock, and a two-thread pool ran slower.
+A power grid runs one test, given by a TestSpec, on a cross of an
+alternative family's parameters, sample sizes and (m, ell) pairs. Every
+cell is an independent job: its critical value comes from the shared
+Monte Carlo cache, and its replications are the alternative's draw
+table, whose streams are derived from the spec's seed, the alternative
+and the sample size, so tables are reproducible bit for bit regardless
+of execution order. Cells run serially: they mostly hold the interpreter
+lock, and a two-thread pool ran slower.
 
 Each exhibit in EXHIBITS is a tuple of parts in row order: power grids
 and sets of Proschan-Pyke rows. reproduce fills in the budgets and the
@@ -30,7 +31,6 @@ from .distributions import (
     Exponential,
     LogLogistic,
     NegExponential,
-    RefFamily,
     TailInfo,
 )
 from .testing import (
@@ -51,10 +51,6 @@ __all__ = [
     "pp_power",
     "reproduce",
 ]
-
-CSV_HEADER = ("family", "param", "n", "m", "ell", "p", "side", "rate", "se",
-              "trials", "seed")
-
 
 @dataclass(frozen=True)
 class PowerRow:
@@ -86,6 +82,9 @@ class PowerRow:
         return tuple(fmt(getattr(self, f.name)) for f in fields(self))
 
 
+CSV_HEADER = tuple(f.name for f in fields(PowerRow))
+
+
 @dataclass
 class PowerTable:
     rows: list[PowerRow]
@@ -115,36 +114,29 @@ class PowerTable:
 
 @dataclass(frozen=True)
 class PowerGrid:
-    """Cross of alternative parameters, sample sizes, and (m, ell) pairs.
+    """One test, given by `spec`, run on a cross of alternative parameters,
+    sample sizes and (m, ell) pairs.
 
-    ell None means all ranks 1..m; an integer requests automatic index
-    selection under `assumed_tails` and `index_rule`. `threads` is checked
-    to be positive and otherwise ignored; cells run serially.
+    Each cell runs `replace(spec, m=m, ell=ell)`: ell None means all ranks
+    1..m, an integer selects ranks under the spec's `assumed_tails` and
+    `index_rule`. `spec.seed` names both the null tables and the
+    alternative's draw table. Cells run serially.
     """
 
     alternative: str
     params: tuple[float, ...]
     n_grid: tuple[int, ...]
     m_ell: tuple[tuple[int, int | None], ...]
-    ref: RefFamily
-    p_norm: float = 1.0
-    side: Side = Side.UPPER
-    assumed_tails: TailInfo | None = None
-    index_rule: str | None = None
+    spec: TestSpec
     replications: int = 5000
-    mc_trials: int = 5000
-    sig_level: float = 0.1
-    base_seed: int = 0
-    threads: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "side", Side(self.side))
-        if self.side is Side.BOTH:
+        if self.spec.side is Side.BOTH:
             raise ValueError("power grids are per side; run upper and lower separately")
+        if (self.spec.m, self.spec.ell, self.spec.indices) != (None, None, None):
+            raise ValueError("a grid's spec gives no m, ell or indices; m_ell sets them")
         if self.replications < 1:
             raise ValueError("replications must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
 
 
 def _power_row(family: str, param: float, n: int, side: str, trials: int, seed: int,
@@ -160,29 +152,18 @@ def _power_row(family: str, param: float, n: int, side: str, trials: int, seed: 
 
 
 def _power_cell(grid: PowerGrid, param: float, n: int, m: int, ell: int | None) -> PowerRow:
-    spec = TestSpec(
-        ref=grid.ref,
-        m=m,
-        p_norm=grid.p_norm,
-        side=grid.side,
-        ell=ell,
-        assumed_tails=grid.assumed_tails,
-        index_rule=grid.index_rule,
-        sig_level=grid.sig_level,
-        mc_trials=grid.mc_trials,
-        seed=grid.base_seed,
-    )
-    cell = (grid.alternative, param, n, grid.side.value, grid.replications, grid.base_seed)
+    spec = grid.spec
+    cell = (grid.alternative, param, n, spec.side.value, grid.replications, spec.seed)
     try:
-        rs = spec.resolve(n)
+        rs = replace(spec, m=m, ell=ell).resolve(n)
     except InfeasibleSpecError:
-        return _power_row(*cell, None, m, ell, grid.p_norm)
-    crit = _critical(_null_side(rs, n, grid.side), rs.sig_level)
+        return _power_row(*cell, None, m, ell, spec.p_norm)
+    crit = _critical(_null_side(rs, n, spec.side), rs.sig_level)
     rows = _cached_draws(Alternative(grid.alternative, param), n, grid.replications,
-                         grid.base_seed, "alt")
+                         spec.seed, "alt")
     t_plus, t_minus = batch_statistics(rows, rs.ref, rs.m, rs.indices, rs.p_norm)
-    stats = t_plus if grid.side is Side.UPPER else t_minus
-    return _power_row(*cell, stats >= crit, rs.m, len(rs.indices), grid.p_norm)
+    stats = t_plus if spec.side is Side.UPPER else t_minus
+    return _power_row(*cell, stats >= crit, rs.m, len(rs.indices), spec.p_norm)
 
 
 def estimate_power(grid: PowerGrid) -> PowerTable:
@@ -239,39 +220,41 @@ _STD_M = ((1, None), (5, None), (10, None), (20, None))
 _M_3D = (1, 2, 3, 5, 8, 10, 15, 20, 25, 30, 40)
 _SHAPES = _shape_grid(1.0, 2.0)
 
-# Each exhibit's parts in row order: a PowerGrid, whose replications,
-# mc_trials and base_seed reproduce fills in, or an (alternative, params,
+# Each exhibit's parts in row order: a PowerGrid, whose replications and
+# spec budget and seed reproduce fills in, or an (alternative, params,
 # n_grid, sides) tuple of Proschan-Pyke rows.
 EXHIBITS = {
     "table1": tuple(
-        PowerGrid("weibull", (1.5,), _N4, _STD_M, Exponential(), p_norm=p)
+        PowerGrid("weibull", (1.5,), _N4, _STD_M, TestSpec(Exponential(), p_norm=p))
         for p in (1.0, 2.0, math.inf)
     ),
     "table2": (
         ("student-t", (1.1,), _N5, ("ihr", "dhr")),
-        PowerGrid("student-t", (1.1,), _N5, _STD_M, Exponential()),
-        PowerGrid("student-t", (1.1,), _N5, _STD_M, Exponential(), side=Side.LOWER),
+        PowerGrid("student-t", (1.1,), _N5, _STD_M, TestSpec(Exponential())),
+        PowerGrid("student-t", (1.1,), _N5, _STD_M, TestSpec(Exponential(), side=Side.LOWER)),
     ),
-    "fig_drhr": (PowerGrid("neg-weibull", _SHAPES, _N4, _STD_M, NegExponential()),),
+    "fig_drhr": (PowerGrid("neg-weibull", _SHAPES, _N4, _STD_M, TestSpec(NegExponential())),),
     "fig_ior": (
         PowerGrid("log-logistic", _SHAPES, _N4, ((3, 1), (5, 3), (10, 8), (20, 18)),
-                  LogLogistic(1.0)),
+                  TestSpec(LogLogistic(1.0))),
     ),
     "fig_dor": (
         PowerGrid("log-logistic", _shape_grid(0.1, 1.0), _N4,
-                  ((25, 5), (30, 10), (35, 15), (40, 20)), LogLogistic(1.0),
-                  side=Side.LOWER, assumed_tails=TailInfo(0.1, math.inf)),
+                  ((25, 5), (30, 10), (35, 15), (40, 20)),
+                  TestSpec(LogLogistic(1.0), side=Side.LOWER,
+                           assumed_tails=TailInfo(0.1, math.inf))),
     ),
     "fig_pp": (
         ("weibull", _SHAPES, _N4, ("ihr",)),
-        PowerGrid("weibull", _SHAPES, _N4, _STD_M, Exponential()),
+        PowerGrid("weibull", _SHAPES, _N4, _STD_M, TestSpec(Exponential())),
     ),
     "fig_3d": (
         PowerGrid("neg-weibull", (1.5,), _N4, tuple((m, None) for m in _M_3D),
-                  NegExponential()),
+                  TestSpec(NegExponential())),
         PowerGrid("log-logistic", (1.5,), _N4, tuple((m, m - 2) for m in _M_3D if m >= 3),
-                  LogLogistic(1.0)),
-        PowerGrid("weibull", (1.5,), _N4, tuple((m, None) for m in _M_3D), Exponential()),
+                  TestSpec(LogLogistic(1.0))),
+        PowerGrid("weibull", (1.5,), _N4, tuple((m, None) for m in _M_3D),
+                  TestSpec(Exponential())),
     ),
 }
 
@@ -298,8 +281,8 @@ def reproduce(
     rows: list[PowerRow] = []
     for part in EXHIBITS[target]:
         if isinstance(part, PowerGrid):
-            grid = replace(part, replications=replications, mc_trials=mc_trials,
-                           base_seed=seed)
+            grid = replace(part, replications=replications,
+                           spec=replace(part.spec, mc_trials=mc_trials, seed=seed))
             rows.extend(estimate_power(grid).rows)
         else:
             rows.extend(_pp_rows(*part, replications, mc_trials, seed))

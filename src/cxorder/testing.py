@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _FUZZ = 1e-9
+_INDEX_RULES = (None, "low", "high", "central")
 
 
 class Side(str, Enum):
@@ -141,8 +142,10 @@ class TestSpec:
 
     Exactly one of `indices` (explicit ranks) and `ell` (automatic
     selection, optionally informed by `assumed_tails` and `index_rule`)
-    may be given; with neither, all ranks 1..m are used. Leaving `m` unset
-    picks the default heuristic at resolution time.
+    may be given; with neither, all ranks 1..m are used. `assumed_tails`
+    and `index_rule` only steer that selection, so resolving a spec that
+    sets either without `ell` raises ValueError. Leaving `m` unset picks
+    the default heuristic at resolution time.
     """
 
     ref: RefFamily
@@ -167,6 +170,8 @@ class TestSpec:
         _check_mc(self.sig_level, self.mc_trials)
         if self.indices is not None and self.ell is not None:
             raise ValueError("give either explicit indices or ell, not both")
+        if self.index_rule not in _INDEX_RULES:
+            raise ValueError(f"unknown index rule {self.index_rule!r}")
         if self.indices is not None:
             object.__setattr__(
                 self, "indices", tuple(int(j) for j in self.indices)
@@ -174,9 +179,12 @@ class TestSpec:
 
     def resolve(self, n: int) -> "TestSpec":
         """The pinned spec for a sample of size n: m and the index set filled
-        in, ell cleared. A pinned spec resolves to itself."""
+        in, ell and the rank-choice settings cleared. A pinned spec resolves
+        to itself."""
         if n < 1:
             raise ValueError("n must be positive")
+        if self.ell is None and (self.assumed_tails or self.index_rule):
+            raise ValueError("assumed_tails and index_rule choose ranks under ell; give ell")
         m = self.m if self.m is not None else default_m(n)
         if self.indices is not None:
             idx = self.indices
@@ -199,7 +207,8 @@ class TestSpec:
                     f"exceedance bound undefined at j={j}, m={m} under "
                     f"{self.ref.cache_key()}{hint}"
                 )
-        return replace(self, m=m, indices=idx, ell=None)
+        return replace(self, m=m, indices=idx, ell=None, assumed_tails=None,
+                       index_rule=None)
 
 
 @dataclass(frozen=True)

@@ -34,21 +34,27 @@ from cxorder import (
     statistic,
 )
 
-FULL = dict(replications=5000, mc_trials=5000, base_seed=0)
+# Full budgets with seed 0: the replications of each cell, and the
+# spec's null trials and seed.
+REPLICATIONS = 5000
+FULL = dict(mc_trials=5000, seed=0)
 
 
 def power_cell(alternative, param, n, m, *, ell=None, ref=None, p=1.0,
-               side=Side.UPPER, assumed=None, budget=FULL):
+               side=Side.UPPER, assumed=None):
     grid = PowerGrid(
         alternative=alternative,
         params=(param,),
         n_grid=(n,),
         m_ell=((m, ell),),
-        ref=ref if ref is not None else Exponential(),
-        p_norm=p,
-        side=side,
-        assumed_tails=assumed,
-        **budget,
+        spec=TestSpec(
+            ref=ref if ref is not None else Exponential(),
+            p_norm=p,
+            side=side,
+            assumed_tails=assumed,
+            **FULL,
+        ),
+        replications=REPLICATIONS,
     )
     (row,) = estimate_power(grid).rows
     return row
@@ -282,10 +288,8 @@ def test_criterion_8_power_monotone_in_shape():
         params=(1.0, 1.25, 1.5, 2.0),
         n_grid=(100,),
         m_ell=((5, None),),
-        ref=Exponential(),
-        p_norm=1.0,
-        side=Side.UPPER,
-        **FULL,
+        spec=TestSpec(ref=Exponential(), p_norm=1.0, side=Side.UPPER, **FULL),
+        replications=REPLICATIONS,
     )
     rows = estimate_power(grid).rows
     rates = [row.rate for row in rows]
@@ -299,11 +303,14 @@ def test_criterion_8_power_monotone_in_shape():
         params=(0.1, 0.2, 0.3, 0.4),
         n_grid=(100,),
         m_ell=((40, 20),),
-        ref=LogLogistic(1.0),
-        p_norm=1.0,
-        side=Side.LOWER,
-        assumed_tails=TailInfo(0.1, math.inf),
-        **FULL,
+        spec=TestSpec(
+            ref=LogLogistic(1.0),
+            p_norm=1.0,
+            side=Side.LOWER,
+            assumed_tails=TailInfo(0.1, math.inf),
+            **FULL,
+        ),
+        replications=REPLICATIONS,
     )
     heavy_rates = [row.rate for row in estimate_power(heavy).rows]
     report = "heavy-tail rates " + ", ".join(f"{v:.4f}" for v in heavy_rates)
@@ -316,12 +323,9 @@ def test_criterion_9_default_m_not_worse_than_single_rank():
         params=(1.5,),
         n_grid=(200,),
         m_ell=((1, None), (30, None)),
-        ref=Exponential(),
-        p_norm=1.0,
-        side=Side.UPPER,
+        spec=TestSpec(ref=Exponential(), p_norm=1.0, side=Side.UPPER, mc_trials=20000,
+                      seed=0),
         replications=20000,
-        mc_trials=20000,
-        base_seed=0,
     )
     table = estimate_power(grid)
     single = table.rate(m=1)

@@ -30,7 +30,7 @@ def _kinds() -> set:
 def _fill() -> np.ndarray:
     """Put every kind of entry in the store; returns a cached draw table."""
     grid = PowerGrid(alternative="weibull", params=(1.5,), n_grid=(20,), m_ell=((3, None),),
-                     ref=Exponential(), replications=50, mc_trials=120, base_seed=3)
+                     spec=TestSpec(Exponential(), mc_trials=120, seed=3), replications=50)
     estimate_power(grid)
     pp_power("weibull", 1.5, 12, replications=50, mc_trials=120, base_seed=3)
     assert _kinds() == {"draws", "gaps", "null", "pairs"}
@@ -40,7 +40,8 @@ def _fill() -> np.ndarray:
 def test_same_label_customs_get_their_own_gap_matrices_and_rates():
     refs = _unlabeled_customs()
     grids = [PowerGrid(alternative="weibull", params=(1.5,), n_grid=(40,), m_ell=((6, None),),
-                       ref=ref, replications=300, mc_trials=300, base_seed=2) for ref in refs]
+                       spec=TestSpec(ref, mc_trials=300, seed=2), replications=300)
+             for ref in refs]
     fresh = []
     for grid in grids:
         _cache.clear_caches()
@@ -127,8 +128,9 @@ def test_tiny_budget_evicts_least_recently_used_and_recomputes_identically(monke
 
 def test_tiny_budget_gives_identical_power_tables(monkeypatch):
     grid = PowerGrid(alternative="weibull", params=(1.5, 2.0), n_grid=(20, 30),
-                     m_ell=((1, None), (3, None)), ref=Exponential(), p_norm=2.0,
-                     replications=60, mc_trials=120, base_seed=7)
+                     m_ell=((1, None), (3, None)),
+                     spec=TestSpec(Exponential(), p_norm=2.0, mc_trials=120, seed=7),
+                     replications=60)
     want = estimate_power(grid).to_csv()
     _cache.clear_caches()
     # Two of the four draw tables (9.4 to 28 KiB each) fit at a time.

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from cxorder.cli import CliError, main, parse_family, read_data_file
-from cxorder.distributions import Exponential, Frechet, LogLogistic
-from cxorder.simulation import CSV_HEADER
-from cxorder.testing import TestSpec, critical_value
+from cxorder.distributions import Exponential, Frechet, LogLogistic, TailInfo
+from cxorder.simulation import CSV_HEADER, PowerGrid, estimate_power
+from cxorder.testing import Side, TestSpec, critical_value
 
 RESULT_KEYS = {
     "g", "g_params", "n", "m", "p", "ell", "indices", "side", "statistic",
@@ -138,6 +138,15 @@ class TestTestCommand:
             "--ell", "2", "--seed", "11",
         )
         assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--assumed-alpha", "0.5"), ("--assumed-beta", "2"), ("--index-rule", "low"),
+    ])
+    def test_rank_choice_flag_without_ell_exits_2(self, capsys, data_file, flag, value):
+        code, out, err = run_cli(capsys, "test", data_file, *self.ARGS, flag, value)
+        assert code == 2 and out == "" and err.startswith("error:")
+        code, _, _ = run_cli(capsys, "test", data_file, *self.ARGS, flag, value, "--ell", "2")
+        assert code == 0
 
     def test_unknown_family_exits_2(self, capsys, data_file):
         code, _, err = run_cli(
@@ -319,6 +328,29 @@ class TestPowerCommand:
         assert code == 0
         (row,) = list(csv.reader(io.StringIO(out)))[1:]
         assert row[6] == "dhr"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--assumed-alpha", "0.5"), ("--assumed-beta", "2"), ("--index-rule", "low"),
+    ])
+    def test_rank_choice_flag_without_ell_exits_2(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, *self.ARGS, "--params", "1.5", flag, value)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_every_spec_flag_reaches_the_grid(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "power", "--family", "log-logistic", "--params", "0.5,0.8",
+            "--n", "30", "--g", "log-logistic:1.5", "--m", "20,25", "--ell", "5",
+            "--p", "2", "--side", "lower", "--alpha", "0.05", "--trials", "300",
+            "--assumed-alpha", "0.1", "--assumed-beta", "0.5", "--index-rule", "low",
+            "--replications", "400", "--seed", "7",
+        )
+        spec = TestSpec(ref=LogLogistic(1.5), p_norm=2.0, side=Side.LOWER,
+                        assumed_tails=TailInfo(0.1, 0.5), index_rule="low",
+                        sig_level=0.05, mc_trials=300, seed=7)
+        grid = PowerGrid("log-logistic", (0.5, 0.8), (30,), ((20, 5), (25, 5)), spec,
+                         replications=400)
+        assert code == 0
+        assert out == estimate_power(grid).to_csv()
 
     def test_thread_count_leaves_bytes_unchanged(self, capsys):
         _, serial, _ = run_cli(capsys, *self.ARGS, "--params", "1.5")

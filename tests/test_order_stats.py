@@ -25,6 +25,7 @@ from cxorder import (
     l_estimate,
     os_weights,
     pi_bound,
+    reg_inc_beta,
 )
 from cxorder.special import partial_harmonic
 
@@ -95,6 +96,30 @@ def test_weights_are_absolutely_accurate_at_large_n():
     for j in (1, 75, 150):
         ref = np.diff(sps.betainc(j, m - j + 1, grid))
         np.testing.assert_allclose(os_weights(n, j, m), ref, rtol=0.0, atol=2e-13)
+
+
+def _weights_loop(n, j, m):
+    """One grid point, then one weight, at a time: the reference the
+    array form must match bit for bit."""
+    a, b = float(j), float(m - j + 1)
+    cdf, comp = [0.0] * (n + 1), [0.0] * (n + 1)
+    for i in range(n + 1):
+        t = i / n
+        if t <= 0.5:
+            cdf[i] = reg_inc_beta(t, a, b)
+            comp[i] = 1.0 - cdf[i]
+        else:
+            comp[i] = reg_inc_beta(1.0 - t, b, a)
+            cdf[i] = 1.0 - comp[i]
+    w = [comp[i - 1] - comp[i] if (i - 1) / n >= 0.5 else cdf[i] - cdf[i - 1]
+         for i in range(1, n + 1)]
+    return np.maximum(np.array(w), 0.0)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2), (3, 2), (7, 3), (50, 8), (201, 30)])
+def test_weights_equal_the_pointwise_loop(n, m):
+    for j in range(1, m + 1):
+        assert os_weights(n, j, m).tobytes() == _weights_loop(n, j, m).tobytes()
 
 
 def test_weights_returned_copy_is_writable():

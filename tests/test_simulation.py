@@ -1,5 +1,5 @@
-"""Power grids: determinism, thread independence, schema, and the canned
-exhibit targets. Budgets here are tiny; statistical targets live in the
+"""Power grids: validation, determinism, schema, and the canned exhibit
+targets. Budgets here are tiny; statistical targets live in the
 acceptance suite."""
 
 import csv
@@ -17,6 +17,7 @@ from cxorder import (
     PowerRow,
     Side,
     TailInfo,
+    TestSpec,
     estimate_power,
     pp_power,
     reproduce,
@@ -26,20 +27,18 @@ from cxorder.simulation import CSV_HEADER, EXHIBITS, PowerTable, clear_caches
 
 
 def small_grid(**overrides) -> PowerGrid:
-    base = dict(
+    """A small grid; each override names a PowerGrid or a TestSpec field."""
+    grid = dict(
         alternative="weibull",
         params=(1.5, 2.0),
         n_grid=(20, 30),
         m_ell=((1, None), (3, None)),
-        ref=Exponential(),
-        p_norm=1.0,
-        side=Side.UPPER,
         replications=40,
-        mc_trials=120,
-        base_seed=7,
     )
-    base.update(overrides)
-    return PowerGrid(**base)
+    spec = dict(ref=Exponential(), p_norm=1.0, side=Side.UPPER, mc_trials=120, seed=7)
+    for key, value in overrides.items():
+        (grid if key in grid else spec)[key] = value
+    return PowerGrid(spec=TestSpec(**spec), **grid)
 
 
 def test_grid_validation():
@@ -47,8 +46,21 @@ def test_grid_validation():
         small_grid(side=Side.BOTH)
     with pytest.raises(ValueError):
         small_grid(replications=0)
-    with pytest.raises(ValueError):
-        small_grid(threads=0)
+    # m_ell sets each cell's m and ell, so the spec gives no ranks.
+    with pytest.raises(ValueError, match="m_ell"):
+        small_grid(m=3)
+    with pytest.raises(ValueError, match="m_ell"):
+        small_grid(ell=2)
+    with pytest.raises(ValueError, match="m_ell"):
+        small_grid(indices=(1, 2))
+
+
+def test_rank_choice_settings_need_ell_in_every_cell():
+    # The spec is resolved per cell, so the check waits for a cell without ell.
+    with pytest.raises(ValueError, match="give ell"):
+        estimate_power(small_grid(index_rule="low"))
+    table = estimate_power(small_grid(index_rule="low", m_ell=((3, 2),), params=(1.5,)))
+    assert [row.ell for row in table.rows] == [2, 2]
 
 
 def test_estimate_power_shape_and_rates():
@@ -70,12 +82,6 @@ def test_estimate_power_deterministic():
     assert a.rows == b.rows
 
 
-def test_thread_count_does_not_change_results():
-    serial = estimate_power(small_grid())
-    threaded = estimate_power(small_grid(threads=3))
-    assert serial.rows == threaded.rows
-
-
 def test_infeasible_cell_reports_none_rate():
     # ell = 2 asks for two convergent ranks, but the unit log-logistic
     # reference with m = 2 has only one.
@@ -91,7 +97,7 @@ def test_infeasible_cell_reports_none_rate():
     assert (row.family, row.param, row.n) == ("log-logistic", 1.5, 25)
     assert (row.m, row.ell, row.p, row.side) == (2, 2, 1.0, "upper")
     assert row.trials == grid.replications == 40
-    assert row.seed == grid.base_seed == 7
+    assert row.seed == grid.spec.seed == 7
 
 
 def test_power_moves_in_the_right_direction():
@@ -232,12 +238,9 @@ def test_assumed_tails_restrict_ell(tmp_path):
         params=(0.5,),
         n_grid=(30,),
         m_ell=((25, 5),),
-        ref=LogLogistic(1.0),
-        side=Side.LOWER,
-        assumed_tails=TailInfo(0.1, math.inf),
+        spec=TestSpec(ref=LogLogistic(1.0), side=Side.LOWER,
+                      assumed_tails=TailInfo(0.1, math.inf), mc_trials=120, seed=1),
         replications=20,
-        mc_trials=120,
-        base_seed=1,
     )
     (row,) = estimate_power(grid).rows
     assert row.m == 25 and row.ell == 5

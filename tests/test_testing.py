@@ -124,6 +124,26 @@ def test_resolve_routes_ell_through_selection():
     assert spec.resolve(30).indices == (1, 2, 3)
 
 
+def test_unknown_index_rule_is_rejected_without_ell():
+    with pytest.raises(ValueError, match="index rule"):
+        TestSpec(ref=Exponential(), m=5, index_rule="bogus")
+
+
+@pytest.mark.parametrize("extra", [
+    dict(assumed_tails=TailInfo(0.5, math.inf)),
+    dict(index_rule="low"),
+    dict(assumed_tails=TailInfo(0.5, math.inf), indices=(1, 2)),
+], ids=["assumed-tails", "index-rule", "with-indices"])
+def test_rank_choice_settings_without_ell_are_rejected(extra):
+    # assumed_tails and index_rule only steer the selection that ell asks for.
+    spec = TestSpec(ref=LogLogistic(1.0), m=5, mc_trials=200, **extra)
+    with pytest.raises(ValueError, match="give ell"):
+        spec.resolve(30)
+    with pytest.raises(ValueError, match="give ell"):
+        run_test(ingest(np.arange(1.0, 31.0)), spec)
+    assert replace(spec, indices=None, ell=2).resolve(30).ell is None
+
+
 @pytest.mark.parametrize("spec", [
     TestSpec(ref=Exponential(), mc_trials=200),
     TestSpec(ref=Exponential(), m=4, indices=(1, 3), mc_trials=200),

@@ -13,8 +13,8 @@ numpy or BLAS may round differently, so compare two checkouts there.
 It covers the seven exhibit CSVs at R = T = 300 on one and on two threads,
 `cxorder test` JSON records for several references and rank-selection
 modes, `pp-test`, `critical-value` and `power` output (one power grid
-with an infeasible cell), and raw null-statistic tables for small and
-medium n. Takes about 15 s on two cores.
+with an infeasible cell, one with every test-spec flag set), and raw
+null-statistic tables for small and medium n. Takes about 15 s on two cores.
 """
 
 from __future__ import annotations
@@ -57,6 +57,13 @@ CLI_RUNS = {
     "power-student-t-cauchy": ["power", "--family", "student-t", "--params", "3",
                                "--n", "30", "--g", "cauchy", "--m", "1,4",
                                "--replications", "400"],
+    # Every test-spec flag away from its default; --index-rule and the
+    # assumed tails each move the rate.
+    "power-every-spec-flag": ["power", "--family", "log-logistic", "--params", "0.5",
+                              "--n", "30", "--g", "log-logistic", "--m", "25", "--ell", "5",
+                              "--assumed-alpha", "0.1", "--assumed-beta", "4",
+                              "--index-rule", "central", "--side", "lower", "--p", "2",
+                              "--alpha", "0.05", "--replications", "400"],
 }
 
 
