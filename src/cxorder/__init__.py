@@ -42,7 +42,7 @@ from .order_stats import (
     pi_bound,
 )
 from .simulation import PowerGrid, PowerRow, PowerTable, estimate_power, pp_power, reproduce
-from .special import BetaParams, QuadResult, beta_pdf, integrate_01, ln_beta, partial_harmonic, reg_inc_beta
+from .special import QuadResult, integrate_01, ln_beta, partial_harmonic, reg_inc_beta
 from .testing import (
     IndexDiagnostic,
     InfeasibleSpecError,
@@ -61,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alternative",
-    "BetaParams",
     "BoundStatus",
     "Cauchy",
     "Custom",
@@ -86,7 +85,6 @@ __all__ = [
     "TestSpec",
     "TiesWarning",
     "Uniform",
-    "beta_pdf",
     "critical_value",
     "default_m",
     "estimate_power",

@@ -5,8 +5,10 @@ distribution key, sample size, block index). The path is hashed with
 SHA-256, so the mapping is stable across processes, platforms, and worker
 layouts. The stream is default_rng(SeedSequence(entropy)), entropy being
 the digest read as a little-endian integer. A table is drawn in blocks of
-_BLOCK_ROWS rows with one stream per block, and a block's rows are filled
-one after another, so the first k rows of a table are the k-row table.
+_BLOCK_ROWS rows with one stream per block. Every family but Student's t
+fills its block with uniforms, row after row, and inverts them in one
+quantile call; Student's t draws the block's rows one after another. Either
+way the first k rows of a table are the k-row table.
 numpy.random is loaded on the first draw, not by importing the package.
 """
 
@@ -39,22 +41,19 @@ def _sorted_draws(family: RefFamily | Alternative, n: int, count: int, seed: int
     """count x n matrix of sorted samples of family.
 
     Block b (rows b * _BLOCK_ROWS onward) is drawn from
-    derive_rng(seed, label, family.cache_key(), n, b). A reference family
-    fills its block with uniforms, row after row, and inverts them in one
-    quantile call; an alternative draws the block's rows one after another,
-    since not every kind is drawn by inversion.
+    derive_rng(seed, label, family.cache_key(), n, b).
     """
     out = np.empty((count, n))
     key = family.cache_key()
     for b, start in enumerate(range(0, count, _BLOCK_ROWS)):
         block = out[start : start + _BLOCK_ROWS]
         rng = derive_rng(seed, label, key, n, b)
-        if isinstance(family, RefFamily):
-            rng.random(out=block)
-            block[:] = family.quantile(block.reshape(-1)).reshape(block.shape)
-        else:
+        if isinstance(family, Alternative) and family.kind == "student-t":
             for row in block:
                 row[:] = family.sample(n, rng)
+        else:
+            rng.random(out=block)
+            block[:] = family.quantile(block.reshape(-1)).reshape(block.shape)
         block.sort(axis=1)
     return out
 

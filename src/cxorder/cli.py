@@ -38,7 +38,6 @@ from .testing import Side, TestResult, TestSpec, critical_value, default_m, run_
 
 __all__ = ["main"]
 
-THREADS_HELP = "must be positive, otherwise ignored; power cells always run serially"
 INDICES_HELP = "explicit comma-separated ranks; give either this or --ell, not both"
 
 
@@ -127,8 +126,7 @@ def _parse_params(args) -> tuple[float, ...]:
             raise CliError("param range bounds and step must be finite")
         if step <= 0 or hi < lo:
             raise CliError("param range must be lo:hi:step with step > 0")
-        count = int(round((hi - lo) / step))
-        return tuple(round(lo + i * step, 10) for i in range(count + 1))
+        return simulation._param_grid(lo, hi, step)
     raise CliError("give --params or --param-range")
 
 
@@ -201,7 +199,6 @@ def cmd_test(args) -> int:
     seed = _resolve_seed(args)
     spec = _spec(args, seed, m=args.m, p_norm=_parse_p(args.p), side=Side(args.side))
     sample, warn_list = _load_sample(args.input)
-    # No threads echo: output bytes must not depend on worker count.
     result = run_test(sample, spec)
     if isinstance(result, tuple):
         payload = [_result_record(r, warn_list, args.input) for r in result]
@@ -305,7 +302,6 @@ def cmd_reproduce(args) -> int:
         replications=args.replications,
         mc_trials=args.trials,
         seed=seed,
-        threads=args.threads,
     )
     sys.stdout.write(f"{path}\n")
     return 0
@@ -372,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(sub)
     sub.add_argument("--indices", default=None, help=INDICES_HELP)
     sub.add_argument("--side", choices=("upper", "lower", "both"), default="upper")
-    sub.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     _add_common_mc(sub)
     sub.set_defaults(func=cmd_test)
 
@@ -403,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--pp", action="store_true",
                      help="run the Proschan-Pyke baseline instead")
     sub.add_argument("--replications", type=int, default=5000)
-    sub.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     _add_common_mc(sub)
     sub.set_defaults(func=cmd_power)
 
@@ -413,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--replications", type=int, default=5000)
     sub.add_argument("--trials", type=int, default=5000)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     sub.set_defaults(func=cmd_reproduce)
 
     sub = subs.add_parser("hill", help="Hill estimate of the right tail index")
@@ -430,8 +423,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise CliError("threads must be positive")
         return args.func(args)
     except (CliError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -367,10 +367,12 @@ _ALT_KINDS = (
 class Alternative:
     """Named sampling family for power studies.
 
-    weibull(a) and log-logistic(a) are drawn by inversion; neg-weibull(a)
-    is the negative of weibull(a) under the same uniforms; student-t(nu)
-    uses a normal over the square root of a scaled chi-square;
-    shifted-exponential(delta) is delta plus a standard exponential.
+    weibull(a), neg-weibull(a), log-logistic(a) and
+    shifted-exponential(delta) are drawn by inversion, one uniform per
+    value, through quantile: neg-weibull(a) is the negative of weibull(a)
+    under the same uniforms, and shifted-exponential(delta) is delta plus a
+    standard exponential. student-t(nu) is a normal over the square root of
+    a scaled chi-square, and has no quantile.
     """
 
     kind: str
@@ -384,21 +386,26 @@ class Alternative:
         if self.kind != "shifted-exponential" and not self.param > 0.0:
             raise ValueError(f"{self.kind} needs a positive parameter")
 
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        """The values that the uniforms u invert to."""
+        if self.kind == "weibull":
+            return (-np.log1p(-u)) ** (1.0 / self.param)
+        if self.kind == "neg-weibull":
+            return -((-np.log1p(-u)) ** (1.0 / self.param))
+        if self.kind == "log-logistic":
+            return np.exp((np.log(u) - np.log1p(-u)) / self.param)
+        if self.kind == "shifted-exponential":
+            return self.param + (-np.log1p(-u))
+        raise ValueError(f"{self.kind} is not drawn by inversion")
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:
             raise ValueError("n must be positive")
-        if self.kind == "weibull":
-            return (-np.log1p(-rng.random(n))) ** (1.0 / self.param)
-        if self.kind == "neg-weibull":
-            return -((-np.log1p(-rng.random(n))) ** (1.0 / self.param))
-        if self.kind == "log-logistic":
-            u = rng.random(n)
-            return np.exp((np.log(u) - np.log1p(-u)) / self.param)
         if self.kind == "student-t":
             z = rng.standard_normal(n)
             v = rng.chisquare(self.param, n)
             return z / np.sqrt(v / self.param)
-        return self.param + (-np.log1p(-rng.random(n)))
+        return self.quantile(rng.random(n))
 
     def tail_info(self) -> TailInfo:
         if self.kind == "log-logistic":

@@ -209,16 +209,18 @@ def _pp_rows(alternative: str, params: tuple[float, ...], n_grid: tuple[int, ...
     ]
 
 
-def _shape_grid(lo: float, hi: float) -> tuple[float, ...]:
-    count = round((hi - lo) / 0.1)
-    return tuple(round(lo + 0.1 * i, 10) for i in range(count + 1))
+def _param_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
+    """lo, lo + step, ... up to hi; hi itself only when a whole number of
+    steps (to within 1e-9 of one) reaches it."""
+    count = math.floor((hi - lo) / step + 1e-9)
+    return tuple(round(lo + i * step, 10) for i in range(count + 1))
 
 
 _N4 = (25, 50, 100, 200)
 _N5 = (25, 50, 100, 200, 500)
 _STD_M = ((1, None), (5, None), (10, None), (20, None))
 _M_3D = (1, 2, 3, 5, 8, 10, 15, 20, 25, 30, 40)
-_SHAPES = _shape_grid(1.0, 2.0)
+_SHAPES = _param_grid(1.0, 2.0, 0.1)
 
 # Each exhibit's parts in row order: a PowerGrid, whose replications and
 # spec budget and seed reproduce fills in, or an (alternative, params,
@@ -239,7 +241,7 @@ EXHIBITS = {
                   TestSpec(LogLogistic(1.0))),
     ),
     "fig_dor": (
-        PowerGrid("log-logistic", _shape_grid(0.1, 1.0), _N4,
+        PowerGrid("log-logistic", _param_grid(0.1, 1.0, 0.1), _N4,
                   ((25, 5), (30, 10), (35, 15), (40, 20)),
                   TestSpec(LogLogistic(1.0), side=Side.LOWER,
                            assumed_tails=TailInfo(0.1, math.inf))),
@@ -270,7 +272,9 @@ def reproduce(
     """Run one named power exhibit and write its CSV under out_dir.
 
     threads is checked to be positive and otherwise ignored; cells run
-    serially.
+    serially. It stays only because the benchmark's power study calls
+    reproduce with threads=2 and threads=1; the next change to the
+    benchmark removes it.
     """
     if target not in EXHIBITS:
         raise ValueError(

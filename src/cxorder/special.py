@@ -16,10 +16,8 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "BetaParams",
     "ConvergenceError",
     "QuadResult",
-    "beta_pdf",
     "integrate_01",
     "ln_beta",
     "partial_harmonic",
@@ -29,27 +27,6 @@ __all__ = [
 
 class ConvergenceError(RuntimeError):
     """An iterative numerical scheme failed to reach its tolerance."""
-
-
-@dataclass(frozen=True)
-class BetaParams:
-    """Rank j of m, identifying the Beta(j, m - j + 1) law of the j-th
-    order statistic of m independent uniforms."""
-
-    j: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.j <= self.m:
-            raise ValueError(f"require 1 <= j <= m, got j={self.j}, m={self.m}")
-
-    @property
-    def a(self) -> float:
-        return float(self.j)
-
-    @property
-    def b(self) -> float:
-        return float(self.m - self.j + 1)
 
 
 def ln_beta(a: float, b: float) -> float:
@@ -125,27 +102,6 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cont_frac(a, b, x) / a
     return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
-
-
-def beta_pdf(p: float, params: BetaParams) -> float:
-    """Density at p of the j-th of m uniform order statistics.
-
-    Bounded above by m everywhere. The endpoints carry the exact limit
-    values: m at p = 0 for j = 1, m at p = 1 for j = m, zero otherwise.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    j, m = params.j, params.m
-    if p == 0.0:
-        return float(m) if j == 1 else 0.0
-    if p == 1.0:
-        return float(m) if j == m else 0.0
-    log_pdf = (
-        (j - 1) * math.log(p)
-        + (m - j) * math.log1p(-p)
-        - ln_beta(params.a, params.b)
-    )
-    return math.exp(log_pdf)
 
 
 def _beta_pdf_interior(p: np.ndarray, j: int, m: int) -> np.ndarray:

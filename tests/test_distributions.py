@@ -232,6 +232,11 @@ def test_student_t_one_is_cauchy():
     assert stat <= _KS_BOUND
 
 
+def test_student_t_has_no_quantile():
+    with pytest.raises(ValueError):
+        Alternative("student-t", 3.0).quantile(np.array([0.5]))
+
+
 def test_log_logistic_alternative_matches_reference_family():
     alt = Alternative("log-logistic", 2.0)
     x = alt.sample(_KS_N, np.random.default_rng(13))

@@ -14,13 +14,12 @@ from scipy import special as sps
 from scipy.stats import beta as beta_dist
 
 from cxorder import (
-    BetaParams,
-    beta_pdf,
     integrate_01,
     ln_beta,
     partial_harmonic,
     reg_inc_beta,
 )
+from cxorder.special import _beta_pdf_interior
 
 
 def test_ln_beta_small_integer_values():
@@ -116,39 +115,23 @@ def test_reg_inc_beta_rejects_bad_inputs():
         reg_inc_beta(0.5, 0.0, 1.0)
 
 
-def test_beta_params_validation():
-    params = BetaParams(2, 3)
-    assert params.a == 2.0
-    assert params.b == 2.0
-    with pytest.raises(ValueError):
-        BetaParams(0, 3)
-    with pytest.raises(ValueError):
-        BetaParams(4, 3)
-
-
 def test_beta_pdf_known_values():
-    assert beta_pdf(0.4, BetaParams(1, 1)) == pytest.approx(1.0, abs=1e-14)
-    assert beta_pdf(0.0, BetaParams(2, 3)) == 0.0
+    assert _beta_pdf_interior(0.4, 1, 1) == pytest.approx(1.0, abs=1e-14)
     # 6 * p * (1 - p) at p = 1/2
-    assert beta_pdf(0.5, BetaParams(2, 3)) == pytest.approx(1.5, abs=1e-14)
-
-
-def test_beta_pdf_endpoint_limits():
-    assert beta_pdf(0.0, BetaParams(1, 5)) == 5.0
-    assert beta_pdf(1.0, BetaParams(5, 5)) == 5.0
-    assert beta_pdf(1.0, BetaParams(2, 5)) == 0.0
+    assert _beta_pdf_interior(0.5, 2, 3) == pytest.approx(1.5, abs=1e-14)
 
 
 def test_beta_pdf_bounded_and_matches_scipy():
+    # The density pi_bound integrates, at interior points only.
     rng = np.random.default_rng(19)
     for _ in range(300):
         m = int(rng.integers(1, 41))
         j = int(rng.integers(1, m + 1))
-        p = float(rng.uniform(0.0, 1.0))
-        val = beta_pdf(p, BetaParams(j, m))
-        assert 0.0 <= val <= m + 1e-12
+        p = rng.uniform(1e-9, 1.0 - 1e-9, size=3)
+        val = _beta_pdf_interior(p, j, m)
+        assert np.all((val >= 0.0) & (val <= m + 1e-12))
         ref = beta_dist.pdf(p, j, m - j + 1)
-        assert val == pytest.approx(ref, rel=1e-11, abs=1e-12)
+        np.testing.assert_allclose(val, ref, rtol=1e-11, atol=1e-12)
 
 
 def test_partial_harmonic_exact_fractions():

@@ -10,11 +10,13 @@ which lines changed. The committed listing holds for numpy 2.4.6 with
 OpenBLAS 0.3.31 (scipy-openblas, Haswell kernels) on x86-64; another
 numpy or BLAS may round differently, so compare two checkouts there.
 
-It covers the seven exhibit CSVs at R = T = 300 on one and on two threads,
-`cxorder test` JSON records for several references and rank-selection
+It covers the seven exhibit CSVs at R = T = 300, each built with every
+cache cleared first and again in one pass over all seven that shares the
+caches (the script exits 1 if a shared-cache digest differs from its cold
+one), `cxorder test` JSON records for several references and rank-selection
 modes, `pp-test`, `critical-value` and `power` output (one power grid
 with an infeasible cell, one with every test-spec flag set), and raw
-null-statistic tables for small and medium n. Takes about 15 s on two cores.
+null-statistic tables for small and medium n. Takes about 8 s on two cores.
 """
 
 from __future__ import annotations
@@ -86,12 +88,24 @@ def _cli(argv: list[str]) -> bytes:
 def main_digest() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for threads in (1, 2):
-            for target in sorted(EXHIBITS):
-                clear_caches()
-                path = reproduce(target, out_dir=root / f"t{threads}", replications=BUDGET,
-                                 mc_trials=BUDGET, seed=0, threads=threads)
-                print(f"exhibit {target} threads={threads} {_digest(path.read_bytes())}")
+        # The cold lines keep their threads=1 label, so listings from before
+        # and after the shared-cache pass compare line for line.
+        cold = {}
+        for target in sorted(EXHIBITS):
+            clear_caches()
+            path = reproduce(target, out_dir=root / "cold", replications=BUDGET,
+                             mc_trials=BUDGET, seed=0, threads=1)
+            cold[target] = _digest(path.read_bytes())
+            print(f"exhibit {target} threads=1 {cold[target]}")
+        clear_caches()
+        differ = []
+        for target in sorted(EXHIBITS):
+            path = reproduce(target, out_dir=root / "shared", replications=BUDGET,
+                             mc_trials=BUDGET, seed=0)
+            digest = _digest(path.read_bytes())
+            print(f"exhibit {target} shared-cache {digest}")
+            if digest != cold[target]:
+                differ.append(target)
 
         data = root / "data.txt"
         rng = np.random.default_rng(20250124)
@@ -109,6 +123,8 @@ def main_digest() -> None:
             t_plus, t_minus = null_statistics(ref, n, m, range(1, m + 1), 1.0, 1000, 3)
             blob = t_plus.tobytes() + t_minus.tobytes()
             print(f"null_statistics {ref.cache_key()} n={n} {_digest(blob)}")
+    if differ:
+        raise SystemExit(f"shared-cache CSVs differ from the cold ones: {', '.join(differ)}")
 
 
 if __name__ == "__main__":
