@@ -99,6 +99,15 @@ class TestTestCommand:
         assert record["reject"] == (record["statistic"] >= record["critical_value"])
         assert 0.0 < record["p_value"] <= 1.0
 
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_nonpositive_threads_exit_2(self, capsys, data_file, threads):
+        # There is no --threads flag, so any value is a usage error.
+        with pytest.raises(SystemExit) as exc:
+            main(["test", data_file, *self.ARGS, "--threads", threads])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "--threads" in captured.err
+
     def test_output_is_reproducible_and_thread_invariant(self, capsys, data_file):
         _, first, _ = run_cli(capsys, "test", data_file, *self.ARGS)
         _, second, _ = run_cli(capsys, "test", data_file, *self.ARGS)
