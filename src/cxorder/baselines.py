@@ -5,12 +5,12 @@ The statistic counts strictly ordered pairs among normalized spacings of
 the sorted sample. Under exponentiality its distribution is parameter
 free, so critical values come from Monte Carlo under the standard
 exponential. The spacings omit any artificial origin term, which makes
-the statistic invariant under location and scale changes.
+the statistic invariant under location and scale changes. One vector or a
+whole table of draws is counted by one sweep over per-row ranks: O(rows k^2)
+comparisons of small integers in O(rows k) memory.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .testing import TestResult, _check_mc, _critical, _p_value
 __all__ = ["normalized_spacings", "pp_statistic", "pp_test"]
 
 _SIDES = ("ihr", "dhr")
+# Rows ranked at a time: a chunk's sorted copy and int64 argsort stay small.
+_RANK_ROWS = 256
 
 
 def normalized_spacings(s: Sample) -> np.ndarray:
@@ -41,39 +43,51 @@ def normalized_spacings(s: Sample) -> np.ndarray:
 
 def _spacings(x: np.ndarray) -> np.ndarray:
     """Normalized spacings along the last axis of presorted x."""
-    coef = np.arange(x.shape[-1] - 1, 0, -1, dtype=float)
-    return coef * np.diff(x, axis=-1)
+    d = np.diff(x, axis=-1)
+    d *= np.arange(x.shape[-1] - 1, 0, -1, dtype=float)
+    return d
 
 
-@lru_cache(maxsize=64)
-def _upper_mask(k: int) -> np.ndarray:
-    """k x k mask of the strict upper triangle, read-only."""
-    mask = np.triu(np.ones((k, k), dtype=bool), k=1)
-    mask.setflags(write=False)
-    return mask
+def _pair_counts(d: np.ndarray) -> tuple:
+    """(#{i < j: d_i > d_j}, #{i < j: d_i < d_j}) along the last axis of d,
+    as two ints for a vector or two float arrays for a rows x k table.
 
-
-def _pair_counts(d: np.ndarray) -> tuple[int, int]:
-    """(#{i < j: d_i > d_j}, #{i < j: d_i < d_j}); tied pairs count in neither."""
-    gt = d[:, None] > d[None, :]
-    ihr = int(np.count_nonzero(gt & _upper_mask(d.size)))
-    return ihr, int(np.count_nonzero(gt)) - ihr
+    A value's rank counts the values below it in its row, so a tied pair
+    counts in neither; one sweep over the columns of the k x rows ranks
+    counts ihr, and a row's ranks sum to ihr + dhr.
+    """
+    d = np.asarray(d, dtype=float)
+    k = d.shape[-1]
+    table = d.reshape(-1, k)
+    pos = np.arange(k, dtype=np.min_scalar_type(k))
+    ranks = np.empty((k, len(table)), dtype=pos.dtype)
+    for lo in range(0, len(table), _RANK_ROWS):
+        part = table[lo : lo + _RANK_ROWS]
+        s = np.sort(part, axis=1)
+        first = np.zeros(part.shape, dtype=pos.dtype)
+        np.copyto(first[:, 1:], pos[1:], where=s[:, 1:] != s[:, :-1])
+        np.maximum.accumulate(first, axis=1, out=first)
+        np.put_along_axis(ranks.T[lo : lo + _RANK_ROWS], np.argsort(part, axis=1), first, axis=1)
+    ihr = np.zeros(len(table))
+    for j in range(1, k):
+        # At most j < k pairs per row, so the rank dtype holds the sum.
+        ihr += (ranks[:j] > ranks[j]).sum(axis=0, dtype=ranks.dtype)
+    dhr = ranks.sum(axis=0, dtype=float) - ihr
+    if d.ndim == 1:
+        return int(ihr[0]), int(dhr[0])
+    return ihr, dhr
 
 
 def _pp_counts(sorted_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pair counts (ihr, dhr) of the normalized spacings of each presorted row."""
-    d = _spacings(sorted_rows)
-    counts = np.array([_pair_counts(row) for row in d], dtype=float).reshape(-1, 2)
-    return counts[:, 0], counts[:, 1]
+    return _pair_counts(_spacings(sorted_rows))
 
 
 def pp_statistic(d: np.ndarray) -> int:
     """Count of pairs i < j with d_i strictly greater than d_j."""
     d = np.asarray(d, dtype=float)
-    if d.ndim != 1 or d.size < 1:
-        raise ValueError("spacings must form a non-empty 1-D vector")
-    if d.size == 1:
-        return 0
+    if d.ndim != 1 or d.size < 1 or np.isnan(d).any():
+        raise ValueError("spacings must form a non-empty 1-D vector without NaN")
     return _pair_counts(d)[0]
 
 

@@ -1,6 +1,7 @@
 """Normalized spacings and the pair-count test of exponentiality."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,32 @@ def test_pp_statistic_validates_shape():
         pp_statistic(np.empty(0))
     with pytest.raises(ValueError):
         pp_statistic(np.ones((2, 2)))
+
+
+def test_pp_statistic_rejects_nan_and_orders_infinities():
+    with pytest.raises(ValueError, match="NaN"):
+        pp_statistic([np.nan, 1.0, 0.5])
+    with pytest.raises(ValueError, match="NaN"):
+        pp_statistic([0.5, 1.0, np.nan])
+    assert pp_statistic([np.inf, 1.0, -np.inf]) == 3
+    assert pp_statistic([-np.inf, 1.0, np.inf]) == 0
+    assert _pair_counts(np.array([np.inf, np.inf, 1.0])) == (2, 0)
+
+
+def test_pp_statistic_of_a_long_vector_keeps_no_memory():
+    # A k x k comparison at k = 5000 would take 24 MiB per boolean matrix.
+    d = np.random.default_rng(12).exponential(size=5000)
+    expected = pp_statistic(d)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert pp_statistic(d) == expected
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 5 << 20
+    assert after - before < 1024
 
 
 def test_pp_statistic_affine_invariant_through_spacings():

@@ -1,5 +1,6 @@
 """Property tests of the weights, the L-estimates, the statistic's
-reductions and invariances, the pair counts and the add-one p-value."""
+reductions and invariances, the pair counts of vectors and of tables, and
+the add-one p-value."""
 
 import math
 
@@ -92,6 +93,29 @@ def test_pair_counts_partition_all_pairs(values):
     ihr, dhr = _pair_counts(d)
     tied = sum(d[i] == d[j] for i in range(k) for j in range(i + 1, k))
     assert ihr + dhr + tied == k * (k - 1) // 2
+
+
+@st.composite
+def tied_tables(draw):
+    """A rows x k table of spacings from a few small integers, so most rows
+    have ties; some rows are all equal."""
+    rows = draw(st.integers(1, 70))
+    k = draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    table = rng.integers(0, draw(st.integers(1, 4)), size=(rows, k)).astype(float)
+    table[rng.random(rows) < 0.2] = draw(st.integers(0, 3))
+    return table
+
+
+@SETTINGS
+@given(tied_tables())
+def test_pair_counts_of_a_table_match_the_double_loop_per_row(table):
+    ihr, dhr = _pair_counts(table)
+    k = table.shape[1]
+    for row, got in zip(table, zip(ihr, dhr)):
+        want = (sum(row[i] > row[j] for i in range(k) for j in range(i + 1, k)),
+                sum(row[i] < row[j] for i in range(k) for j in range(i + 1, k)))
+        assert got == want
 
 
 @st.composite

@@ -1,0 +1,126 @@
+"""Time each stage of a cxorder request on its own and write the figures,
+with a record of the machine, to BENCH_<label>.json at the repository root.
+
+    PYTHONPATH=src python3 tools/stage_times.py --label mychange
+
+Each stage is timed best of 5 with time.perf_counter, after a set-up that
+is not timed (clearing the weight cache, drawing the rows a stage reads).
+The stages are the ones the north star names:
+
+- cold L-estimator weights of every rank at (n, m) = (200, 30) and
+  (1000, 150), with the weight cache cleared before each repeat;
+- exceedance bounds `pi_bound` for every rank: logistic at m = 30 (adaptive
+  quadrature) and exponential at m = 150 (closed form);
+- null draws `_sorted_draws`, exponential, n = 1000, 2000 rows;
+- `batch_statistics` at m = 150, every rank, p = 1, on 2000 exponential
+  rows of n = 1000 that the caller built (so no gap matrix is cached), with
+  warm weights;
+- the observed statistic at n = 200, m = 30 against the exponential
+  reference (closed-form bounds), with warm weights;
+- Proschan-Pyke pair counts `_pp_counts` of 1000 exponential rows at
+  n = 25, 200 and 500.
+
+To compare two checkouts on one machine, run this script from either with
+PYTHONPATH pointing at each checkout's src/ in turn, under two labels, and
+compare the files stage by stage. It uses the standard library and numpy
+only, and takes about 20 s on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import time
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+
+from cxorder import Exponential, Logistic, TestSpec, ingest, statistic
+from cxorder._seeds import _sorted_draws
+from cxorder.baselines import _pp_counts
+from cxorder.order_stats import _weights_readonly, pi_bound
+from cxorder.testing import Side, batch_statistics
+
+REPEATS = 5
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _best(run: Callable[[], object], setup: Callable[[], object] = lambda: None) -> dict:
+    times = []
+    for _ in range(REPEATS):
+        setup()
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return {"best_s": min(times), "times_s": times}
+
+
+def _weights(n: int, m: int) -> Callable[[], list]:
+    return lambda: [_weights_readonly(n, j, m) for j in range(1, m + 1)]
+
+
+def _bounds(ref, m: int) -> Callable[[], list]:
+    return lambda: [pi_bound(ref, j, m) for j in range(1, m + 1)]
+
+
+def stages() -> dict[str, dict]:
+    out = {}
+    for n, m in ((200, 30), (1000, 150)):
+        out[f"weights_cold n={n} m={m}"] = _best(_weights(n, m), _weights_readonly.cache_clear)
+    out["pi_bound logistic m=30 quadrature"] = _best(_bounds(Logistic(), 30))
+    out["pi_bound exponential m=150 closed_form"] = _best(_bounds(Exponential(), 150))
+    out["sorted_draws exponential n=1000 rows=2000"] = _best(
+        lambda: _sorted_draws(Exponential(), 1000, 2000, 11, "null"))
+
+    rows = _sorted_draws(Exponential(), 1000, 2000, 11, "null")
+    _weights(1000, 150)()
+    out["batch_statistics n=1000 m=150 rows=2000"] = _best(
+        lambda: batch_statistics(rows, Exponential(), 150, range(1, 151), 1.0))
+
+    sample = ingest(np.random.default_rng(5).exponential(size=200))
+    spec = TestSpec(Exponential(), m=30, side=Side.UPPER)
+    _weights(200, 30)()
+    out["observed_statistic n=200 m=30 exponential"] = _best(lambda: statistic(sample, spec))
+
+    for n in (25, 200, 500):
+        table = _sorted_draws(Exponential(), n, 1000, 13, "pp-null")
+        out[f"pp_counts n={n} rows=1000"] = _best(lambda: _pp_counts(table))
+    return out
+
+
+def _blas() -> str:
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+        blas = deps["blas"]
+        return f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        return "unknown"
+
+
+def machine() -> dict:
+    return {
+        "nproc": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": _blas(),
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    args = parser.parse_args()
+    record = {"label": args.label, "repeats": REPEATS, "machine": machine(), "stages": stages()}
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(record, indent=2) + "\n")
+    for name, stage in record["stages"].items():
+        print(f"{name:45s} {stage['best_s'] * 1e3:10.2f} ms")
+    print(f"wrote {path.name}")
+
+
+if __name__ == "__main__":
+    main()
