@@ -100,18 +100,23 @@ def _parse_p(text: str) -> float:
     return p
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, kind: str, convert) -> tuple:
+    """Non-empty comma-separated list; blank items are skipped."""
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise CliError(f"expected comma-separated integers, got {text!r}") from exc
+        values = tuple(convert(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        values = ()
+    if not values:
+        raise CliError(f"expected comma-separated {kind}, got {text!r}")
+    return values
+
+
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    return _parse_list(text, "integers", int)
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise CliError(f"expected comma-separated numbers, got {text!r}") from exc
+    return _parse_list(text, "numbers", float)
 
 
 def _parse_params(args) -> tuple[float, ...]:
@@ -235,13 +240,13 @@ def cmd_pp_test(args) -> int:
 
 def cmd_critical_value(args) -> int:
     seed = _resolve_seed(args)
-    sides = [s.strip() for s in args.side.split(",") if s.strip()]
+    sides = _parse_list(args.side, "sides", str.strip)
+    p_values = _parse_list(args.p, "norm orders", _parse_p)
     m_values = _parse_int_list(args.m) if args.m is not None else None
     rows = []
     for n in _parse_int_list(args.n):
         for m in m_values if m_values is not None else (default_m(n),):
-            for p_text in args.p.split(","):
-                p = _parse_p(p_text)
+            for p in p_values:
                 for side in sides:
                     pinned = _spec(args, seed, m=m, p_norm=p, side=Side(side)).resolve(n)
                     rows.append(

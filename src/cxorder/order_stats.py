@@ -209,8 +209,12 @@ def pi_bound(ref: RefFamily, j: int, m: int) -> PiBound:
     not exceeded, under the standard reference distribution.
 
     Closed forms cover the uniform, exponential, negative exponential, and
-    unit-shape log-logistic references; anything else goes through adaptive
-    quadrature of the quantile against the Beta(j, m - j + 1) density.
+    unit-shape log-logistic references; anything else goes through tanh-sinh
+    quadrature (`integrate_01`) of the quantile against the Beta(j, m - j + 1)
+    density: within 5e-13 of the logistic and log-logistic(1.5) closed forms
+    at every finite rank for m in {2, 5, 30, 150, 400} (tested), 2e-12 up to
+    m = 2000. A tail too heavy to cut off (Frechet(0.5001), j = 4, m = 5)
+    raises ConvergenceError.
     """
     status = bound_status(ref, j, m)
     if status is BoundStatus.UNDEFINED:
@@ -231,13 +235,13 @@ def pi_bound(ref: RefFamily, j: int, m: int) -> PiBound:
 
     # Split the expectation at probability 1/2 and fold the upper half onto
     # (0, 1/2) through the complement quantile and the Beta reflection
-    # B_{j:m} =d 1 - B_{m-j+1:m}. Bisection can refine without limit near 0
-    # (floats are dense there) but bottoms out near 1, so any integrable
-    # singularity from a heavy right tail must be moved to the origin.
+    # B_{j:m} =d 1 - B_{m-j+1:m}. Quadrature nodes reach within 1e-302 of 0
+    # (floats are dense there) but round to 1 within about 1e-16 of it, so any
+    # integrable singularity from a heavy right tail must be moved to the origin.
 
     def lower_half(u: np.ndarray) -> np.ndarray:
-        # A node on an ulp-wide panel can round to exactly 0, where the
-        # quantile jumps to the support endpoint; clamp into the interior.
+        # Keep p off 0, where the quantile jumps to the support endpoint; the
+        # clamp moves only nodes within 2e-300 of 0.
         p = np.maximum(0.5 * u, 1e-300)
         return 0.5 * ref.quantile(p) * _beta_pdf_interior(p, j, m)
 

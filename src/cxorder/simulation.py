@@ -137,6 +137,8 @@ class PowerGrid:
             raise ValueError("a grid's spec gives no m, ell or indices; m_ell sets them")
         if self.replications < 1:
             raise ValueError("replications must be positive")
+        if not (self.params and self.n_grid and self.m_ell):
+            raise ValueError("a grid needs at least one parameter, sample size and (m, ell)")
 
 
 def _power_row(family: str, param: float, n: int, side: str, trials: int, seed: int,

@@ -237,6 +237,15 @@ class TestCriticalValueCommand:
         assert float(row[6]) == critical_value(spec, 50)
         assert float(row[6]) != critical_value(replace(spec, indices=None), 50)
 
+    @pytest.mark.parametrize("flag", ["--n", "--m", "--side"])
+    def test_empty_list_exits_2(self, capsys, flag):
+        argv = {"--n": "20", "--m": "3", "--side": "upper", flag: ","}
+        code, out, err = run_cli(
+            capsys, "critical-value", *(x for kv in argv.items() for x in kv),
+            "--trials", "150", "--seed", "5",
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
+
 
 class TestPowerCommand:
     ARGS = (
@@ -317,6 +326,20 @@ class TestPowerCommand:
     @pytest.mark.parametrize("text", ["1:inf:0.5", "nan:2:0.5", "1:2:inf", "1:2:nan"])
     def test_non_finite_param_range_exits_2(self, capsys, text):
         code, out, err = run_cli(capsys, *self.ARGS, "--param-range", text)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("flag, pp", [
+        ("--n", False), ("--params", False), ("--m", False), ("--n", True), ("--params", True),
+    ])
+    def test_empty_list_exits_2(self, capsys, flag, pp):
+        argv = {"--family": "weibull", "--n": "20", "--params": "1.5", flag: ","}
+        if not pp:
+            argv.setdefault("--m", "1")
+        code, out, err = run_cli(
+            capsys, "power", *(x for kv in argv.items() for x in kv),
+            *(["--pp"] if pp else []), "--replications", "10", "--trials", "120",
+            "--seed", "3",
+        )
         assert code == 2 and out == "" and err.startswith("error:")
 
     PP_ARGS = (

@@ -27,7 +27,8 @@ from cxorder import (
     pi_bound,
     reg_inc_beta,
 )
-from cxorder.special import partial_harmonic
+from cxorder.order_stats import bound_status
+from cxorder.special import ConvergenceError, partial_harmonic
 
 
 # ---------------------------------------------------------------- ingest
@@ -295,6 +296,33 @@ def test_pi_quadrature_reference_values():
     assert pi_bound(Logistic(), 2, 5).value == pytest.approx(
         0.30294071603459272, abs=1e-8
     )
+
+
+@pytest.mark.parametrize("m", [2, 5, 30, 150, 400])
+def test_pi_quadrature_matches_closed_forms(m):
+    # E[G^{-1}(B_{j:m})] is psi(j) - psi(m - j + 1) for the logistic and
+    # B(j + 1/a, m - j + 1 - 1/a) / B(j, m - j + 1) for log-logistic(a).
+    a = 1.5
+    for j in range(1, m + 1):
+        mean = sps.digamma(j) - sps.digamma(m - j + 1)
+        assert pi_bound(Logistic(), j, m).value == pytest.approx(
+            sps.expit(mean), abs=5e-13
+        )
+        if m - j + 1 > 1.0 / a:
+            mean = math.exp(sps.betaln(j + 1.0 / a, m - j + 1.0 - 1.0 / a)
+                            - sps.betaln(j, m - j + 1))
+            assert pi_bound(LogLogistic(a), j, m).value == pytest.approx(
+                mean**a / (1.0 + mean**a), abs=5e-13
+            )
+
+
+def test_pi_quadrature_raises_on_a_barely_integrable_tail():
+    # m - j + 1 = 2 just exceeds 1 / 0.5001: the bound is finite in theory,
+    # but the integrand's tail decays like q^-0.9996, far too slowly to cut
+    # off anywhere a double fits.
+    assert bound_status(Frechet(0.5001), 4, 5) is BoundStatus.FINITE
+    with pytest.raises(ConvergenceError):
+        pi_bound(Frechet(0.5001), 4, 5)
 
 
 def test_pi_monotone_in_rank():

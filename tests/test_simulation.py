@@ -53,6 +53,10 @@ def test_grid_validation():
         small_grid(ell=2)
     with pytest.raises(ValueError, match="m_ell"):
         small_grid(indices=(1, 2))
+    # An empty axis would give an empty table.
+    for axis in ("params", "n_grid", "m_ell"):
+        with pytest.raises(ValueError, match="at least one"):
+            small_grid(**{axis: ()})
 
 
 def test_rank_choice_settings_need_ell_in_every_cell():

@@ -9,7 +9,7 @@ The stages are the ones the north star names:
 
 - cold L-estimator weights of every rank at (n, m) = (200, 30) and
   (1000, 150), with the weight cache cleared before each repeat;
-- exceedance bounds `pi_bound` for every rank: logistic at m = 30 (adaptive
+- exceedance bounds `pi_bound` for every rank: logistic at m = 30 (tanh-sinh
   quadrature) and exponential at m = 150 (closed form);
 - null draws `_sorted_draws`, exponential, n = 1000, 2000 rows;
 - `batch_statistics` at m = 150, every rank, p = 1, on 2000 exponential
