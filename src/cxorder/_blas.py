@@ -1,0 +1,75 @@
+"""Matrix products on one BLAS thread.
+
+OpenBLAS splits a product between its threads, and the bytes of the result
+depend on how many it uses: at n >= 400 the statistics differ in the last
+digits between one and two threads. Every product behind a statistic goes
+through `matmul`, which sets numpy's bundled OpenBLAS to one thread around
+the product and then restores the count it found, under a lock so that
+concurrent callers cannot restore a stale count. The library is looked up
+on the first product, not at import. Without it (numpy built against
+another BLAS) `matmul` is a plain `@`, and the bytes follow that BLAS.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import threading
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+
+# (get, set) thread-count symbols: numpy's scipy-openblas build, then plain
+# OpenBLAS with and without 64-bit integers.
+_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+Handle = tuple[Callable[[], int], Callable[[int], None]]
+
+_lock = threading.Lock()
+_NOT_LOOKED_UP = object()
+_handle: Handle | None | object = _NOT_LOOKED_UP
+
+
+def _find() -> Handle | None:
+    """The (get, set) thread-count functions of numpy's OpenBLAS, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for get_name, set_name in _SYMBOLS:
+            get, put = getattr(dll, get_name, None), getattr(dll, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def handle() -> Handle | None:
+    """The thread-count functions `matmul` uses, looked up once."""
+    global _handle
+    with _lock:
+        if _handle is _NOT_LOOKED_UP:
+            _handle = _find()
+        return _handle
+
+
+def matmul(a: np.ndarray, b: np.ndarray):
+    """a @ b computed on one OpenBLAS thread."""
+    fns = handle()
+    if fns is None:
+        return a @ b
+    get, put = fns
+    with _lock:
+        before = get()
+        put(1)
+        try:
+            return a @ b
+        finally:
+            put(before)

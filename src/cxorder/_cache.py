@@ -1,8 +1,8 @@
-"""The one cache layer every Monte Carlo table goes through.
+"""The one cache layer every Monte Carlo table and bound vector goes through.
 
 A key is a tuple that names the computation behind its value: the kind of
-entry first ("draws", "gaps", "null", "pairs"), then everything the value
-depends on. Values are arrays, or tuples of arrays, and are stored
+entry first ("draws", "gaps", "null", "pairs", "bounds"), then everything
+the value depends on. Values are arrays, or tuples of arrays, and are stored
 read-only. In memory, entries share one least-recently-used store bounded
 to BUDGET_BYTES of array data. Entries asked for with a disk length are
 also kept on disk when the CXORDER_CACHE_DIR environment variable is set;
@@ -28,9 +28,9 @@ CACHE_DIR_ENV = "CXORDER_CACHE_DIR"
 
 # Part of every disk key: the stored format, then the revision of the
 # algorithms behind stored values. Bump the revision whenever a change alters
-# what a key's computation returns (the draw streams, the statistic), so no
-# entry written before it is read.
-CACHE_VERSION = ("npz-pair-1", 3)
+# what a key's computation returns (the draw streams, the statistic, the BLAS
+# threads of the product), so no entry written before it is read.
+CACHE_VERSION = ("npz-pair-1", 4)
 
 # Array bytes held in memory. At R = T = 5000, table1 holds 43 MiB; each
 # figure exhibit would hold 230-245 MiB unbounded, mostly alternative draws

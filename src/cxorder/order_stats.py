@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _blas
 from .distributions import (
     Exponential,
     LogLogistic,
@@ -126,7 +127,7 @@ def os_weights(n: int, j: int, m: int) -> np.ndarray:
 
 def l_estimate(s: Sample, j: int, m: int) -> float:
     """L-estimate of the expected j-th of m order statistics."""
-    return float(_weights_readonly(s.n, j, m) @ s.values)
+    return float(_blas.matmul(_weights_readonly(s.n, j, m), s.values))
 
 
 @dataclass(frozen=True, eq=False)

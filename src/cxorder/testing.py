@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _cache
+from . import _blas, _cache
 from ._cache import CACHE_DIR_ENV, clear_caches
 from ._seeds import _cached_draws
 from .distributions import RefFamily, TailInfo
@@ -258,16 +258,30 @@ def _t_pair(gaps: np.ndarray, p: float) -> tuple:
 def _arrays_for(
     ref: RefFamily, n: int, m: int, indices: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    rows = [_weights_readonly(n, j, m) for j in indices]
-    pis = []
-    for j in indices:
-        bound = pi_bound(ref, j, m)
-        if bound.value is None:
-            raise InfeasibleSpecError(
-                f"exceedance bound undefined at j={j}, m={m} under {ref.cache_key()}"
-            )
-        pis.append(bound.value)
-    return np.vstack(rows), np.asarray(pis)
+    """The ranks x n weight matrix and the read-only bound vector pi_j of the
+    given ranks.
+
+    The bound vector depends only on (reference, m, ranks), so it is one
+    cache-layer entry keyed ("bounds", ref.identity(), m, indices): each
+    bound is computed once per process and cache clear. A rank without a
+    bound raises InfeasibleSpecError, and a bound whose quadrature fails
+    raises ConvergenceError, on every call; nothing is stored for either.
+    """
+    indices = tuple(int(j) for j in indices)
+
+    def bounds() -> np.ndarray:
+        pis = []
+        for j in indices:
+            value = pi_bound(ref, j, m).value
+            if value is None:
+                raise InfeasibleSpecError(
+                    f"exceedance bound undefined at j={j}, m={m} under {ref.cache_key()}"
+                )
+            pis.append(value)
+        return np.asarray(pis)
+
+    weight_mat = np.vstack([_weights_readonly(n, j, m) for j in indices])
+    return weight_mat, _cache.lookup(("bounds", ref.identity(), m, indices), bounds)
 
 
 def _gap_matrix(
@@ -276,7 +290,7 @@ def _gap_matrix(
     """Rows x ranks gaps pi_j - F_hat(mu_hat_j); T+ and T- reduce them."""
     trials, n = sorted_rows.shape
     weight_mat, pis = _arrays_for(ref, n, m, indices)
-    mus = sorted_rows @ weight_mat.T
+    mus = _blas.matmul(sorted_rows, weight_mat.T)
     grid = np.arange(1, n + 1) / n
     fts = np.empty_like(mus)
     for r in range(trials):
@@ -380,14 +394,20 @@ def _observed(
 ) -> tuple[TestSpec, tuple[IndexDiagnostic, ...], float, float]:
     rs = spec.resolve(s.n)
     weight_mat, pis = _arrays_for(rs.ref, s.n, rs.m, rs.indices)
-    mus = weight_mat @ s.values
-    fts = np.atleast_1d(interp_ecdf(s)(mus))
+    # The statistic is scale invariant. Score the sample scaled by the power
+    # of two that brings max |x| into [1, 2): exact for normal floats, and it
+    # keeps a subnormal sample from underflowing in the product.
+    _, exp = np.frexp(np.max(np.abs(s.values)))
+    scaled = Sample(np.ldexp(s.values, 1 - exp), s.tie_flag)
+    mus = _blas.matmul(weight_mat, scaled.values)
+    fts = np.atleast_1d(interp_ecdf(scaled)(mus))
     gaps = pis - fts
+    mu_hats = np.ldexp(mus, exp - 1)
     diags = tuple(
         IndexDiagnostic(
             j=j,
             pi=float(pis[i]),
-            mu_hat=float(mus[i]),
+            mu_hat=float(mu_hats[i]),
             ecdf_at_mu=float(fts[i]),
             gap=float(gaps[i]),
         )
@@ -427,7 +447,10 @@ def run_test(s: Sample, spec: TestSpec):
     """Full test: statistic, critical value, p-value, and decision.
 
     Returns one TestResult, or an (upper, lower) pair when side is BOTH.
-    The decision is reject exactly when statistic >= critical value.
+    The decision is reject exactly when statistic >= critical value. The
+    bound vector and the null tables come from the cache layer, so a repeat
+    request with the same spec and sample size computes neither again; the
+    L-estimates are one product on one BLAS thread.
     """
     rs, diags, t_plus, t_minus = _observed(s, spec)
 

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from cxorder import Exponential, PowerGrid, TestSpec, critical_value, pp_power
+from cxorder import (Cauchy, Exponential, Frechet, InfeasibleSpecError, Logistic, PowerGrid,
+                     TestSpec, critical_value, ingest, pi_bound, pp_power, run_test)
 from cxorder import _cache, baselines, simulation, testing
+from cxorder.special import ConvergenceError
 from cxorder._seeds import _cached_draws, _sorted_draws
 from cxorder.baselines import _pp_null
 from cxorder.distributions import Alternative
@@ -33,7 +35,7 @@ def _fill() -> np.ndarray:
                      spec=TestSpec(Exponential(), mc_trials=120, seed=3), replications=50)
     estimate_power(grid)
     pp_power("weibull", 1.5, 12, replications=50, mc_trials=120, base_seed=3)
-    assert _kinds() == {"draws", "gaps", "null", "pairs"}
+    assert _kinds() == {"draws", "gaps", "null", "pairs", "bounds"}
     return _cached_draws(Alternative("weibull", 1.5), 20, 50, 3, "alt")
 
 
@@ -152,7 +154,7 @@ def test_caller_rows_are_scored_without_caching():
     rows = _cached_draws(ref, 20, 120, 4, "null").copy()
     _cache.clear_caches()
     batch_statistics(rows, ref, 3, (1, 2, 3), 1.0)
-    assert not _cache._entries
+    assert not _kinds() & {"draws", "gaps"}
 
 
 def test_gap_matrix_is_shared_across_p_norms():
@@ -179,3 +181,64 @@ def test_pair_counts_of_a_table_serve_both_sides(monkeypatch):
         ("pairs", "pp-null", Exponential().cache_key(), 12, 120, 3),
         ("pairs", "pp-alt", alt.cache_key(), 12, 50, 3),
     }
+
+
+def _bound_keys() -> list:
+    return [key for key in _cache._entries if key[0] == "bounds"]
+
+
+def test_repeat_request_computes_no_bound(monkeypatch):
+    calls = []
+
+    def counting(ref, j, m):
+        calls.append(j)
+        return pi_bound(ref, j, m)
+
+    monkeypatch.setattr(testing, "pi_bound", counting)
+    sample = ingest(np.random.default_rng(3).logistic(size=60))
+    spec = TestSpec(Logistic(), m=9, side="both", mc_trials=200, seed=4)
+    first = run_test(sample, spec)
+    assert calls == list(range(1, 10))
+    assert _bound_keys() == [("bounds", Logistic().identity(), 9, tuple(range(1, 10)))]
+    calls.clear()
+    assert run_test(sample, spec) == first
+    assert calls == []
+
+
+def test_same_label_customs_get_their_own_bound_vectors():
+    refs = _unlabeled_customs()
+    sample = ingest(np.random.default_rng(8).exponential(size=40))
+    for ref in refs:
+        run_test(sample, TestSpec(ref, m=6, mc_trials=200, seed=1))
+    held = [_cache._entries[("bounds", ref.identity(), 6, tuple(range(1, 7)))] for ref in refs]
+    for ref, pis in zip(refs, held):
+        assert pis.tolist() == [pi_bound(ref, j, 6).value for j in range(1, 7)]
+    assert held[0].tolist() != held[1].tolist()
+
+
+def test_rank_without_a_bound_raises_every_time_and_stores_nothing():
+    rows = np.sort(np.random.default_rng(2).standard_cauchy((50, 12)), axis=1)
+    for _ in range(2):
+        # Under the Cauchy reference the one rank of m = 1 has no bound.
+        with pytest.raises(InfeasibleSpecError):
+            batch_statistics(rows, Cauchy(), 1, (1,), 1.0)
+        with pytest.raises(InfeasibleSpecError):
+            run_test(ingest(rows[0]), TestSpec(Cauchy(), m=1, mc_trials=200))
+        # Finite in theory, but the quadrature cannot cut the tail off.
+        with pytest.raises(ConvergenceError):
+            run_test(ingest(rows[0] ** 2), TestSpec(Frechet(0.5001), m=5, indices=(4,),
+                                                    mc_trials=200))
+    assert not _bound_keys()
+
+
+@pytest.mark.parametrize("clear", [testing.clear_caches, simulation.clear_caches,
+                                   baselines.clear_caches, _cache.clear_caches],
+                         ids=["testing", "simulation", "baselines", "cache"])
+def test_each_clear_caches_alias_drops_the_bound_vectors(clear):
+    _, pis = testing._arrays_for(Logistic(), 30, 5, (1, 2, 3, 4, 5))
+    assert not pis.flags.writeable
+    with pytest.raises(ValueError):
+        pis[0] = 0.5
+    assert _bound_keys()
+    clear()
+    assert not _bound_keys()

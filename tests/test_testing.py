@@ -349,6 +349,32 @@ def test_run_test_decision_invariant_under_affine_maps():
     assert b.p_value == a.p_value
 
 
+def test_run_test_is_exact_under_extreme_and_subnormal_scales():
+    x = np.random.default_rng(5).weibull(1.3, size=60)
+    spec = TestSpec(ref=Exponential(), m=9, mc_trials=500, seed=1, side="both")
+
+    def outcome(results):
+        return [(r.statistic, r.p_value, r.reject) for r in results]
+
+    base = run_test(ingest(x), spec)
+    want = outcome(base)
+    assert want[0][1:] == (1 / 501, True)
+    # Powers of two rescale normal floats exactly, so every byte agrees.
+    for k in (-1000, 1000):
+        scaled = run_test(ingest(np.ldexp(x, k)), spec)
+        assert outcome(scaled) == want
+        assert ([d.mu_hat for d in scaled[0].per_index]
+                == [math.ldexp(d.mu_hat, k) for d in base[0].per_index])
+    # A subnormal sample has lost low bits to rounding, so it is compared
+    # with its own exact rescaling into the normal range, and with x.
+    tiny = x * 1e-310
+    got = outcome(run_test(ingest(tiny), spec))
+    assert got == outcome(run_test(ingest(np.ldexp(tiny, 1000)), spec))
+    for (t, p, rej), (t0, p0, rej0) in zip(got, want):
+        assert t == pytest.approx(t0, rel=1e-11)
+        assert (p, rej) == (p0, rej0)
+
+
 def test_null_statistics_sorted_and_readonly():
     t_plus, t_minus = null_statistics(Exponential(), 20, 2, (1, 2), 1.0, 200, 5)
     assert np.all(np.diff(t_plus) >= 0.0)

@@ -17,13 +17,20 @@ The stages are the ones the north star names:
   warm weights;
 - the observed statistic at n = 200, m = 30 against the exponential
   reference (closed-form bounds), with warm weights;
+- a warm `run_test`, logistic reference, n = 200, m = 30, T = 2000, both
+  sides, with the null table and the bounds computed by an untimed first
+  request;
 - Proschan-Pyke pair counts `_pp_counts` of 1000 exponential rows at
-  n = 25, 200 and 500.
+  n = 25, 200 and 500;
+- the gap-matrix product rows @ weights.T at (rows, n, ranks) =
+  (2000, 1000, 150) and (5000, 2000, 300), as a plain `@` on the BLAS's
+  own threads and through `cxorder._blas.matmul` on one thread (checkouts
+  without that module get no pinned stage).
 
 To compare two checkouts on one machine, run this script from either with
 PYTHONPATH pointing at each checkout's src/ in turn, under two labels, and
 compare the files stage by stage. It uses the standard library and numpy
-only, and takes about 20 s on two cores.
+only, and takes about 25 s on two cores.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from cxorder import Exponential, Logistic, TestSpec, ingest, statistic
+from cxorder import Exponential, Logistic, TestSpec, ingest, run_test, statistic
 from cxorder._seeds import _sorted_draws
 from cxorder.baselines import _pp_counts
 from cxorder.order_stats import _weights_readonly, pi_bound
@@ -85,9 +92,26 @@ def stages() -> dict[str, dict]:
     _weights(200, 30)()
     out["observed_statistic n=200 m=30 exponential"] = _best(lambda: statistic(sample, spec))
 
+    sample = ingest(np.random.default_rng(5).logistic(size=200))
+    spec = TestSpec(Logistic(), m=30, side=Side.BOTH, mc_trials=2000, seed=3)
+    run_test(sample, spec)
+    out["run_test_warm n=200 m=30 trials=2000 logistic"] = _best(lambda: run_test(sample, spec))
+
     for n in (25, 200, 500):
         table = _sorted_draws(Exponential(), n, 1000, 13, "pp-null")
         out[f"pp_counts n={n} rows=1000"] = _best(lambda: _pp_counts(table))
+
+    try:
+        from cxorder._blas import matmul
+    except ImportError:
+        matmul = None
+    rng = np.random.default_rng(17)
+    for rows, n, ranks in ((2000, 1000, 150), (5000, 2000, 300)):
+        a, w = rng.random((rows, n)), rng.random((ranks, n))
+        name = f"product rows={rows} n={n} ranks={ranks}"
+        out[f"{name} unpinned"] = _best(lambda: a @ w.T)
+        if matmul is not None:
+            out[f"{name} one_thread"] = _best(lambda: matmul(a, w.T))
     return out
 
 
@@ -107,6 +131,7 @@ def machine() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": _blas(),
+        "openblas_num_threads_env": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
 
 
