@@ -30,7 +30,7 @@ CACHE_DIR_ENV = "CXORDER_CACHE_DIR"
 # algorithms behind stored values. Bump the revision whenever a change alters
 # what a key's computation returns (the draw streams, the statistic, the BLAS
 # threads of the product), so no entry written before it is read.
-CACHE_VERSION = ("npz-pair-1", 4)
+CACHE_VERSION = ("npz-pair-1", 5)
 
 # Array bytes held in memory. At R = T = 5000, table1 holds 43 MiB; each
 # figure exhibit would hold 230-245 MiB unbounded, mostly alternative draws

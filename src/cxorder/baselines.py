@@ -19,7 +19,7 @@ from ._cache import clear_caches
 from ._seeds import _sorted_draws
 from .distributions import Alternative, Exponential, RefFamily
 from .order_stats import Sample
-from .testing import TestResult, _check_mc, _critical, _p_value
+from .testing import TestResult, _check_mc, _decide, _p_value
 
 __all__ = ["normalized_spacings", "pp_statistic", "pp_test"]
 
@@ -134,13 +134,13 @@ def pp_test(
     k = _SIDES.index(side)
     v_obs = float(_pair_counts(normalized_spacings(s))[k])
     null = _pp_null(s.n, mc_trials, seed)[k]
-    crit = _critical(null, sig_level)
+    crit, reject = _decide(null, sig_level, v_obs)
     return TestResult(
         side=side,
         statistic=v_obs,
         critical_value=crit,
         p_value=_p_value(null, v_obs),
-        reject=bool(v_obs >= crit),
+        reject=reject,
         n=s.n,
         per_index=(),
         config={

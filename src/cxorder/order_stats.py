@@ -6,6 +6,9 @@ sorted sample by increments of the Beta(j, m - j + 1) CDF over the grid
 i/n. The exceedance bound pi(j, m) is the reference CDF evaluated at the
 expected j-th of m order statistics of the reference distribution itself;
 it is what the empirical counterpart is compared against.
+
+One kernel, `_score`, scores the observed sample and every drawn table, so
+a simulated replicate is scored exactly the way the data are.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _blas
+from ._seeds import _BLOCK_ROWS
 from .distributions import (
     Exponential,
     LogLogistic,
@@ -127,7 +131,8 @@ def os_weights(n: int, j: int, m: int) -> np.ndarray:
 
 def l_estimate(s: Sample, j: int, m: int) -> float:
     """L-estimate of the expected j-th of m order statistics."""
-    return float(_blas.matmul(_weights_readonly(s.n, j, m), s.values))
+    mus, _ = _score(s.values[np.newaxis], _weights_readonly(s.n, j, m)[np.newaxis])
+    return float(mus[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,18 +155,40 @@ class InterpolatedEcdf:
     __call__ = evaluate
 
 
+def _ecdf_knots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ECDF knots of sorted values: each distinct x with its largest i/n."""
+    last = np.flatnonzero(np.append(values[1:] != values[:-1], True))
+    return values[last], (last + 1) / values.size
+
+
 def interp_ecdf(s: Sample) -> InterpolatedEcdf:
     """Interpolated ECDF of a sorted sample."""
-    n = s.n
+    return InterpolatedEcdf(*_ecdf_knots(s.values))
+
+
+def _score(sorted_rows: np.ndarray, weight_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mus, fts), both rows x ranks: the L-estimates of each presorted, finite
+    row under each row of weight_mat (ranks x n), and the row's interpolated
+    ECDF at them. Blocks of _BLOCK_ROWS rows are scaled, row by row, by the
+    power of two that brings max |x| into [1, 2): exact for normal floats, and
+    no underflow for a subnormal row. A row with a tie, found by one compare
+    along the block's values, is interpolated again on collapsed knots (a pair
+    spanning two rows rescores a row to the same bytes)."""
+    rows, n = sorted_rows.shape
+    mus = np.empty((rows, len(weight_mat)))
+    fts = np.empty_like(mus)
     grid = np.arange(1, n + 1) / n
-    if s.tie_flag:
-        ux = np.unique(s.values)
-        last = np.searchsorted(s.values, ux, side="right") - 1
-        uy = grid[last]
-    else:
-        ux = s.values
-        uy = grid
-    return InterpolatedEcdf(knots_x=ux, knots_y=uy)
+    shift = 1 - np.frexp(np.maximum(-sorted_rows[:, 0], sorted_rows[:, -1]))[1][:, np.newaxis]
+    for lo in range(0, rows, _BLOCK_ROWS):
+        scaled = np.ldexp(sorted_rows[lo : lo + _BLOCK_ROWS], shift[lo : lo + _BLOCK_ROWS])
+        mus[lo : lo + _BLOCK_ROWS] = _blas.matmul(scaled, weight_mat.T)
+        for mu, x, ft in zip(mus[lo : lo + _BLOCK_ROWS], scaled, fts[lo : lo + _BLOCK_ROWS]):
+            ft[:] = np.interp(mu, x, grid)
+        tied = scaled.ravel()[1:] == scaled.ravel()[:-1]
+        for r in np.unique(np.flatnonzero(tied) // n) if tied.any() else ():
+            fts[lo + r] = np.interp(mus[lo + r], *_ecdf_knots(scaled[r]))
+    np.ldexp(mus, -shift, out=mus)
+    return mus, fts
 
 
 class BoundStatus(Enum):

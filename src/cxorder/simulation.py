@@ -37,7 +37,7 @@ from .testing import (
     InfeasibleSpecError,
     Side,
     TestSpec,
-    _critical,
+    _decide,
     _null_side,
     batch_statistics,
 )
@@ -160,12 +160,12 @@ def _power_cell(grid: PowerGrid, param: float, n: int, m: int, ell: int | None) 
         rs = replace(spec, m=m, ell=ell).resolve(n)
     except InfeasibleSpecError:
         return _power_row(*cell, None, m, ell, spec.p_norm)
-    crit = _critical(_null_side(rs, n, spec.side), rs.sig_level)
+    null = _null_side(rs, n, spec.side)
     rows = _cached_draws(Alternative(grid.alternative, param), n, grid.replications,
                          spec.seed, "alt")
     t_plus, t_minus = batch_statistics(rows, rs.ref, rs.m, rs.indices, rs.p_norm)
-    stats = t_plus if spec.side is Side.UPPER else t_minus
-    return _power_row(*cell, stats >= crit, rs.m, len(rs.indices), spec.p_norm)
+    rejects = _decide(null, rs.sig_level, t_plus if spec.side is Side.UPPER else t_minus)[1]
+    return _power_row(*cell, rejects, rs.m, len(rs.indices), spec.p_norm)
 
 
 def estimate_power(grid: PowerGrid) -> PowerTable:
@@ -194,9 +194,10 @@ def pp_power(
     if replications < 1:
         raise ValueError("replications must be positive")
     k = 0 if side == "ihr" else 1
-    crit = _critical(_pp_null(n, mc_trials, base_seed)[k], sig_level)
+    null = _pp_null(n, mc_trials, base_seed)[k]
     v = _pp_table(Alternative(alternative, param), n, replications, base_seed, "pp-alt")[k]
-    return _power_row(alternative, param, n, side, replications, base_seed, v >= crit)
+    return _power_row(alternative, param, n, side, replications, base_seed,
+                      _decide(null, sig_level, v)[1])
 
 
 def _pp_rows(alternative: str, params: tuple[float, ...], n_grid: tuple[int, ...],

@@ -2,11 +2,11 @@
 
 The statistic measures, in a chosen p-norm, how far the interpolated ECDF
 evaluated at L-estimates of expected order statistics falls short of (or
-overshoots) the null exceedance bounds. Critical values and p-values come
-from Monte Carlo simulation under the standard member of the reference
-family. The null trials are drawn in blocks of rows, each block from its
-own RNG stream derived from (seed, reference, n, block index), so results
-are identical no matter how the work is scheduled.
+overshoots) the null exceedance bounds. One kernel (`order_stats._score`)
+scores the sample and every drawn table, and one rule (`_decide`) makes
+every decision. Critical values and p-values come from Monte Carlo draws
+under the standard reference, one RNG stream per (seed, reference, n,
+block of rows), so results never depend on scheduling.
 """
 
 from __future__ import annotations
@@ -18,16 +18,16 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _blas, _cache
+from . import _cache
 from ._cache import CACHE_DIR_ENV, clear_caches
 from ._seeds import _cached_draws
 from .distributions import RefFamily, TailInfo
 from .order_stats import (
     BoundStatus,
     Sample,
+    _score,
     _weights_readonly,
     bound_status,
-    interp_ecdf,
     pi_bound,
 )
 
@@ -288,14 +288,8 @@ def _gap_matrix(
     sorted_rows: np.ndarray, ref: RefFamily, m: int, indices: Sequence[int]
 ) -> np.ndarray:
     """Rows x ranks gaps pi_j - F_hat(mu_hat_j); T+ and T- reduce them."""
-    trials, n = sorted_rows.shape
-    weight_mat, pis = _arrays_for(ref, n, m, indices)
-    mus = _blas.matmul(sorted_rows, weight_mat.T)
-    grid = np.arange(1, n + 1) / n
-    fts = np.empty_like(mus)
-    for r in range(trials):
-        fts[r] = np.interp(mus[r], sorted_rows[r], grid)
-    return pis[np.newaxis, :] - fts
+    weight_mat, pis = _arrays_for(ref, sorted_rows.shape[1], m, indices)
+    return pis - _score(sorted_rows, weight_mat)[1]
 
 
 def batch_statistics(
@@ -307,15 +301,17 @@ def batch_statistics(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Upper and lower statistics for each row of presorted samples.
 
-    Rows must be sorted ascending. Returns a pair of length-R arrays. The
-    gap matrix does not depend on p_norm: for a draw table held by the
-    cache layer it is computed once per (reference, m, indices) and cached
-    alongside the table; for rows the caller built it is computed afresh.
+    Rows must be finite and sorted ascending, and are scored as `statistic`
+    scores a sample. Returns a pair of length-R arrays. The gap matrix does
+    not depend on p_norm: a draw table held by the cache layer has it cached
+    per (reference, m, indices); caller rows are checked and scored afresh.
     """
     if sorted_rows.ndim != 2:
         raise ValueError("sorted_rows must be a 2-D array")
     rows_key = _cache.source(sorted_rows)
     if rows_key is None:
+        if not np.isfinite(sorted_rows).all() or (sorted_rows[:, 1:] < sorted_rows[:, :-1]).any():
+            raise ValueError("each row of sorted_rows must be finite and sorted ascending")
         gaps = _gap_matrix(sorted_rows, ref, m, indices)
     else:
         key = ("gaps", rows_key, ref.identity(), m, tuple(int(j) for j in indices))
@@ -350,12 +346,14 @@ def null_statistics(
     return _cache.lookup(key, compute, disk_length=trials)
 
 
-def _critical(null_sorted: np.ndarray, sig_level: float) -> float:
-    """The ceil((1 - sig_level) T)-th of T sorted null statistics: every
-    test rejects when its statistic reaches it."""
+def _decide(null_sorted: np.ndarray, sig_level: float, stats=0.0) -> tuple:
+    """The critical value, the ceil((1 - sig_level) T)-th of T sorted null
+    statistics, and the decision stats >= it on one statistic or an array of
+    them: the one decision rule of every test and power estimate."""
     trials = len(null_sorted)
     rank = min(trials, max(1, math.ceil((1.0 - sig_level) * trials)))
-    return float(null_sorted[rank - 1])
+    crit = float(null_sorted[rank - 1])
+    return crit, stats >= crit
 
 
 def _p_value(null_sorted: np.ndarray, t_obs: float) -> float:
@@ -377,7 +375,7 @@ def critical_value(spec: TestSpec, n: int) -> float:
     when its statistic reaches it."""
     if spec.side is Side.BOTH:
         raise ValueError("critical_value needs side upper or lower")
-    return _critical(_null_side(spec.resolve(n), n, spec.side), spec.sig_level)
+    return _decide(_null_side(spec.resolve(n), n, spec.side), spec.sig_level)[0]
 
 
 def p_value(spec: TestSpec, t_obs: float, n: int) -> float:
@@ -394,25 +392,9 @@ def _observed(
 ) -> tuple[TestSpec, tuple[IndexDiagnostic, ...], float, float]:
     rs = spec.resolve(s.n)
     weight_mat, pis = _arrays_for(rs.ref, s.n, rs.m, rs.indices)
-    # The statistic is scale invariant. Score the sample scaled by the power
-    # of two that brings max |x| into [1, 2): exact for normal floats, and it
-    # keeps a subnormal sample from underflowing in the product.
-    _, exp = np.frexp(np.max(np.abs(s.values)))
-    scaled = Sample(np.ldexp(s.values, 1 - exp), s.tie_flag)
-    mus = _blas.matmul(weight_mat, scaled.values)
-    fts = np.atleast_1d(interp_ecdf(scaled)(mus))
+    (mus,), (fts,) = _score(s.values[np.newaxis], weight_mat)
     gaps = pis - fts
-    mu_hats = np.ldexp(mus, exp - 1)
-    diags = tuple(
-        IndexDiagnostic(
-            j=j,
-            pi=float(pis[i]),
-            mu_hat=float(mu_hats[i]),
-            ecdf_at_mu=float(fts[i]),
-            gap=float(gaps[i]),
-        )
-        for i, j in enumerate(rs.indices)
-    )
+    diags = tuple(map(IndexDiagnostic, rs.indices, *(a.tolist() for a in (pis, mus, fts, gaps))))
     t_plus, t_minus = _t_pair(gaps, rs.p_norm)
     return rs, diags, float(t_plus), float(t_minus)
 
@@ -447,23 +429,23 @@ def run_test(s: Sample, spec: TestSpec):
     """Full test: statistic, critical value, p-value, and decision.
 
     Returns one TestResult, or an (upper, lower) pair when side is BOTH.
-    The decision is reject exactly when statistic >= critical value. The
-    bound vector and the null tables come from the cache layer, so a repeat
-    request with the same spec and sample size computes neither again; the
-    L-estimates are one product on one BLAS thread.
+    The sample is scored as a one-row table by the kernel that scores the
+    null tables, and the decision is reject exactly when statistic >=
+    critical value. The bound vector and the null tables come from the cache
+    layer, so a repeat request with the same spec and n computes neither.
     """
     rs, diags, t_plus, t_minus = _observed(s, spec)
 
     def one(side: Side) -> TestResult:
         null = _null_side(rs, s.n, side)
         t_obs = t_plus if side is Side.UPPER else t_minus
-        crit = _critical(null, rs.sig_level)
+        crit, reject = _decide(null, rs.sig_level, t_obs)
         return TestResult(
             side=side.value,
             statistic=t_obs,
             critical_value=crit,
             p_value=_p_value(null, t_obs),
-            reject=bool(t_obs >= crit),
+            reject=reject,
             n=s.n,
             per_index=diags,
             config=_echo(rs, s.n, side),

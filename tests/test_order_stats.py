@@ -181,6 +181,21 @@ def test_l_estimate_mean_identity_and_monotonicity():
             assert l_estimate(s, j, m + 1) <= ests[j - 1] + 1e-12
 
 
+def test_l_estimate_is_exact_under_extreme_and_subnormal_scales():
+    x = np.random.default_rng(5).weibull(1.3, size=60)
+    base = [l_estimate(ingest(x), j, 9) for j in range(1, 10)]
+    # Powers of two rescale normal floats exactly.
+    for k in (-1000, 1000):
+        assert [l_estimate(ingest(np.ldexp(x, k)), j, 9) for j in range(1, 10)] == [
+            math.ldexp(v, k) for v in base]
+    # A subnormal sample has lost low bits to rounding, so its estimate is
+    # its exact rescaling into the normal range, rounded once on the way back.
+    tiny = ingest(x * 1e-310)
+    normal = ingest(np.ldexp(tiny.values, 1000))
+    for j in range(1, 10):
+        assert l_estimate(tiny, j, 9) == math.ldexp(l_estimate(normal, j, 9), -1000)
+
+
 # ----------------------------------------------------------- interp_ecdf
 
 def test_ecdf_hits_knots_and_interpolates():

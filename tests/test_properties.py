@@ -3,6 +3,7 @@ reductions and invariances, the pair counts of vectors and of tables, and
 the add-one p-value."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,12 +15,15 @@ from cxorder import (
     Logistic,
     NegExponential,
     TestSpec,
+    TiesWarning,
     Uniform,
+    critical_value,
     ingest,
     l_estimate,
     normalized_spacings,
     os_weights,
     p_value,
+    run_test,
     statistic,
 )
 from cxorder import _cache
@@ -83,6 +87,65 @@ def test_statistics_lie_between_0_and_the_rank_count_root(table, p):
     for t in batch_statistics(rows, ref, m, indices, p):
         assert np.all(t >= 0.0)
         assert np.all(t <= bound)
+
+
+@st.composite
+def scored_tables(draw):
+    """A drawn table, as drawn, rounded to 0.1 (so rows have ties) or scaled
+    by 1e-310 (so values are subnormal), with a reference and m."""
+    ref = draw(st.sampled_from(REFS))
+    n = draw(st.integers(1, 80))
+    m = draw(st.integers(1, 8))
+    rows = _cached_draws(ref, n, draw(st.integers(1, 70)), draw(st.integers(0, 2**31)), "alt")
+    form = draw(st.sampled_from(["drawn", "rounded", "subnormal"]))
+    rows = {"drawn": rows, "rounded": np.round(rows, 1), "subnormal": rows * 1e-310}[form]
+    return np.array(rows), ref, m
+
+
+def _row_tolerance(row: np.ndarray, weight_mat: np.ndarray) -> float:
+    """Bound on |T_batch - T_statistic| at p = 1 for one row scored both ways.
+
+    Both paths take mu_j = sum_i w_ji x_i over the same row scaled so that
+    max |x| lies in [1, 2), but the BLAS may sum in another order for one row
+    than for a block. Any order lies within gamma_n * s_j of the exact value,
+    with s_j = sum_i w_ji |x_i| and gamma_n = n u / (1 - n u), so the two
+    differ by delta_j <= 2 gamma_n s_j. The interpolated ECDF is piecewise
+    linear, so F(mu_j) moves by at most delta_j times the steepest knot
+    interval within 2 delta_j of mu_j, plus 4u of rounding in each of the two
+    evaluations. Each side of T then sums k terms below 1: k u more each.
+    """
+    n, k, u = row.size, len(weight_mat), EPS / 2
+    x = np.ldexp(row, 1 - np.frexp(np.abs(row).max())[1])
+    last = np.flatnonzero(np.append(x[1:] != x[:-1], True))
+    knots_x, knots_y = x[last], (last + 1) / n
+    slopes = np.append(np.diff(knots_y) / np.diff(knots_x), 0.0)
+    gamma = n * u / (1 - n * u)
+    delta = 2 * gamma * (weight_mat @ np.abs(x))
+    mus = weight_mat @ x
+    steepest = [
+        slopes[max(lo - 1, 0) : max(hi, 1)].max()
+        for lo, hi in zip(np.searchsorted(knots_x, mus - 2 * delta),
+                          np.searchsorted(knots_x, mus + 2 * delta, side="right"))
+    ]
+    return float(np.sum(delta * steepest) + 8 * k * u + 2 * k * k * u)
+
+
+@SETTINGS
+@given(scored_tables(), st.sampled_from([Side.UPPER, Side.LOWER]))
+def test_batch_statistics_score_each_row_as_statistic_does(table, side):
+    rows, ref, m = table
+    spec = TestSpec(ref, m=m, side=side, mc_trials=200, seed=1)
+    rs = spec.resolve(rows.shape[1])
+    weight_mat = np.vstack([os_weights(rows.shape[1], j, m) for j in rs.indices])
+    t_plus, t_minus = batch_statistics(rows, ref, m, rs.indices, 1.0)
+    batch = t_plus if side is Side.UPPER else t_minus
+    crit = critical_value(spec, rows.shape[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TiesWarning)
+        for row, t in zip(rows, batch):
+            one = run_test(ingest(row), spec)
+            assert abs(one.statistic - t) <= _row_tolerance(row, weight_mat)
+            assert one.reject == (t >= crit)
 
 
 @SETTINGS

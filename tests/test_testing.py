@@ -28,7 +28,7 @@ from cxorder import (
     statistic,
 )
 from cxorder import testing as testing_mod
-from cxorder.testing import null_statistics
+from cxorder.testing import batch_statistics, null_statistics
 
 
 def test_default_m_is_fifteen_percent_rounded_up():
@@ -373,6 +373,25 @@ def test_run_test_is_exact_under_extreme_and_subnormal_scales():
     for (t, p, rej), (t0, p0, rej0) in zip(got, want):
         assert t == pytest.approx(t0, rel=1e-11)
         assert (p, rej) == (p0, rej0)
+
+
+def _caller_rows() -> np.ndarray:
+    return np.sort(np.random.default_rng(5).weibull(1.3, size=(3, 60)), axis=1)
+
+
+def test_batch_statistics_rejects_a_reversed_row():
+    rows = _caller_rows()
+    rows[1] = rows[1, ::-1]
+    with pytest.raises(ValueError, match="sorted"):
+        batch_statistics(rows, Exponential(), 5, range(1, 6), 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_batch_statistics_rejects_a_non_finite_row(bad):
+    rows = _caller_rows()
+    rows[2, -1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        batch_statistics(rows, Exponential(), 5, range(1, 6), 1.0)
 
 
 def test_null_statistics_sorted_and_readonly():
