@@ -1,11 +1,12 @@
-"""The one cache layer every Monte Carlo table and bound vector goes through.
+"""The one cache layer every Monte Carlo table, bound vector and weight
+matrix goes through.
 
 A key is a tuple that names the computation behind its value: the kind of
-entry first ("draws", "gaps", "null", "pairs", "bounds"), then everything
-the value depends on. Values are arrays, or tuples of arrays, and are stored
-read-only. In memory, entries share one least-recently-used store bounded
-to BUDGET_BYTES of array data. Entries asked for with a disk length are
-also kept on disk when the CXORDER_CACHE_DIR environment variable is set;
+entry first ("draws", "gaps", "null", "pairs", "bounds", "weights"), then
+everything the value depends on. Values are arrays, or tuples of arrays, and
+are stored read-only. In memory, entries share one least-recently-used store
+bounded to BUDGET_BYTES of array data. Entries asked for with a disk length
+are also kept on disk when the CXORDER_CACHE_DIR environment variable is set;
 their file name hashes the key together with CACHE_VERSION.
 """
 

@@ -212,19 +212,31 @@ class PiBound:
     value: float | None
 
 
+def _divergent_ranks(ref: RefFamily, m: int) -> tuple[int, int]:
+    """(left_max, right_min): the expectation behind pi(j, m) diverges on the
+    left for j <= left_max and on the right for j >= right_min, so the bound
+    is undefined exactly on the closed interval right_min <= j <= left_max."""
+    # The expectation of G^{-1}(B_{j:m}) integrates the quantile against a
+    # density that decays like p^{j-1} at 0 and (1-p)^{m-j} at 1. A right
+    # tail of index alpha makes the integrand of order (1-p)^{m-j-1/alpha},
+    # divergent when m - j + 1 <= 1/alpha + 1e-12; symmetrically, the left
+    # side diverges when j <= 1/beta + 1e-12. The left-hand sides are
+    # integers, so flooring the right-hand sides keeps each comparison exact;
+    # capping them at m changes no rank in 1..m and keeps math.floor off the
+    # infinite 1/alpha of a subnormal index (an infinite index gives 0).
+    tails = ref.tail_info()
+    left, right = (math.floor(min(1.0 / index + 1e-12, m))
+                   for index in (tails.left_index, tails.right_index))
+    return left, m + 1 - right
+
+
 def bound_status(ref: RefFamily, j: int, m: int) -> BoundStatus:
     """Status of pi_bound(ref, j, m), from the tail indices alone."""
     if not 1 <= j <= m:
         raise ValueError(f"require 1 <= j <= m, got j={j}, m={m}")
-    # The expectation of G^{-1}(B_{j:m}) integrates the quantile against a
-    # density that decays like p^{j-1} at 0 and (1-p)^{m-j} at 1. A right
-    # tail of index alpha makes the integrand of order (1-p)^{m-j-1/alpha},
-    # divergent when m - j + 1 <= 1/alpha; symmetrically on the left.
-    tails = ref.tail_info()
-    inv_right = 0.0 if math.isinf(tails.right_index) else 1.0 / tails.right_index
-    inv_left = 0.0 if math.isinf(tails.left_index) else 1.0 / tails.left_index
-    right_div = (m - j + 1) <= inv_right + 1e-12
-    left_div = j <= inv_left + 1e-12
+    left_max, right_min = _divergent_ranks(ref, m)
+    right_div = j >= right_min
+    left_div = j <= left_max
     if right_div and left_div:
         return BoundStatus.UNDEFINED
     if right_div or left_div:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,14 +22,7 @@ from . import _cache
 from ._cache import CACHE_DIR_ENV, clear_caches
 from ._seeds import _cached_draws
 from .distributions import RefFamily, TailInfo
-from .order_stats import (
-    BoundStatus,
-    Sample,
-    _score,
-    _weights_readonly,
-    bound_status,
-    pi_bound,
-)
+from .order_stats import Sample, _divergent_ranks, _score, _weights_readonly, pi_bound
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -200,8 +193,9 @@ class TestSpec:
             )
         else:
             idx = tuple(range(1, m + 1))
+        left_max, right_min = _divergent_ranks(self.ref, m)
         for j in idx:
-            if bound_status(self.ref, j, m) is BoundStatus.UNDEFINED:
+            if right_min <= j <= left_max:
                 hint = "; pass ell to restrict the ranks" if self.indices is None else ""
                 raise InfeasibleSpecError(
                     f"exceedance bound undefined at j={j}, m={m} under "
@@ -211,8 +205,7 @@ class TestSpec:
                        index_rule=None)
 
 
-@dataclass(frozen=True)
-class IndexDiagnostic:
+class IndexDiagnostic(NamedTuple):
     """Per-rank pieces of the statistic."""
 
     j: int
@@ -258,14 +251,16 @@ def _t_pair(gaps: np.ndarray, p: float) -> tuple:
 def _arrays_for(
     ref: RefFamily, n: int, m: int, indices: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ranks x n weight matrix and the read-only bound vector pi_j of the
+    """The read-only ranks x n weight matrix and bound vector pi_j of the
     given ranks.
 
-    The bound vector depends only on (reference, m, ranks), so it is one
-    cache-layer entry keyed ("bounds", ref.identity(), m, indices): each
-    bound is computed once per process and cache clear. A rank without a
-    bound raises InfeasibleSpecError, and a bound whose quadrature fails
-    raises ConvergenceError, on every call; nothing is stored for either.
+    Each is one cache-layer entry, computed once per process and cache
+    clear: the weight matrix, keyed ("weights", n, m, indices), stacks the
+    per-rank weight vectors, and the bound vector depends only on
+    (reference, m, ranks), keyed ("bounds", ref.identity(), m, indices).
+    A rank without a bound raises InfeasibleSpecError, and a bound whose
+    quadrature fails raises ConvergenceError, on every call; no bound vector
+    is stored for either.
     """
     indices = tuple(int(j) for j in indices)
 
@@ -280,7 +275,9 @@ def _arrays_for(
             pis.append(value)
         return np.asarray(pis)
 
-    weight_mat = np.vstack([_weights_readonly(n, j, m) for j in indices])
+    weight_mat = _cache.lookup(
+        ("weights", n, m, indices),
+        lambda: np.vstack([_weights_readonly(n, j, m) for j in indices]))
     return weight_mat, _cache.lookup(("bounds", ref.identity(), m, indices), bounds)
 
 
@@ -357,8 +354,10 @@ def _decide(null_sorted: np.ndarray, sig_level: float, stats=0.0) -> tuple:
 
 
 def _p_value(null_sorted: np.ndarray, t_obs: float) -> float:
-    """Add-one p-value (1 + #{T_sim >= t_obs}) / (T + 1) of T null statistics."""
-    return (1 + int(np.count_nonzero(null_sorted >= t_obs))) / (len(null_sorted) + 1)
+    """Add-one p-value (1 + #{T_sim >= t_obs}) / (T + 1) of T sorted null
+    statistics; the count is T less the number below t_obs."""
+    trials = len(null_sorted)
+    return (1 + trials - int(np.searchsorted(null_sorted, t_obs, "left"))) / (trials + 1)
 
 
 def _null_side(pinned: TestSpec, n: int, side: Side) -> np.ndarray:
@@ -394,7 +393,8 @@ def _observed(
     weight_mat, pis = _arrays_for(rs.ref, s.n, rs.m, rs.indices)
     (mus,), (fts,) = _score(s.values[np.newaxis], weight_mat)
     gaps = pis - fts
-    diags = tuple(map(IndexDiagnostic, rs.indices, *(a.tolist() for a in (pis, mus, fts, gaps))))
+    columns = (a.tolist() for a in (pis, mus, fts, gaps))
+    diags = tuple(map(IndexDiagnostic._make, zip(rs.indices, *columns)))
     t_plus, t_minus = _t_pair(gaps, rs.p_norm)
     return rs, diags, float(t_plus), float(t_minus)
 

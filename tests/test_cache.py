@@ -35,7 +35,7 @@ def _fill() -> np.ndarray:
                      spec=TestSpec(Exponential(), mc_trials=120, seed=3), replications=50)
     estimate_power(grid)
     pp_power("weibull", 1.5, 12, replications=50, mc_trials=120, base_seed=3)
-    assert _kinds() == {"draws", "gaps", "null", "pairs", "bounds"}
+    assert _kinds() == {"draws", "gaps", "null", "pairs", "bounds", "weights"}
     return _cached_draws(Alternative("weibull", 1.5), 20, 50, 3, "alt")
 
 
@@ -242,3 +242,41 @@ def test_each_clear_caches_alias_drops_the_bound_vectors(clear):
     assert _bound_keys()
     clear()
     assert not _bound_keys()
+
+
+@pytest.mark.parametrize("clear", [testing.clear_caches, simulation.clear_caches,
+                                   baselines.clear_caches, _cache.clear_caches],
+                         ids=["testing", "simulation", "baselines", "cache"])
+def test_weight_matrix_is_one_entry_of_the_stacked_rank_vectors(clear):
+    ranks = (2, 3, 5)
+    weight_mat, _ = testing._arrays_for(Logistic(), 30, 5, ranks)
+    want = np.vstack([testing._weights_readonly(30, j, 5) for j in ranks])
+    assert weight_mat.tobytes() == want.tobytes() and weight_mat.shape == want.shape
+    assert _cache._entries[("weights", 30, 5, ranks)] is weight_mat
+    assert not weight_mat.flags.writeable
+    with pytest.raises(ValueError):
+        weight_mat[0, 0] = 0.5
+    assert testing._arrays_for(Logistic(), 30, 5, ranks)[0] is weight_mat
+    clear()
+    assert not _kinds() & {"weights"}
+
+
+def test_repeat_request_computes_no_bound_and_no_weight_vector(monkeypatch):
+    calls = []
+
+    def counting(name, real):
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(testing, "pi_bound", counting("pi_bound", testing.pi_bound))
+    monkeypatch.setattr(testing, "_weights_readonly",
+                        counting("weights", testing._weights_readonly))
+    sample = ingest(np.random.default_rng(6).logistic(size=50))
+    spec = TestSpec(Logistic(), m=7, side="both", mc_trials=200, seed=2)
+    first = run_test(sample, spec)
+    assert sorted(set(calls)) == ["pi_bound", "weights"]
+    calls.clear()
+    assert run_test(sample, spec) == first
+    assert calls == []

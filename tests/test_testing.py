@@ -9,11 +9,16 @@ import pytest
 from scipy.stats import kstest
 
 from cxorder import (
+    BoundStatus,
     Cauchy,
     Custom,
     Exponential,
+    Frechet,
+    IndexDiagnostic,
     InfeasibleSpecError,
+    Logistic,
     LogLogistic,
+    NegExponential,
     Side,
     TailInfo,
     TestResult,
@@ -28,6 +33,7 @@ from cxorder import (
     statistic,
 )
 from cxorder import testing as testing_mod
+from cxorder.order_stats import bound_status
 from cxorder.testing import batch_statistics, null_statistics
 
 
@@ -159,6 +165,78 @@ def test_resolve_pins_a_spec_that_resolves_to_itself(spec):
     assert critical_value(pinned, 30) == critical_value(spec, 30)
 
 
+def _old_bound_status(ref, j, m):
+    """bound_status as it was, one tail_info() and one fuzzed compare per rank."""
+    tails = ref.tail_info()
+    inv_right = 0.0 if math.isinf(tails.right_index) else 1.0 / tails.right_index
+    inv_left = 0.0 if math.isinf(tails.left_index) else 1.0 / tails.left_index
+    right_div = (m - j + 1) <= inv_right + 1e-12
+    left_div = j <= inv_left + 1e-12
+    if right_div and left_div:
+        return BoundStatus.UNDEFINED
+    if right_div or left_div:
+        return BoundStatus.TRIVIALLY_ONE if right_div else BoundStatus.TRIVIALLY_ZERO
+    return BoundStatus.FINITE
+
+
+def _old_resolve(spec, n):
+    """TestSpec.resolve (for a spec with m set) as it was: the per-rank
+    bound_status loop."""
+    m = spec.m
+    if spec.indices is not None:
+        idx = spec.indices
+    elif spec.ell is not None:
+        idx = select_indices(spec.ref, m, spec.ell, spec.assumed_tails, spec.index_rule)
+    else:
+        idx = tuple(range(1, m + 1))
+    for j in idx:
+        if _old_bound_status(spec.ref, j, m) is BoundStatus.UNDEFINED:
+            hint = "; pass ell to restrict the ranks" if spec.indices is None else ""
+            raise InfeasibleSpecError(
+                f"exceedance bound undefined at j={j}, m={m} under "
+                f"{spec.ref.cache_key()}{hint}"
+            )
+    return replace(spec, m=m, indices=idx, ell=None, assumed_tails=None, index_rule=None)
+
+
+def _outcome(resolve, spec):
+    try:
+        return resolve(spec, 50)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def _declared_tail_customs():
+    # The Cauchy handles under declared tails: heavy on both sides, with
+    # 1/alpha short of 2 by less than the 1e-12 fuzz, 1/beta short of 3 by
+    # more, and subnormal indices whose inverses are infinite.
+    cauchy = Cauchy()
+    tails = ((1.0, 1.0), (0.3, 0.45), (1 / (2 - 5e-13), 1 / (3 - 2e-12)),
+             (1e-310, 0.2), (0.2, 1e-310), (0.5, math.inf))
+    return [Custom(cdf_fn=cauchy.cdf, quantile_fn=cauchy.quantile, right_index=right,
+                   left_index=left, label=f"cauchy{right, left}")
+            for right, left in tails]
+
+
+def test_one_rank_check_matches_the_per_rank_loop():
+    refs = [Uniform(), Exponential(), NegExponential(), Logistic(), LogLogistic(0.5),
+            LogLogistic(1.5), Frechet(0.7), Frechet(2.0), Cauchy(), *_declared_tail_customs()]
+    undefined = 0
+    for ref in refs:
+        for m in range(1, 41):
+            specs = [TestSpec(ref, m=m), TestSpec(ref, m=m, indices=(m,)),
+                     TestSpec(ref, m=m, indices=tuple(range(1, m + 1, 3))),
+                     TestSpec(ref, m=m, ell=1), TestSpec(ref, m=m, ell=(m + 1) // 2),
+                     TestSpec(ref, m=m, ell=1, index_rule="high")]
+            for spec in specs:
+                want = _outcome(_old_resolve, spec)
+                assert _outcome(TestSpec.resolve, spec) == want, (ref, spec)
+                undefined += isinstance(want, tuple) and want[0] is InfeasibleSpecError
+            for j in range(1, m + 1):
+                assert bound_status(ref, j, m) is _old_bound_status(ref, j, m), (ref, j, m)
+    assert undefined > 100
+
+
 # -------------------------------------------------------------- statistic
 
 def test_statistic_two_point_uniform_example():
@@ -266,6 +344,22 @@ def test_p_value_edge_cases():
         p_value(spec, -0.5, 25)
 
 
+def test_p_value_by_search_counts_as_the_full_compare():
+    rng = np.random.default_rng(12)
+    atom = np.sort(np.concatenate([np.zeros(40), rng.exponential(size=60)]))
+    tied = np.sort(np.repeat(rng.random(20).round(2) + 0.5, 5))
+    for null in (atom, tied):
+        values = np.unique(null)
+        # Every tie, the midpoints between, below the minimum, above the maximum.
+        for t_obs in (*values, *(values[1:] + values[:-1]) / 2, values[0] / 2, 0.0,
+                      np.nextafter(values[-1], np.inf), values[-1] + 1.0):
+            t_obs = float(t_obs)
+            want = (1 + int(np.count_nonzero(null >= t_obs))) / (len(null) + 1)
+            assert testing_mod._p_value(null, t_obs) == want, t_obs
+    assert testing_mod._p_value(atom, 0.0) == 1.0
+    assert testing_mod._p_value(tied, 1e9) == 1 / 101
+
+
 def test_p_values_roughly_uniform_under_null():
     # m large enough that the point mass of the statistic at zero (which
     # maps to p-values of exactly one) is negligible.
@@ -312,6 +406,20 @@ def test_run_test_single_side_contract():
     for key in ("g", "m", "p", "side", "alpha", "trials", "seed"):
         assert key in res.config
     assert res.config["g"] == "exponential"
+
+
+def test_index_diagnostic_is_an_immutable_named_tuple():
+    assert IndexDiagnostic._fields == ("j", "pi", "mu_hat", "ecdf_at_mu", "gap")
+    d = IndexDiagnostic(3, 0.25, 1.5, 0.2, 0.05)
+    assert (d.j, d.pi, d.mu_hat, d.ecdf_at_mu, d.gap) == (3, 0.25, 1.5, 0.2, 0.05)
+    assert repr(d) == "IndexDiagnostic(j=3, pi=0.25, mu_hat=1.5, ecdf_at_mu=0.2, gap=0.05)"
+    with pytest.raises(AttributeError):
+        d.gap = 0.0
+    res = run_test(ingest(np.random.default_rng(4).exponential(size=30)),
+                   TestSpec(ref=Exponential(), m=4, mc_trials=200, seed=1))
+    assert [type(d) for d in res.per_index] == [IndexDiagnostic] * 4
+    for d in res.per_index:
+        assert d.gap == d.pi - d.ecdf_at_mu
 
 
 def test_run_test_both_returns_upper_lower_pair():

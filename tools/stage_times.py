@@ -21,7 +21,9 @@ The stages are the ones the north star names:
   reference (closed-form bounds), with warm weights;
 - a warm `run_test`, logistic reference, n = 200, m = 30, T = 2000, both
   sides, with the null table and the bounds computed by an untimed first
-  request;
+  request, and two of its per-request steps on their own: `TestSpec.resolve`
+  of that spec (the rank check) and a warm `testing._arrays_for` (the
+  weight matrix and bound vector of its ranks);
 - Proschan-Pyke pair counts `_pp_counts` of 1000 exponential rows at
   n = 25, 200 and 500;
 - the gap-matrix product rows @ weights.T at (rows, n, ranks) =
@@ -51,7 +53,7 @@ from cxorder import Exponential, Logistic, TestSpec, ingest, run_test, statistic
 from cxorder._seeds import _sorted_draws
 from cxorder.baselines import _pp_counts
 from cxorder.order_stats import _weights_readonly, pi_bound
-from cxorder.testing import Side, batch_statistics
+from cxorder.testing import Side, _arrays_for, batch_statistics
 
 REPEATS = 5
 ROOT = Path(__file__).resolve().parents[1]
@@ -106,6 +108,10 @@ def stages() -> dict[str, dict]:
     spec = TestSpec(Logistic(), m=30, side=Side.BOTH, mc_trials=2000, seed=3)
     run_test(sample, spec)
     out["run_test_warm n=200 m=30 trials=2000 logistic"] = _best(lambda: run_test(sample, spec))
+    out["resolve n=200 m=30 logistic"] = _best(lambda: spec.resolve(200))
+    pinned = spec.resolve(200)
+    out["_arrays_for warm n=200 m=30"] = _best(
+        lambda: _arrays_for(pinned.ref, 200, pinned.m, pinned.indices))
 
     for n in (25, 200, 500):
         table = _sorted_draws(Exponential(), n, 1000, 13, "pp-null")
