@@ -8,7 +8,9 @@ expected j-th of m order statistics of the reference distribution itself;
 it is what the empirical counterpart is compared against.
 
 One kernel, `_score`, scores the observed sample and every drawn table, so
-a simulated replicate is scored exactly the way the data are.
+a simulated replicate is scored exactly the way the data are. It evaluates
+the ECDF of a table of many rows and few ranks in one vectorized pass, and
+any other with one np.interp per row, to the same bytes.
 """
 
 from __future__ import annotations
@@ -166,29 +168,75 @@ def interp_ecdf(s: Sample) -> InterpolatedEcdf:
     return InterpolatedEcdf(*_ecdf_knots(s.values))
 
 
+# Scaled values per ECDF chunk (512 KiB, whole blocks), and the most ranks
+# the batched ECDF pass takes; both cut-offs were measured (see _score).
+_CHUNK_VALUES = 1 << 16
+_BATCH_RANKS = 32
+
+
 def _score(sorted_rows: np.ndarray, weight_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mus, fts), both rows x ranks: the L-estimates of each presorted, finite
     row under each row of weight_mat (ranks x n), and the row's interpolated
-    ECDF at them. Blocks of _BLOCK_ROWS rows are scaled, row by row, by the
-    power of two that brings max |x| into [1, 2): exact for normal floats, and
-    no underflow for a subnormal row. A row with a tie, found by one compare
-    along the block's values, is interpolated again on collapsed knots (a pair
-    spanning two rows rescores a row to the same bytes)."""
+    ECDF at them. Rows are scaled, row by row, by the power of two that brings
+    max |x| into [1, 2): exact for normal floats, and no underflow for a
+    subnormal row. The product runs in _BLOCK_ROWS blocks, the ECDF in chunks
+    of about _CHUNK_VALUES values: one _interp_rows pass if there are at most
+    _BATCH_RANKS ranks, n <= 512 (chunks of two blocks or more) and the chunk
+    has a whole block, else one np.interp per row; both give the same bytes.
+    A row with a tie, found by one compare along the chunk, is interpolated
+    again on collapsed knots (a pair spanning two rows rescores a row to the
+    same bytes)."""
     rows, n = sorted_rows.shape
     mus = np.empty((rows, len(weight_mat)))
     fts = np.empty_like(mus)
     grid = np.arange(1, n + 1) / n
     shift = 1 - np.frexp(np.maximum(-sorted_rows[:, 0], sorted_rows[:, -1]))[1][:, np.newaxis]
-    for lo in range(0, rows, _BLOCK_ROWS):
-        scaled = np.ldexp(sorted_rows[lo : lo + _BLOCK_ROWS], shift[lo : lo + _BLOCK_ROWS])
-        mus[lo : lo + _BLOCK_ROWS] = _blas.matmul(scaled, weight_mat.T)
-        for mu, x, ft in zip(mus[lo : lo + _BLOCK_ROWS], scaled, fts[lo : lo + _BLOCK_ROWS]):
-            ft[:] = np.interp(mu, x, grid)
+    step = max(1, _CHUNK_VALUES // (n * _BLOCK_ROWS)) * _BLOCK_ROWS
+    batch = step > _BLOCK_ROWS and len(weight_mat) <= _BATCH_RANKS
+    for lo in range(0, rows, step):
+        scaled = np.ldexp(sorted_rows[lo : lo + step], shift[lo : lo + step])
+        mu, ft = mus[lo : lo + step], fts[lo : lo + step]
+        for b in range(0, len(scaled), _BLOCK_ROWS):
+            mu[b : b + _BLOCK_ROWS] = _blas.matmul(scaled[b : b + _BLOCK_ROWS], weight_mat.T)
+        redo = range(len(scaled))
+        if batch and len(scaled) >= _BLOCK_ROWS:
+            redo = _interp_rows(mu, scaled, grid, ft)
+        for r in redo:
+            ft[r] = np.interp(mu[r], scaled[r], grid)
         tied = scaled.ravel()[1:] == scaled.ravel()[:-1]
         for r in np.unique(np.flatnonzero(tied) // n) if tied.any() else ():
-            fts[lo + r] = np.interp(mus[lo + r], *_ecdf_knots(scaled[r]))
+            ft[r] = np.interp(mu[r], *_ecdf_knots(scaled[r]))
     np.ldexp(mus, -shift, out=mus)
     return mus, fts
+
+
+def _interp_rows(mus: np.ndarray, x: np.ndarray, grid: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write np.interp(mus[r], x[r], grid) into out[r] for every row r of x
+    (sorted, in (-2, 2)) with one searchsorted, and return the rows it could
+    not place, for the caller's np.interp. Row r is shifted by 8r, so rows
+    cannot overlap. Rounding is monotone, so the search counts every knot at
+    or below mu and, past them, only knots whose shifted value collapsed onto
+    mu's: the count is right exactly when its last knot, unshifted, is at
+    most mu. The rest is numpy's formula: slope * (mu - x[j]) + grid[j], and
+    grid values at the two ends, the last knot and an exact knot hit. Its NaN
+    retry cannot change a result: with x in (-2, 2) and a strictly increasing
+    grid the formula is NaN only for an infinite slope at an exact hit."""
+    n = x.shape[1]
+    row = np.arange(len(x))[:, np.newaxis]
+    found = np.searchsorted((x + 8.0 * row).ravel(), mus + 8.0 * row, "right")
+    count = found - n * row
+    flat = x.ravel()
+    x0, x1 = flat[found - 1], flat[np.minimum(found, flat.size - 1)]
+    j = np.clip(count - 1, 0, n - 2)
+    g0 = grid[j]
+    with np.errstate(all="ignore"):  # x / 0 and inf * 0 only where a mask below writes
+        np.subtract(mus, x0, out=out)
+        out *= (grid[j + 1] - g0) / (x1 - x0)
+    out += g0
+    np.copyto(out, g0, where=x0 == mus)
+    out[count == 0] = grid[0]
+    out[count == n] = grid[-1]
+    return np.flatnonzero(((count > 0) & (x0 > mus)).any(axis=1))
 
 
 class BoundStatus(Enum):

@@ -1,0 +1,326 @@
+"""The scoring kernel `order_stats._score`: its batched ECDF pass against one
+np.interp per row, bit for bit; which path a table takes; the prefix and
+block structure of drawn tables' gap matrices; and an exact oracle for the
+statistic at n = 1000, m = 150."""
+
+import bisect
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from cxorder import (
+    Cauchy,
+    Exponential,
+    Frechet,
+    Logistic,
+    LogLogistic,
+    NegExponential,
+    TestSpec,
+    Uniform,
+    ingest,
+    statistic,
+)
+from cxorder import _cache, order_stats
+from cxorder._seeds import _BLOCK_ROWS, _sorted_draws
+from cxorder.distributions import Alternative
+from cxorder.order_stats import _interp_rows, _score, _weights_readonly
+from cxorder.testing import Side, _gap_matrix
+
+FAMILIES = [
+    Uniform(),
+    Exponential(),
+    NegExponential(),
+    Logistic(),
+    LogLogistic(1.0),
+    LogLogistic(0.5),
+    Frechet(0.5),
+    Cauchy(),
+    Alternative("weibull", 1.5),
+    Alternative("neg-weibull", 1.5),
+    Alternative("log-logistic", 0.5),
+    Alternative("shifted-exponential", 0.3),
+    Alternative("student-t", 1.1),
+]
+NS = [2, 3, 25, 200, 1000]
+# Rank counts on both sides of the batched pass's cut-off.
+MS = [1, 5, order_stats._BATCH_RANKS, order_stats._BATCH_RANKS + 8]
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _drop_tables():
+    yield
+    _cache.clear_caches()
+
+
+def _weights(n, m):
+    return np.vstack([_weights_readonly(n, j, m) for j in range(1, m + 1)])
+
+
+def _rows(n):
+    """Rows per drawn table: whole chunks and a short last one, kept small."""
+    return 130 if n == 1000 else 1000
+
+
+def _scaled(rows):
+    """Rows scaled as `_score` scales them, each into (-2, 2)."""
+    return np.ldexp(rows, 1 - np.frexp(np.maximum(-rows[:, :1], rows[:, -1:]))[1])
+
+
+def _per_row_score(monkeypatch, rows, weight_mat):
+    """`_score` with the batched pass switched off: one np.interp per row."""
+    with monkeypatch.context() as patch:
+        patch.setattr(order_stats, "_BATCH_RANKS", -1)
+        return _score(rows, weight_mat)
+
+
+def _assert_score_matches_per_row(monkeypatch, rows, weight_mat):
+    got = _score(rows, weight_mat)
+    want = _per_row_score(monkeypatch, rows, weight_mat)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def _assert_interp_rows_exact(mus, x):
+    """`_interp_rows` writes np.interp's bytes for every row it does not
+    return; returns the rows it handed back."""
+    grid = np.arange(1, x.shape[1] + 1) / x.shape[1]
+    out = np.full_like(mus, np.nan)
+    redo = _interp_rows(mus, x, grid, out)
+    want = np.array([np.interp(mu, row, grid) for mu, row in zip(mus, x)])
+    placed = np.setdiff1d(np.arange(len(x)), redo)
+    assert out[placed].tobytes() == want[placed].tobytes()
+    return redo
+
+
+def _counting_interp(monkeypatch):
+    calls = []
+    interp = np.interp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return interp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", counted)
+    return calls
+
+
+# ------------------------------------------------- bit identity, both paths
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.cache_key())
+@pytest.mark.parametrize("n", NS)
+def test_batched_pass_equals_np_interp_on_drawn_tables(family, n):
+    x = _scaled(_sorted_draws(family, n, _rows(n), 19, "null"))
+    for m in MS:
+        _assert_interp_rows_exact(x @ _weights(n, m).T, x)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.cache_key())
+@pytest.mark.parametrize("n", NS)
+def test_score_equals_its_per_row_path_on_drawn_tables(monkeypatch, family, n):
+    rows = _sorted_draws(family, n, _rows(n), 23, "null")
+    for m in MS:
+        _assert_score_matches_per_row(monkeypatch, rows, _weights(n, m))
+
+
+@pytest.mark.parametrize("n", [3, 25, 200])
+@pytest.mark.parametrize("m", [1, 5, 20])
+def test_score_equals_its_per_row_path_on_extreme_rows(monkeypatch, n, m):
+    rows = _sorted_draws(Logistic(), n, 1000, 29, "null")
+    symmetric = np.tile(np.arange(n, dtype=float) - n // 2, (1000, 1))
+    for table in (np.round(rows, 1), rows * 1e-310, rows * 1e300, symmetric,
+                  np.tile(np.arange(n, dtype=float), (1000, 1))):
+        _assert_score_matches_per_row(monkeypatch, table, _weights(n, m))
+
+
+def test_exact_knot_hits_take_the_knot_value():
+    # The L-estimate at m = 1 is the mean, which is the middle knot of an odd
+    # arange; np.interp returns that knot's height, not the slope formula's.
+    n = 25
+    x = _scaled(np.tile(np.arange(n, dtype=float), (200, 1)))
+    mus = x @ _weights(n, 1).T
+    assert np.all(mus[:, 0] == x[:, n // 2])
+    _assert_interp_rows_exact(mus, x)
+    fts = _score(np.tile(np.arange(n, dtype=float), (200, 1)), _weights(n, 1))[1]
+    assert np.all(fts == (n // 2 + 1) / n)
+
+
+def test_infinite_slopes_and_both_ends_match_np_interp():
+    # Knots a subnormal step apart give an infinite slope: np.interp returns
+    # the knot value at an exact hit and inf just past it. Row 0 is unshifted,
+    # so its search is exact; the shifted rows collapse 0 and 1e-323 and fall back.
+    x = np.tile([0.0, 1e-323, 1.5], (200, 1))
+    mus = np.tile([-0.1, 0.0, 5e-324, 1e-323, 1.0, 1.5, 1.7], (200, 1))
+    redo = _assert_interp_rows_exact(mus, x)
+    assert 0 not in redo
+    grid = np.arange(1, 4) / 3
+    assert np.isinf(np.interp(5e-324, x[0], grid))
+
+
+def test_collapsed_shifted_keys_fall_back_to_np_interp(monkeypatch):
+    # Values a few ulps apart collapse once row r is shifted by 8r, so the
+    # shifted search overcounts; the exact check must send those rows to
+    # np.interp, and the result must still be np.interp's bytes.
+    rng = np.random.default_rng(5)
+    n, m = 25, 5
+    steps = rng.integers(1, 4, (1000, n)).cumsum(axis=1)
+    rows = 1.0 + steps * np.finfo(float).eps
+    mus = rows @ _weights(n, m).T
+    redo = _assert_interp_rows_exact(mus, rows)
+    assert 0 < len(redo) < len(rows)
+    calls = _counting_interp(monkeypatch)
+    _assert_score_matches_per_row(monkeypatch, rows, _weights(n, m))
+    assert 0 < len(calls) - len(rows) < len(rows)
+
+
+def test_which_path_a_table_takes(monkeypatch):
+    calls = _counting_interp(monkeypatch)
+
+    def interp_calls(n, count, m):
+        calls.clear()
+        _score(_sorted_draws(Exponential(), n, count, 31, "null"), _weights(n, m))
+        return len(calls)
+
+    # An observed sample, 150 ranks, and n = 1000 (64-row chunks) go row by row.
+    assert interp_calls(200, 1, 30) == 1
+    assert interp_calls(200, 1000, 150) == 1000
+    assert interp_calls(1000, 130, 5) == 130
+    # Many rows at few ranks take the batched pass; at n = 200 a chunk is
+    # 320 rows, and the last 1000 - 3 * 320 rows, under one block, go row by row.
+    assert interp_calls(25, 1000, 5) == 0
+    assert interp_calls(200, 1000, 5) == 40
+
+
+# ------------------------------------------------- prefix and block structure
+
+@pytest.mark.parametrize("n", [25, 200])
+@pytest.mark.parametrize("m", [5, 20, 40])
+def test_whole_block_prefix_of_a_table_is_the_shorter_table(n, m):
+    # Whole blocks only: OpenBLAS rounds a short block's product differently
+    # from the same rows inside a 64-row block, so a k-row table with k not a
+    # multiple of 64 can differ from the first k rows in the last bits.
+    full = _gap_matrix(_sorted_draws(Exponential(), n, 1000, 37, "null"),
+                       Exponential(), m, range(1, m + 1))
+    for k in (_BLOCK_ROWS, 5 * _BLOCK_ROWS, 6 * _BLOCK_ROWS, 1000):
+        part = _gap_matrix(_sorted_draws(Exponential(), n, k, 37, "null"),
+                           Exponential(), m, range(1, m + 1))
+        assert full[:k].tobytes() == part.tobytes()
+
+
+@pytest.mark.parametrize("n", [25, 200])
+@pytest.mark.parametrize("m", [5, 20, 40])
+def test_a_tables_gaps_are_its_blocks_gaps(n, m):
+    # What streaming a table block by block relies on: each block scored on
+    # its own, the short last one included, gives the table's bytes.
+    rows = _sorted_draws(Exponential(), n, 1000, 41, "null")
+    full = _gap_matrix(rows, Exponential(), m, range(1, m + 1))
+    blocks = [_gap_matrix(rows[lo : lo + _BLOCK_ROWS], Exponential(), m, range(1, m + 1))
+              for lo in range(0, len(rows), _BLOCK_ROWS)]
+    assert full.tobytes() == np.vstack(blocks).tobytes()
+
+
+# ------------------------------------------------- exact oracle, n = 1000
+
+N, M = 1000, 150
+# perfbench's cold_large inputs default_rng([seed, 1, i]).weibull(1.3, 1000)
+# at which plain upper-tail weight differences are about 1e-9 off.
+ORACLE_INPUTS = [(0, 46), (0, 250), (39, 14)]
+
+
+def _tail_sums(n, m):
+    """S[i][j - 1] = n^m P(Bin(m, i/n) >= j), integers, for i <= n // 2."""
+    powers = [[1] * (m + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        for k in range(1, m + 1):
+            powers[i][k] = powers[i][k - 1] * i
+    coef = [math.comb(m, k) for k in range(m + 1)]
+    out = []
+    for i in range(n // 2 + 1):
+        acc, tails = 0, [0] * m
+        for k in range(m, 0, -1):
+            acc += coef[k] * powers[i][k] * powers[n - i][m - k]
+            tails[k - 1] = acc
+        out.append(tails)
+    return out
+
+
+def _weight_numerators(n, m):
+    """d[j - 1][i - 1] = n^m w_{j,i}, exact: differences of binomial tails,
+    the upper half through P(Bin(m, x) >= j) = 1 - P(Bin(m, 1 - x) >= m - j + 1)."""
+    half = _tail_sums(n, m)
+    total = n**m
+
+    def tail(i, j):
+        return half[i][j - 1] if i <= n // 2 else total - half[n - i][m - j]
+
+    return [[tail(i, j) - tail(i - 1, j) for i in range(1, n + 1)] for j in range(1, m + 1)]
+
+
+def _exact_statistics(values, numerators):
+    """(T+, T-) at p = 1 under the exponential reference, as 40-digit
+    Decimals: exact L-estimates and ECDF values, Decimal bounds."""
+    fracs = [Fraction(v) for v in values]
+    scale = max(f.denominator for f in fracs)
+    ints = [f.numerator * (scale // f.denominator) for f in fracs]
+    den = N**M * scale
+    harmonic = [Fraction(0)]
+    for k in range(1, M + 1):
+        harmonic.append(harmonic[-1] + Fraction(1, k))
+    upper = lower = Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for j, row in enumerate(numerators, start=1):
+            mu = Fraction(sum(map(int.__mul__, row, ints)), den)
+            c = bisect.bisect_right(fracs, mu)
+            if c == 0:
+                ecdf = Fraction(1, N)
+            elif c == N:
+                ecdf = Fraction(1)
+            else:
+                ecdf = Fraction(c, N) + (mu - fracs[c - 1]) / (fracs[c] - fracs[c - 1]) / N
+            h = harmonic[M] - harmonic[M - j]
+            pi = 1 - (-(Decimal(h.numerator) / Decimal(h.denominator))).exp()
+            gap = pi - Decimal(ecdf.numerator) / Decimal(ecdf.denominator)
+            upper += max(gap, 0)
+            lower += max(-gap, 0)
+    return upper, lower
+
+
+def _upper_tail_difference_weights(n, m):
+    """Weights as plain differences of float binomial upper-tail sums, the
+    formula of perfbench/reference.py."""
+    x = np.arange(1, n) / n
+    k = np.arange(m + 1)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, m + 1)))))
+    pmf = np.zeros((n + 1, m + 1))
+    pmf[1:n] = np.exp(log_fact[m] - log_fact[k] - log_fact[m - k]
+                      + k * np.log(x[:, None]) + (m - k) * np.log1p(-x[:, None]))
+    pmf[0, 0] = pmf[n, m] = 1.0
+    cdf = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    return np.maximum(np.diff(cdf, axis=0), 0.0).T
+
+
+def _relative(got, exact):
+    return float(abs(Decimal(got) - exact) / exact)
+
+
+def test_statistic_matches_an_exact_oracle_at_n_1000():
+    numerators = _weight_numerators(N, M)
+    plain = _upper_tail_difference_weights(N, M)
+    grid = np.arange(1, N + 1) / N
+    h = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, M + 1))))
+    pis = -np.expm1(-(h[M] - h[M - np.arange(1, M + 1)]))
+    worst_plain = 0.0
+    for seed, i in ORACLE_INPUTS:
+        values = np.sort(np.random.default_rng([seed, 1, i]).weibull(1.3, N))
+        upper, lower = _exact_statistics(values.tolist(), numerators)
+        s = ingest(values)
+        for side, exact in ((Side.UPPER, upper), (Side.LOWER, lower)):
+            got = statistic(s, TestSpec(Exponential(), side=side))[0]
+            assert _relative(got, exact) < 1e-11, (seed, i, side)
+        gaps = pis - np.interp(plain @ values, values, grid)
+        worst_plain = max(worst_plain, _relative(float(np.maximum(gaps, 0.0).sum()), upper))
+    # The oracle is sharp enough to see the plain differences' error.
+    assert worst_plain > 1e-11

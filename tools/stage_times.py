@@ -14,9 +14,11 @@ The stages are the ones the north star names:
 - null draws `_sorted_draws`, exponential, n = 1000, 2000 rows;
 - `batch_statistics` at m = 150, every rank, p = 1, on 2000 exponential
   rows of n = 1000 that the caller built (so no gap matrix is cached), with
-  warm weights; the same on 1000 rows at n = 25 and n = 200 with m = 20
-  (the power study's shapes), and on 1000 rows at n = 200 rounded to 0.1,
-  so nearly every row has a tie;
+  warm weights; the same on 1000 rows at n = 25 with m = 1 and 20 (the
+  power study's shapes), at n = 200 with m = 1, 10, 20, 30 and 50 (the
+  scoring kernel's batched ECDF pass takes at most 32 ranks, so the sweep
+  crosses its cut-off), and on 1000 rows at n = 200 rounded to 0.1, so
+  nearly every row has a tie;
 - the observed statistic at n = 200, m = 30 against the exponential
   reference (closed-form bounds), with warm weights;
 - a warm `run_test`, logistic reference, n = 200, m = 30, T = 2000, both
@@ -90,11 +92,12 @@ def stages() -> dict[str, dict]:
     _weights(1000, 150)()
     out["batch_statistics n=1000 m=150 rows=2000"] = _best(
         lambda: batch_statistics(rows, Exponential(), 150, range(1, 151), 1.0))
-    for n in (25, 200):
+    for n, ms in ((25, (1, 20)), (200, (1, 10, 20, 30, 50))):
         rows = _sorted_draws(Exponential(), n, 1000, 11, "null")
-        _weights(n, 20)()
-        out[f"batch_statistics n={n} m=20 rows=1000"] = _best(
-            lambda: batch_statistics(rows, Exponential(), 20, range(1, 21), 1.0))
+        for m in ms:
+            _weights(n, m)()
+            out[f"batch_statistics n={n} m={m} rows=1000"] = _best(
+                lambda: batch_statistics(rows, Exponential(), m, range(1, m + 1), 1.0))
     tied = np.round(rows, 1)
     out["batch_statistics tied n=200 m=20 rows=1000"] = _best(
         lambda: batch_statistics(tied, Exponential(), 20, range(1, 21), 1.0))
