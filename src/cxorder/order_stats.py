@@ -19,11 +19,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
-from . import _blas
+from . import _blas, _cache
 from ._seeds import _BLOCK_ROWS
 from .distributions import (
     Exponential,
@@ -98,29 +97,34 @@ def ingest(raw) -> Sample:
     return Sample(values=values, tie_flag=tie_flag)
 
 
-@lru_cache(maxsize=16384)
-def _weights_readonly(n: int, j: int, m: int) -> np.ndarray:
-    """Cached, read-only weight vector for (n, j, m)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 1 <= j <= m:
-        raise ValueError(f"require 1 <= j <= m, got j={j}, m={m}")
-    a = float(j)
-    b = float(m - j + 1)
-    # One reg_inc_beta per grid point i/n: the CDF up to 1/2, the complement
-    # past it. A cell that starts at or past 1/2 takes its weight from the
-    # complement, any other from the CDF. Either way the error is absolute:
-    # weights below about 1e-16 come back as exact 0 on both sides (n = 1000, m = 150, j = 1: cell 358 is 3.5e-30, returns 0).
-    grid = [i / n for i in range(n + 1)]
-    vals = np.array([reg_inc_beta(t, a, b) if t <= 0.5 else reg_inc_beta(1.0 - t, b, a)
-                     for t in grid])
-    upper = np.array(grid) > 0.5
-    cdf = np.where(upper, 1.0 - vals, vals)
-    comp = np.where(upper, vals, 1.0 - vals)
-    w = np.where(np.arange(n) / n >= 0.5, comp[:-1] - comp[1:], cdf[1:] - cdf[:-1])
-    np.maximum(w, 0.0, out=w)
-    w.setflags(write=False)
-    return w
+def _weights_readonly(n: int, m: int, ranks: tuple[int, ...]) -> np.ndarray:
+    """Read-only ranks x n matrix of L-estimator weights, row r for rank
+    ranks[r] of m: the cache layer's ("weights", n, m, ranks) entry, built
+    on the first call per process and cache clear."""
+
+    def compute() -> np.ndarray:
+        if n < 1 or not all(1 <= j <= m for j in ranks):
+            raise ValueError(f"require n >= 1 and 1 <= j <= m, got n={n}, ranks={ranks}, m={m}")
+        # One reg_inc_beta per rank and grid point i/n: the CDF up to 1/2, the
+        # complement past it; a cell that starts at or past 1/2 takes its weight
+        # from the complement, any other from the CDF. The error is absolute:
+        # weights below about 1e-16 come back as exact 0 (n = 1000, m = 150,
+        # j = 1: cell 358 is 3.5e-30, returns 0).
+        grid = [i / n for i in range(n + 1)]
+        upper = np.array(grid) > 0.5
+        past_half = np.arange(n) / n >= 0.5
+        out = np.empty((len(ranks), n))
+        for w, j in zip(out, ranks):
+            a, b = float(j), float(m - j + 1)
+            vals = np.array([reg_inc_beta(t, a, b) if t <= 0.5 else reg_inc_beta(1.0 - t, b, a)
+                             for t in grid])
+            cdf = np.where(upper, 1.0 - vals, vals)
+            comp = np.where(upper, vals, 1.0 - vals)
+            w[:] = np.where(past_half, comp[:-1] - comp[1:], cdf[1:] - cdf[:-1])
+        np.maximum(out, 0.0, out=out)
+        return out
+
+    return _cache.lookup(("weights", n, m, ranks), compute)
 
 
 def os_weights(n: int, j: int, m: int) -> np.ndarray:
@@ -128,12 +132,12 @@ def os_weights(n: int, j: int, m: int) -> np.ndarray:
 
     Nonnegative, summing to one up to roundoff.
     """
-    return _weights_readonly(n, j, m).copy()
+    return _weights_readonly(n, m, (j,))[0].copy()
 
 
 def l_estimate(s: Sample, j: int, m: int) -> float:
     """L-estimate of the expected j-th of m order statistics."""
-    mus, _ = _score(s.values[np.newaxis], _weights_readonly(s.n, j, m)[np.newaxis])
+    mus, _ = _score(s.values[np.newaxis], _weights_readonly(s.n, m, (j,)))
     return float(mus[0, 0])
 
 
@@ -204,7 +208,7 @@ def _score(sorted_rows: np.ndarray, weight_mat: np.ndarray) -> tuple[np.ndarray,
         for r in redo:
             ft[r] = np.interp(mu[r], scaled[r], grid)
         tied = scaled.ravel()[1:] == scaled.ravel()[:-1]
-        for r in np.unique(np.flatnonzero(tied) // n) if tied.any() else ():
+        for r in np.flatnonzero(np.bincount(np.flatnonzero(tied) // n)) if tied.any() else ():
             ft[r] = np.interp(mu[r], *_ecdf_knots(scaled[r]))
     np.ldexp(mus, -shift, out=mus)
     return mus, fts

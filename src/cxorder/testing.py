@@ -252,15 +252,12 @@ def _arrays_for(
     ref: RefFamily, n: int, m: int, indices: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The read-only ranks x n weight matrix and bound vector pi_j of the
-    given ranks.
-
-    Each is one cache-layer entry, computed once per process and cache
-    clear: the weight matrix, keyed ("weights", n, m, indices), stacks the
-    per-rank weight vectors, and the bound vector depends only on
-    (reference, m, ranks), keyed ("bounds", ref.identity(), m, indices).
-    A rank without a bound raises InfeasibleSpecError, and a bound whose
-    quadrature fails raises ConvergenceError, on every call; no bound vector
-    is stored for either.
+    given ranks, each one cache-layer entry computed once per process and
+    cache clear: ("weights", n, m, indices), built by `_weights_readonly`,
+    and ("bounds", ref.identity(), m, indices), as the bounds depend only on
+    (reference, m, ranks). A rank without a bound raises InfeasibleSpecError,
+    and a bound whose quadrature fails raises ConvergenceError, on every
+    call; no bound vector is stored for either.
     """
     indices = tuple(int(j) for j in indices)
 
@@ -275,9 +272,7 @@ def _arrays_for(
             pis.append(value)
         return np.asarray(pis)
 
-    weight_mat = _cache.lookup(
-        ("weights", n, m, indices),
-        lambda: np.vstack([_weights_readonly(n, j, m) for j in indices]))
+    weight_mat = _weights_readonly(n, m, indices)
     return weight_mat, _cache.lookup(("bounds", ref.identity(), m, indices), bounds)
 
 

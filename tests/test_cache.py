@@ -1,18 +1,23 @@
 """The cache layer behind every Monte Carlo table: keys, read-only values,
 the byte budget, the disk version and clearing."""
 
+import importlib
 import math
+import pkgutil
+import sys
 
 import numpy as np
 import pytest
 
+import cxorder
 from cxorder import (Cauchy, Exponential, Frechet, InfeasibleSpecError, Logistic, PowerGrid,
                      TestSpec, critical_value, ingest, pi_bound, pp_power, run_test)
-from cxorder import _cache, baselines, simulation, testing
+from cxorder import _cache, baselines, order_stats, simulation, testing
 from cxorder.special import ConvergenceError
 from cxorder._seeds import _cached_draws, _sorted_draws
 from cxorder.baselines import _pp_null
 from cxorder.distributions import Alternative
+from cxorder.order_stats import os_weights
 from cxorder.simulation import estimate_power
 from cxorder.testing import batch_statistics, null_statistics
 from test_testing import _unlabeled_customs
@@ -250,7 +255,7 @@ def test_each_clear_caches_alias_drops_the_bound_vectors(clear):
 def test_weight_matrix_is_one_entry_of_the_stacked_rank_vectors(clear):
     ranks = (2, 3, 5)
     weight_mat, _ = testing._arrays_for(Logistic(), 30, 5, ranks)
-    want = np.vstack([testing._weights_readonly(30, j, 5) for j in ranks])
+    want = np.vstack([os_weights(30, j, 5) for j in ranks])
     assert weight_mat.tobytes() == want.tobytes() and weight_mat.shape == want.shape
     assert _cache._entries[("weights", 30, 5, ranks)] is weight_mat
     assert not weight_mat.flags.writeable
@@ -265,18 +270,50 @@ def test_repeat_request_computes_no_bound_and_no_weight_vector(monkeypatch):
     calls = []
 
     def counting(name, real):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             calls.append(name)
-            return real(*args)
+            return real(*args, **kwargs)
         return wrapped
 
+    # Weight builds are counted by their reg_inc_beta calls, since every
+    # weight lookup goes through _weights_readonly; null tables by
+    # batch_statistics, which null_statistics calls through its module name.
     monkeypatch.setattr(testing, "pi_bound", counting("pi_bound", testing.pi_bound))
-    monkeypatch.setattr(testing, "_weights_readonly",
-                        counting("weights", testing._weights_readonly))
+    monkeypatch.setattr(order_stats, "reg_inc_beta",
+                        counting("weights", order_stats.reg_inc_beta))
+    monkeypatch.setattr(testing, "batch_statistics",
+                        counting("batch_statistics", testing.batch_statistics))
     sample = ingest(np.random.default_rng(6).logistic(size=50))
     spec = TestSpec(Logistic(), m=7, side="both", mc_trials=200, seed=2)
     first = run_test(sample, spec)
-    assert sorted(set(calls)) == ["pi_bound", "weights"]
+    assert sorted(set(calls)) == ["batch_statistics", "pi_bound", "weights"]
+    assert calls.count("batch_statistics") == 1
+    assert calls.count("weights") == 7 * 51
     calls.clear()
     assert run_test(sample, spec) == first
     assert calls == []
+
+
+@pytest.mark.parametrize("clear", [testing.clear_caches, simulation.clear_caches,
+                                   baselines.clear_caches, _cache.clear_caches],
+                         ids=["testing", "simulation", "baselines", "cache"])
+def test_each_clear_caches_alias_drops_the_weights(clear, monkeypatch):
+    sample = ingest(np.random.default_rng(6).logistic(size=50))
+    spec = TestSpec(Logistic(), m=7, mc_trials=200, seed=2)
+    first = run_test(sample, spec)
+    clear()
+    calls = []
+    real = order_stats.reg_inc_beta
+    monkeypatch.setattr(order_stats, "reg_inc_beta", lambda *args: calls.append(args) or real(*args))
+    assert run_test(sample, spec) == first
+    assert len(calls) == 7 * 51
+
+
+def test_no_functools_cache_outside_the_cache_layer():
+    for info in pkgutil.iter_modules(cxorder.__path__):
+        importlib.import_module(f"cxorder.{info.name}")
+    cached = [f"{name}.{attr}" for name, mod in sorted(sys.modules.items())
+              if name == "cxorder" or name.startswith("cxorder.")
+              for attr, value in vars(mod).items()
+              if callable(getattr(value, "cache_clear", None))]
+    assert cached == []

@@ -5,8 +5,12 @@ statistic at n = 1000, m = 150."""
 
 import bisect
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,7 +60,7 @@ def _drop_tables():
 
 
 def _weights(n, m):
-    return np.vstack([_weights_readonly(n, j, m) for j in range(1, m + 1)])
+    return _weights_readonly(n, m, tuple(range(1, m + 1)))
 
 
 def _rows(n):
@@ -173,6 +177,19 @@ def test_collapsed_shifted_keys_fall_back_to_np_interp(monkeypatch):
     calls = _counting_interp(monkeypatch)
     _assert_score_matches_per_row(monkeypatch, rows, _weights(n, m))
     assert 0 < len(calls) - len(rows) < len(rows)
+
+
+def test_scoring_a_tied_table_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use, about 1.5 MiB of peak RSS.
+    code = ("import sys, numpy as np; from cxorder import Exponential; "
+            "from cxorder.testing import batch_statistics; "
+            "rows = np.round(np.sort(np.random.default_rng(0).exponential(size=(10, 50))), 1); "
+            "assert (rows[:, 1:] == rows[:, :-1]).any(axis=1).all(); "
+            "batch_statistics(rows, Exponential(), 5, range(1, 6), 1.0); "
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'")
+    src = Path(__file__).resolve().parents[1] / "src"
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                   check=True, timeout=60)
 
 
 def test_which_path_a_table_takes(monkeypatch):

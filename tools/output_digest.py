@@ -30,9 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from cxorder import Cauchy, Exponential, Logistic
-from cxorder._cache import clear_caches as clear_tables
+from cxorder._cache import clear_caches
 from cxorder.cli import main
-from cxorder.order_stats import _weights_readonly
 from cxorder.simulation import EXHIBITS, reproduce
 from cxorder.testing import null_statistics
 
@@ -67,11 +66,6 @@ CLI_RUNS = {
                               "--index-rule", "central", "--side", "lower", "--p", "2",
                               "--alpha", "0.05", "--replications", "400"],
 }
-
-
-def clear_caches() -> None:
-    clear_tables()
-    _weights_readonly.cache_clear()
 
 
 def _digest(data: bytes) -> str:

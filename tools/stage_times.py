@@ -4,11 +4,12 @@ with a record of the machine, to BENCH_<label>.json at the repository root.
     PYTHONPATH=src python3 tools/stage_times.py --label mychange
 
 Each stage is timed best of 5 with time.perf_counter, after a set-up that
-is not timed (clearing the weight cache, drawing the rows a stage reads).
+is not timed (clearing the cache layer, drawing the rows a stage reads).
 The stages are the ones the north star names:
 
 - cold L-estimator weights of every rank at (n, m) = (200, 30) and
-  (1000, 150), with the weight cache cleared before each repeat;
+  (1000, 150), one weight matrix, with the cache layer cleared before each
+  repeat;
 - exceedance bounds `pi_bound` for every rank: logistic at m = 30 (tanh-sinh
   quadrature) and exponential at m = 150 (closed form);
 - null draws `_sorted_draws`, exponential, n = 1000, 2000 rows;
@@ -52,6 +53,7 @@ from typing import Callable
 import numpy as np
 
 from cxorder import Exponential, Logistic, TestSpec, ingest, run_test, statistic
+from cxorder._cache import clear_caches
 from cxorder._seeds import _sorted_draws
 from cxorder.baselines import _pp_counts
 from cxorder.order_stats import _weights_readonly, pi_bound
@@ -71,8 +73,8 @@ def _best(run: Callable[[], object], setup: Callable[[], object] = lambda: None)
     return {"best_s": min(times), "times_s": times}
 
 
-def _weights(n: int, m: int) -> Callable[[], list]:
-    return lambda: [_weights_readonly(n, j, m) for j in range(1, m + 1)]
+def _weights(n: int, m: int) -> Callable[[], np.ndarray]:
+    return lambda: _weights_readonly(n, m, tuple(range(1, m + 1)))
 
 
 def _bounds(ref, m: int) -> Callable[[], list]:
@@ -82,7 +84,7 @@ def _bounds(ref, m: int) -> Callable[[], list]:
 def stages() -> dict[str, dict]:
     out = {}
     for n, m in ((200, 30), (1000, 150)):
-        out[f"weights_cold n={n} m={m}"] = _best(_weights(n, m), _weights_readonly.cache_clear)
+        out[f"weights_cold n={n} m={m}"] = _best(_weights(n, m), clear_caches)
     out["pi_bound logistic m=30 quadrature"] = _best(_bounds(Logistic(), 30))
     out["pi_bound exponential m=150 closed_form"] = _best(_bounds(Exponential(), 150))
     out["sorted_draws exponential n=1000 rows=2000"] = _best(
