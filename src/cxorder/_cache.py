@@ -27,9 +27,9 @@ __all__ = ["BUDGET_BYTES", "CACHE_DIR_ENV", "CACHE_VERSION", "clear_caches", "lo
 
 CACHE_DIR_ENV = "CXORDER_CACHE_DIR"
 
-# Part of every disk key: the stored format, then the revision of the
-# algorithms behind stored values. Bump the revision whenever a change alters
-# what a key's computation returns (the draw streams, the statistic, the BLAS
+# Part of every disk key: the stored format, then the revision of what disk
+# entries hold, which are null-statistic tables only. Bump the revision when
+# a change alters such a table (its reference draws, the statistic, the BLAS
 # threads of the product), so no entry written before it is read.
 CACHE_VERSION = ("npz-pair-1", 5)
 

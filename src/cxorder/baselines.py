@@ -100,7 +100,7 @@ def _pp_table(family: RefFamily | Alternative, n: int, count: int, seed: int,
         v_ihr, v_dhr = _pp_counts(_sorted_draws(family, n, count, seed, label))
         return np.sort(v_ihr), np.sort(v_dhr)
 
-    return _cache.lookup(("pairs", label, family.cache_key(), n, count, seed), compute)
+    return _cache.lookup(("pairs", label, family.identity(), n, count, seed), compute)
 
 
 def _pp_null(n: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,9 +2,9 @@
 
 Each built-in reference is the standard member of its location-scale family.
 The test statistics are location-scale invariant, so standard members are
-all the Monte Carlo engine ever needs. Sampling is by quantile inversion
-with a single uniform per draw; Student's t is the one exception, built
-from a normal draw over the square root of a scaled chi-square draw.
+all the Monte Carlo engine ever needs. Every family is drawn through
+sample(n, rng), once per block of a table: one uniform per value, inverted,
+or for Student's t n normals over the root of n scaled chi-squares.
 """
 
 from __future__ import annotations
@@ -365,14 +365,14 @@ _ALT_KINDS = (
 
 @dataclass(frozen=True)
 class Alternative:
-    """Named sampling family for power studies.
+    """Named sampling family for power studies, drawn through sample.
 
     weibull(a), neg-weibull(a), log-logistic(a) and
-    shifted-exponential(delta) are drawn by inversion, one uniform per
-    value, through quantile: neg-weibull(a) is the negative of weibull(a)
-    under the same uniforms, and shifted-exponential(delta) is delta plus a
-    standard exponential. student-t(nu) is a normal over the square root of
-    a scaled chi-square, and has no quantile.
+    shifted-exponential(delta) invert one uniform per value through
+    quantile: neg-weibull(a) is the negative of weibull(a) under the same
+    uniforms, and shifted-exponential(delta) is delta plus a standard
+    exponential. student-t(nu) is a normal over the square root of a
+    scaled chi-square, and has no quantile. identity() is cache_key().
     """
 
     kind: str
@@ -403,8 +403,7 @@ class Alternative:
             raise ValueError("n must be positive")
         if self.kind == "student-t":
             z = rng.standard_normal(n)
-            v = rng.chisquare(self.param, n)
-            return z / np.sqrt(v / self.param)
+            return z / np.sqrt(rng.chisquare(self.param, n) / self.param)
         return self.quantile(rng.random(n))
 
     def tail_info(self) -> TailInfo:
@@ -416,3 +415,5 @@ class Alternative:
 
     def cache_key(self) -> str:
         return f"{self.kind}({self.param!r})"
+
+    identity = cache_key

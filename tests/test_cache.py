@@ -183,8 +183,22 @@ def test_pair_counts_of_a_table_serve_both_sides(monkeypatch):
     assert drawn == ["pp-null", "pp-alt"]
     alt = Alternative("weibull", 1.5)
     assert {key for key in _cache._entries if key[0] == "pairs"} == {
-        ("pairs", "pp-null", Exponential().cache_key(), 12, 120, 3),
-        ("pairs", "pp-alt", alt.cache_key(), 12, 50, 3),
+        ("pairs", "pp-null", Exponential().identity(), 12, 120, 3),
+        ("pairs", "pp-alt", alt.identity(), 12, 50, 3),
+    }
+
+
+def test_every_drawn_table_is_keyed_by_the_family_identity():
+    # Two unlabeled Custom references share a cache_key, and so their draw
+    # streams, but not an identity: no table of one may serve the other.
+    families = (*_unlabeled_customs(), Alternative("student-t", 3.0))
+    for family in families:
+        _cached_draws(family, 6, 10, 2, "draws-label")
+        baselines._pp_table(family, 6, 10, 2, "pairs-label")
+    assert {key[:3] for key in _cache._entries if key[0] in ("draws", "pairs")} == {
+        (kind, label, family.identity())
+        for family in families
+        for kind, label in (("draws", "draws-label"), ("pairs", "pairs-label"))
     }
 
 

@@ -19,7 +19,7 @@ from cxorder import (
 )
 from cxorder._seeds import _BLOCK_ROWS, _sorted_draws, derive_rng
 from cxorder.baselines import _pp_null, clear_caches
-from cxorder.distributions import Alternative
+from cxorder.distributions import Alternative, RefFamily
 
 FAMILIES = [
     Uniform(),
@@ -46,13 +46,15 @@ FAMILIES = [
 
 
 def _per_trial(family, n, count, seed, label):
-    # Trial t is row t % _BLOCK_ROWS of block t // _BLOCK_ROWS, and a block's
-    # rows are drawn one after another from the block's own stream.
+    # Trial t is row t % _BLOCK_ROWS of block t // _BLOCK_ROWS. A block is
+    # one sample of _BLOCK_ROWS * n values from the block's own stream, read
+    # row after row; a short last block keeps only its first rows.
     rows = []
     for b in range(math.ceil(count / _BLOCK_ROWS)):
         rng = derive_rng(seed, label, family.cache_key(), n, b)
-        for _ in range(min(_BLOCK_ROWS, count - b * _BLOCK_ROWS)):
-            rows.append(np.sort(family.sample(n, rng)))
+        values = family.sample(_BLOCK_ROWS * n, rng)
+        for r in range(min(_BLOCK_ROWS, count - b * _BLOCK_ROWS)):
+            rows.append(np.sort(values[r * n : (r + 1) * n]))
     return np.array(rows).reshape(count, n)
 
 
@@ -64,6 +66,19 @@ def test_rows_equal_per_trial_streams(family, n, count):
     want = _per_trial(family, n, count, 11, "label")
     assert got.shape == (count, n)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.cache_key())
+@pytest.mark.parametrize("count", [1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 5])
+def test_one_sample_call_per_block(family, count, monkeypatch):
+    calls = []
+    for cls in (RefFamily, Alternative):
+        def counted(self, n, rng, _sample=cls.sample):
+            calls.append(n)
+            return _sample(self, n, rng)
+        monkeypatch.setattr(cls, "sample", counted)
+    _sorted_draws(family, 5, count, 3, "label")
+    assert calls == [_BLOCK_ROWS * 5] * math.ceil(count / _BLOCK_ROWS)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.cache_key())

@@ -12,7 +12,9 @@ The stages are the ones the north star names:
   repeat;
 - exceedance bounds `pi_bound` for every rank: logistic at m = 30 (tanh-sinh
   quadrature) and exponential at m = 150 (closed form);
-- null draws `_sorted_draws`, exponential, n = 1000, 2000 rows;
+- draws `_sorted_draws`: exponential nulls at n = 1000, 2000 rows;
+  Student's t(1.1) at n = 100, 5000 rows (table2's shape); weibull(1.5) at
+  n = 200, 1000 rows (the power study's alternatives);
 - `batch_statistics` at m = 150, every rank, p = 1, on 2000 exponential
   rows of n = 1000 that the caller built (so no gap matrix is cached), with
   warm weights; the same on 1000 rows at n = 25 with m = 1 and 20 (the
@@ -52,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from cxorder import Exponential, Logistic, TestSpec, ingest, run_test, statistic
+from cxorder import Alternative, Exponential, Logistic, TestSpec, ingest, run_test, statistic
 from cxorder._cache import clear_caches
 from cxorder._seeds import _sorted_draws
 from cxorder.baselines import _pp_counts
@@ -89,6 +91,10 @@ def stages() -> dict[str, dict]:
     out["pi_bound exponential m=150 closed_form"] = _best(_bounds(Exponential(), 150))
     out["sorted_draws exponential n=1000 rows=2000"] = _best(
         lambda: _sorted_draws(Exponential(), 1000, 2000, 11, "null"))
+    out["sorted_draws student-t n=100 rows=5000"] = _best(
+        lambda: _sorted_draws(Alternative("student-t", 1.1), 100, 5000, 11, "alt"))
+    out["sorted_draws weibull n=200 rows=1000"] = _best(
+        lambda: _sorted_draws(Alternative("weibull", 1.5), 200, 1000, 11, "alt"))
 
     rows = _sorted_draws(Exponential(), 1000, 2000, 11, "null")
     _weights(1000, 150)()
