@@ -19,7 +19,7 @@ from ._cache import clear_caches
 from ._seeds import _sorted_draws
 from .distributions import Alternative, Exponential, RefFamily
 from .order_stats import Sample
-from .testing import TestResult, _check_mc, _decide, _p_value
+from .testing import TestResult, _check_mc, _result
 
 __all__ = ["normalized_spacings", "pp_statistic", "pp_test"]
 
@@ -133,22 +133,6 @@ def pp_test(
     _check_pp_args(side, sig_level, mc_trials, s.n)
     k = _SIDES.index(side)
     v_obs = float(_pair_counts(normalized_spacings(s))[k])
-    null = _pp_null(s.n, mc_trials, seed)[k]
-    crit, reject = _decide(null, sig_level, v_obs)
-    return TestResult(
-        side=side,
-        statistic=v_obs,
-        critical_value=crit,
-        p_value=_p_value(null, v_obs),
-        reject=reject,
-        n=s.n,
-        per_index=(),
-        config={
-            "test": "proschan-pyke",
-            "side": side,
-            "n": s.n,
-            "alpha": sig_level,
-            "trials": mc_trials,
-            "seed": seed,
-        },
-    )
+    config = {"test": "proschan-pyke", "side": side, "n": s.n, "alpha": sig_level,
+              "trials": mc_trials, "seed": seed}
+    return _result(_pp_null(s.n, mc_trials, seed)[k], sig_level, v_obs, side, s.n, (), config)

@@ -34,6 +34,7 @@ from .distributions import (
 )
 from .order_stats import Sample, hill_estimate, ingest
 from .simulation import PowerGrid, PowerTable, _pp_rows, estimate_power, reproduce
+from .special import ConvergenceError
 from .testing import Side, TestResult, TestSpec, critical_value, default_m, run_test
 
 __all__ = ["main"]
@@ -429,7 +430,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, ConvergenceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

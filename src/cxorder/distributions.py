@@ -406,13 +406,6 @@ class Alternative:
             return z / np.sqrt(rng.chisquare(self.param, n) / self.param)
         return self.quantile(rng.random(n))
 
-    def tail_info(self) -> TailInfo:
-        if self.kind == "log-logistic":
-            return TailInfo(self.param, math.inf)
-        if self.kind == "student-t":
-            return TailInfo(self.param, self.param)
-        return TailInfo(math.inf, math.inf)
-
     def cache_key(self) -> str:
         return f"{self.kind}({self.param!r})"
 

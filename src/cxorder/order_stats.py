@@ -29,6 +29,7 @@ from .distributions import (
     LogLogistic,
     NegExponential,
     RefFamily,
+    TailInfo,
     Uniform,
 )
 from .special import (
@@ -264,10 +265,13 @@ class PiBound:
     value: float | None
 
 
-def _divergent_ranks(ref: RefFamily, m: int) -> tuple[int, int]:
-    """(left_max, right_min): the expectation behind pi(j, m) diverges on the
-    left for j <= left_max and on the right for j >= right_min, so the bound
-    is undefined exactly on the closed interval right_min <= j <= left_max."""
+def _divergent_ranks(tails: TailInfo, m: int) -> tuple[int, int]:
+    """(left_max, right_min) under tail indices `tails`: the one rule that
+    turns tail indices into rank limits. The expectation behind pi(j, m)
+    diverges on the left for j <= left_max and on the right for j >= right_min,
+    so the bound is undefined exactly on right_min <= j <= left_max, and both
+    sides converge for left_max < j < right_min. A tail of index a diverges
+    at ranks within 1/a + 1e-12 of it, counting the extreme rank as 1."""
     # The expectation of G^{-1}(B_{j:m}) integrates the quantile against a
     # density that decays like p^{j-1} at 0 and (1-p)^{m-j} at 1. A right
     # tail of index alpha makes the integrand of order (1-p)^{m-j-1/alpha},
@@ -276,7 +280,6 @@ def _divergent_ranks(ref: RefFamily, m: int) -> tuple[int, int]:
     # integers, so flooring the right-hand sides keeps each comparison exact;
     # capping them at m changes no rank in 1..m and keeps math.floor off the
     # infinite 1/alpha of a subnormal index (an infinite index gives 0).
-    tails = ref.tail_info()
     left, right = (math.floor(min(1.0 / index + 1e-12, m))
                    for index in (tails.left_index, tails.right_index))
     return left, m + 1 - right
@@ -286,7 +289,7 @@ def bound_status(ref: RefFamily, j: int, m: int) -> BoundStatus:
     """Status of pi_bound(ref, j, m), from the tail indices alone."""
     if not 1 <= j <= m:
         raise ValueError(f"require 1 <= j <= m, got j={j}, m={m}")
-    left_max, right_min = _divergent_ranks(ref, m)
+    left_max, right_min = _divergent_ranks(ref.tail_info(), m)
     right_div = j >= right_min
     left_div = j <= left_max
     if right_div and left_div:

@@ -42,7 +42,6 @@ __all__ = [
     "statistic",
 ]
 
-_FUZZ = 1e-9
 _INDEX_RULES = (None, "low", "high", "central")
 
 
@@ -74,42 +73,36 @@ def select_indices(
 ) -> tuple[int, ...]:
     """Choose ell ranks j whose L-estimates converge and whose bounds exist.
 
-    A rank j is eligible when j > 1/beta and j < m + 1 - 1/alpha, where
-    alpha and beta are the weaker (smaller) of the reference tail indices
-    and the assumed data tail indices; a finite-mean side contributes no
-    constraint. Both inequalities are strict, so every eligible rank has a
-    finite exceedance bound.
+    The tails are the weaker (smaller) index on each side of the reference's
+    and the assumed data tails. The eligible ranks are those where neither
+    side of the expectation diverges under `order_stats._divergent_ranks`,
+    the one rank rule: a side of index a excludes the ranks within
+    1/a + 1e-12 of its tail, counting the extreme rank as 1, and an infinite
+    index excludes none. So every eligible rank has a finite exceedance bound.
 
-    When only the right-tail constraint binds the ell smallest eligible
-    ranks are returned, keeping farthest from the dangerous tail; a binding
-    left tail mirrors this with the ell largest; when both or neither bind,
-    the most central block is used. `rule` overrides the default with one
-    of "low", "high", "central". A spec gives either ell, which leads
+    When only the right-tail constraint binds (alpha <= 1) the ell smallest
+    eligible ranks are returned, keeping farthest from the dangerous tail; a
+    binding left tail mirrors this with the ell largest; when both or neither
+    bind, the most central block is used. `rule` overrides the default with
+    one of "low", "high", "central". A spec gives either ell, which leads
     here, or an explicit index list, which bypasses this selection; never
     both.
     """
     if not 1 <= ell <= m:
         raise ValueError(f"require 1 <= ell <= m, got ell={ell}, m={m}")
-    g_tails = ref.tail_info()
-    alpha = g_tails.right_index
-    beta = g_tails.left_index
+    tails = ref.tail_info()
     if assumed_tails is not None:
-        alpha = min(alpha, assumed_tails.right_index)
-        beta = min(beta, assumed_tails.left_index)
-    inv_alpha = 0.0 if math.isinf(alpha) else 1.0 / alpha
-    inv_beta = 0.0 if math.isinf(beta) else 1.0 / beta
-    upper_lim = m + 1 - inv_alpha
-    eligible = [
-        j for j in range(1, m + 1) if inv_beta + _FUZZ < j < upper_lim - _FUZZ
-    ]
+        tails = TailInfo(min(tails.right_index, assumed_tails.right_index),
+                         min(tails.left_index, assumed_tails.left_index))
+    left_max, right_min = _divergent_ranks(tails, m)
+    eligible = range(left_max + 1, right_min)
     if len(eligible) < ell:
         raise InfeasibleSpecError(
-            f"only {len(eligible)} eligible ranks for m={m} under "
-            f"{ref.cache_key()} with tails (alpha={alpha}, beta={beta}); "
-            f"need ell={ell}"
+            f"only {len(eligible)} eligible ranks for m={m} under {ref.cache_key()} with "
+            f"tails (alpha={tails.right_index}, beta={tails.left_index}); need ell={ell}"
         )
-    right_binds = alpha <= 1.0
-    left_binds = beta <= 1.0
+    right_binds = tails.right_index <= 1.0
+    left_binds = tails.left_index <= 1.0
     if rule is None:
         if right_binds and not left_binds:
             rule = "low"
@@ -193,14 +186,8 @@ class TestSpec:
             )
         else:
             idx = tuple(range(1, m + 1))
-        left_max, right_min = _divergent_ranks(self.ref, m)
-        for j in idx:
-            if right_min <= j <= left_max:
-                hint = "; pass ell to restrict the ranks" if self.indices is None else ""
-                raise InfeasibleSpecError(
-                    f"exceedance bound undefined at j={j}, m={m} under "
-                    f"{self.ref.cache_key()}{hint}"
-                )
+        _require_bounds(self.ref, m, idx,
+                        "; pass ell to restrict the ranks" if self.indices is None else "")
         return replace(self, m=m, indices=idx, ell=None, assumed_tails=None,
                        index_rule=None)
 
@@ -225,6 +212,17 @@ class TestResult:
     n: int
     per_index: tuple[IndexDiagnostic, ...]
     config: dict
+
+
+def _require_bounds(ref: RefFamily, m: int, ranks: Sequence[int], hint: str = "") -> None:
+    """Raise InfeasibleSpecError, ending in hint, at the first of ranks whose
+    exceedance bound under ref is undefined (`_divergent_ranks`)."""
+    left_max, right_min = _divergent_ranks(ref.tail_info(), m)
+    for j in ranks:
+        if right_min <= j <= left_max:
+            raise InfeasibleSpecError(
+                f"exceedance bound undefined at j={j}, m={m} under {ref.cache_key()}{hint}"
+            )
 
 
 def _check_mc(sig_level: float, mc_trials: int) -> None:
@@ -262,15 +260,8 @@ def _arrays_for(
     indices = tuple(int(j) for j in indices)
 
     def bounds() -> np.ndarray:
-        pis = []
-        for j in indices:
-            value = pi_bound(ref, j, m).value
-            if value is None:
-                raise InfeasibleSpecError(
-                    f"exceedance bound undefined at j={j}, m={m} under {ref.cache_key()}"
-                )
-            pis.append(value)
-        return np.asarray(pis)
+        _require_bounds(ref, m, indices)
+        return np.array([pi_bound(ref, j, m).value for j in indices])
 
     weight_mat = _weights_readonly(n, m, indices)
     return weight_mat, _cache.lookup(("bounds", ref.identity(), m, indices), bounds)
@@ -355,6 +346,15 @@ def _p_value(null_sorted: np.ndarray, t_obs: float) -> float:
     return (1 + trials - int(np.searchsorted(null_sorted, t_obs, "left"))) / (trials + 1)
 
 
+def _result(null_sorted: np.ndarray, sig_level: float, t_obs: float, side: str, n: int,
+            per_index: tuple[IndexDiagnostic, ...], config: dict) -> TestResult:
+    """The TestResult of statistic t_obs against T sorted null statistics,
+    decided by `_decide` with the p-value of `_p_value`."""
+    crit, reject = _decide(null_sorted, sig_level, t_obs)
+    return TestResult(side, t_obs, crit, _p_value(null_sorted, t_obs), reject, n, per_index,
+                      config)
+
+
 def _null_side(pinned: TestSpec, n: int, side: Side) -> np.ndarray:
     """Sorted null statistics of one side for a pinned spec."""
     t_plus, t_minus = null_statistics(
@@ -432,19 +432,9 @@ def run_test(s: Sample, spec: TestSpec):
     rs, diags, t_plus, t_minus = _observed(s, spec)
 
     def one(side: Side) -> TestResult:
-        null = _null_side(rs, s.n, side)
         t_obs = t_plus if side is Side.UPPER else t_minus
-        crit, reject = _decide(null, rs.sig_level, t_obs)
-        return TestResult(
-            side=side.value,
-            statistic=t_obs,
-            critical_value=crit,
-            p_value=_p_value(null, t_obs),
-            reject=reject,
-            n=s.n,
-            per_index=diags,
-            config=_echo(rs, s.n, side),
-        )
+        return _result(_null_side(rs, s.n, side), rs.sig_level, t_obs, side.value, s.n, diags,
+                       _echo(rs, s.n, side))
 
     if spec.side is Side.BOTH:
         return one(Side.UPPER), one(Side.LOWER)

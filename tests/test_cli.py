@@ -172,6 +172,14 @@ class TestTestCommand:
         code, out, err = run_cli(capsys, "test", data_file, "--g", g, "--seed", "1")
         assert code == 2 and out == "" and err.startswith("error:")
 
+    def test_bound_whose_quadrature_fails_exits_2(self, capsys, data_file):
+        # Frechet(0.5001) at m = 5: the bound at j = 4 exists but its tail is
+        # too heavy for the quadrature, which raises ConvergenceError.
+        code, out, err = run_cli(capsys, "test", data_file, "--g", "frechet:0.5001",
+                                 "--m", "5", "--trials", "200", "--seed", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: quadrature failed for pi bound j=4, m=5")
+
     def test_unparseable_data_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("1.0\ntwo\n")

@@ -1,6 +1,7 @@
 """Test statistics, index selection, Monte Carlo calibration, and the full
 test procedure."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -33,7 +34,7 @@ from cxorder import (
     statistic,
 )
 from cxorder import testing as testing_mod
-from cxorder.order_stats import bound_status
+from cxorder.order_stats import _divergent_ranks, bound_status
 from cxorder.testing import batch_statistics, null_statistics
 
 
@@ -84,6 +85,95 @@ def test_select_indices_errors():
     # Cauchy with m = 2 leaves no convergent rank at all
     with pytest.raises(InfeasibleSpecError):
         select_indices(Cauchy(), 2, 1)
+
+
+def _old_select_indices(ref, m, ell, assumed_tails=None, rule=None):
+    """select_indices as it was: its own inequalities with a 1e-9 fuzz."""
+    if not 1 <= ell <= m:
+        raise ValueError(f"require 1 <= ell <= m, got ell={ell}, m={m}")
+    alpha, beta = ref.tail_info().right_index, ref.tail_info().left_index
+    if assumed_tails is not None:
+        alpha = min(alpha, assumed_tails.right_index)
+        beta = min(beta, assumed_tails.left_index)
+    inv_alpha = 0.0 if math.isinf(alpha) else 1.0 / alpha
+    inv_beta = 0.0 if math.isinf(beta) else 1.0 / beta
+    eligible = [j for j in range(1, m + 1) if inv_beta + 1e-9 < j < m + 1 - inv_alpha - 1e-9]
+    if len(eligible) < ell:
+        raise InfeasibleSpecError(
+            f"only {len(eligible)} eligible ranks for m={m} under "
+            f"{ref.cache_key()} with tails (alpha={alpha}, beta={beta}); need ell={ell}"
+        )
+    if rule is None:
+        rule = {(True, False): "low", (False, True): "high"}.get((alpha <= 1.0, beta <= 1.0),
+                                                                   "central")
+    start = {"low": 0, "high": len(eligible) - ell, "central": (len(eligible) - ell) // 2}[rule]
+    return tuple(eligible[start : start + ell])
+
+
+def _in_fuzz_window(index):
+    """1/index lies within 1e-9 below an integer, but more than 1e-12 below it."""
+    inv = 1.0 / index
+    return 1e-12 < math.ceil(inv) - inv < 1e-9
+
+
+# Indices per side: light, heavy, near and on the integers 1/k, and inside the
+# window between the two old tolerances, where 1/index is 5e-10 below k.
+_RULE_INDICES = (math.inf, 0.25, 0.4, 0.7, 1.0, 1.5, 3.0, 1e-310, 1 / (2 + 5e-10),
+                 1 / (2 - 5e-13), 1 / (1 - 5e-10), 1 / (2 - 5e-10), 1 / (3 - 5e-10),
+                 1 / (4 - 8e-10), 1 / (5 - 2e-10), 1 / (3 - 2e-12))
+
+
+def _select_outcome(select, *args, **kwargs):
+    try:
+        return select(*args, **kwargs)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def test_select_indices_is_the_one_rank_rule():
+    """Eligible ranks are range(left_max + 1, right_min) of _divergent_ranks on
+    the combined tails, every one with a finite bound; the old fuzzed rule
+    agrees everywhere outside its 1e-9/1e-12 window."""
+    refs = [Exponential(), LogLogistic(1.5), Frechet(0.7), Cauchy()]
+    cases = differ = 0
+    for ref in refs:
+        own = ref.tail_info()
+        for m in range(1, 41):
+            finite = {j for j in range(1, m + 1) if bound_status(ref, j, m) is BoundStatus.FINITE}
+            for right, left in itertools.product(_RULE_INDICES, repeat=2):
+                assumed = TailInfo(right, left)
+                tails = TailInfo(min(own.right_index, right), min(own.left_index, left))
+                left_max, right_min = _divergent_ranks(tails, m)
+                eligible = tuple(range(left_max + 1, right_min))
+                if eligible:
+                    got = select_indices(ref, m, len(eligible), assumed, rule="low")
+                    assert got == eligible, (ref, m, assumed)
+                    assert finite.issuperset(got), (ref, m, assumed)
+                else:
+                    with pytest.raises(InfeasibleSpecError):
+                        select_indices(ref, m, 1, assumed)
+                ell = max(1, (len(eligible) + 1) // 2)
+                for args in ((ref, m, max(1, len(eligible)), assumed, "low"),
+                             (ref, m, ell, assumed)):
+                    new = _select_outcome(select_indices, *args)
+                    cases += 1
+                    if new != _select_outcome(_old_select_indices, *args):
+                        differ += 1
+                        assert _in_fuzz_window(tails.right_index) or \
+                            _in_fuzz_window(tails.left_index), args
+    assert cases == 4 * 40 * 16 * 16 * 2
+    assert differ > 100
+
+
+def test_select_indices_admits_a_rank_inside_the_old_fuzz_window():
+    # 1/beta = 3 - 5e-10: rank 3 integrates p^(-1 + 5e-10) on the left, a
+    # convergent expectation, so it is eligible, as bound_status says.
+    tails = TailInfo(math.inf, 1 / (3 - 5e-10))
+    assert select_indices(Exponential(), 10, 2, tails, rule="low") == (3, 4)
+    custom = Custom(cdf_fn=Exponential().cdf, quantile_fn=Exponential().quantile,
+                    right_index=tails.right_index, left_index=tails.left_index, label="window")
+    assert bound_status(custom, 3, 10) is BoundStatus.FINITE
+    assert bound_status(custom, 2, 10) is BoundStatus.TRIVIALLY_ZERO
 
 
 # --------------------------------------------------------------- TestSpec
