@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import _cache
-from ._cache import clear_caches
 from ._seeds import _sorted_draws
 from .distributions import Alternative, Exponential, RefFamily
 from .order_stats import Sample
@@ -133,6 +132,6 @@ def pp_test(
     _check_pp_args(side, sig_level, mc_trials, s.n)
     k = _SIDES.index(side)
     v_obs = float(_pair_counts(normalized_spacings(s))[k])
-    config = {"test": "proschan-pyke", "side": side, "n": s.n, "alpha": sig_level,
+    config = {"test": "proschan-pyke", "n": s.n, "side": side, "alpha": sig_level,
               "trials": mc_trials, "seed": seed}
     return _result(_pp_null(s.n, mc_trials, seed)[k], sig_level, v_obs, side, s.n, (), config)

@@ -9,14 +9,12 @@ replayed exactly.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import secrets
 import sys
 import warnings
 from dataclasses import replace
-from io import StringIO
 from pathlib import Path
 
 from . import simulation
@@ -35,7 +33,7 @@ from .distributions import (
 from .order_stats import Sample, hill_estimate, ingest
 from .simulation import PowerGrid, PowerTable, _pp_rows, estimate_power, reproduce
 from .special import ConvergenceError
-from .testing import Side, TestResult, TestSpec, critical_value, default_m, run_test
+from .testing import Side, TestResult, TestSpec, critical_value, run_test
 
 __all__ = ["main"]
 
@@ -92,15 +90,6 @@ def read_data_file(path: str) -> list[float]:
     return values
 
 
-def _parse_p(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    p = float(text)
-    if p < 1.0:
-        raise CliError("p must be at least 1, or inf")
-    return p
-
-
 def _parse_list(text: str, kind: str, convert) -> tuple:
     """Non-empty comma-separated list; blank items are skipped."""
     try:
@@ -116,24 +105,20 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return _parse_list(text, "integers", int)
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return _parse_list(text, "numbers", float)
-
-
 def _parse_params(args) -> tuple[float, ...]:
+    if (args.params is None) == (args.param_range is None):
+        raise CliError("give exactly one of --params and --param-range")
     if args.params is not None:
-        return _parse_float_list(args.params)
-    if args.param_range is not None:
-        try:
-            lo, hi, step = (float(t) for t in args.param_range.split(":"))
-        except ValueError as exc:
-            raise CliError("param range must be lo:hi:step") from exc
-        if not all(math.isfinite(v) for v in (lo, hi, step)):
-            raise CliError("param range bounds and step must be finite")
-        if step <= 0 or hi < lo:
-            raise CliError("param range must be lo:hi:step with step > 0")
-        return simulation._param_grid(lo, hi, step)
-    raise CliError("give --params or --param-range")
+        return _parse_list(args.params, "numbers", float)
+    try:
+        lo, hi, step = (float(t) for t in args.param_range.split(":"))
+    except ValueError as exc:
+        raise CliError("param range must be lo:hi:step") from exc
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise CliError("param range bounds and step must be finite")
+    if step <= 0 or hi < lo:
+        raise CliError("param range must be lo:hi:step with step > 0")
+    return simulation._param_grid(lo, hi, step)
 
 
 def _resolve_seed(args) -> int:
@@ -184,8 +169,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _result_record(res: TestResult, warnings_list: list[str], path: str) -> dict:
-    # Key order follows testing._echo: the config's keys through side, the
-    # outcome, then the rest of the config (alpha, trials, seed).
+    # The config's keys through side, the outcome, then the rest of the
+    # config (alpha, trials, seed); run_test and pp_test order them alike.
     items = [(k, _jsonable(v)) for k, v in res.config.items()]
     cut = [k for k, _ in items].index("side") + 1
     outcome = [("statistic", res.statistic), ("critical_value", res.critical_value),
@@ -203,7 +188,7 @@ def _load_sample(path: str) -> tuple[Sample, list[str]]:
 
 def cmd_test(args) -> int:
     seed = _resolve_seed(args)
-    spec = _spec(args, seed, m=args.m, p_norm=_parse_p(args.p), side=Side(args.side))
+    spec = _spec(args, seed, m=args.m, p_norm=float(args.p), side=Side(args.side))
     sample, warn_list = _load_sample(args.input)
     result = run_test(sample, spec)
     if isinstance(result, tuple):
@@ -221,46 +206,30 @@ def cmd_pp_test(args) -> int:
         sample, side=args.side, sig_level=args.alpha,
         mc_trials=args.trials, seed=seed,
     )
-    record = {
-        "test": "proschan-pyke",
-        "n": res.n,
-        "side": res.side,
-        "statistic": res.statistic,
-        "critical_value": res.critical_value,
-        "p_value": res.p_value,
-        "reject": res.reject,
-        "alpha": args.alpha,
-        "trials": args.trials,
-        "seed": seed,
-        "input": args.input,
-        "warnings": warn_list,
-    }
-    _emit(json.dumps(record, indent=2), args.out)
+    _emit(json.dumps(_result_record(res, warn_list, args.input), indent=2), args.out)
     return 0
 
 
 def cmd_critical_value(args) -> int:
     seed = _resolve_seed(args)
     sides = _parse_list(args.side, "sides", str.strip)
-    p_values = _parse_list(args.p, "norm orders", _parse_p)
-    m_values = _parse_int_list(args.m) if args.m is not None else None
-    rows = []
-    for n in _parse_int_list(args.n):
-        for m in m_values if m_values is not None else (default_m(n),):
-            for p in p_values:
-                for side in sides:
-                    pinned = _spec(args, seed, m=m, p_norm=p, side=Side(side)).resolve(n)
-                    rows.append(
-                        (n, m, len(pinned.indices), _jsonable(p), side, args.alpha,
-                         critical_value(pinned, n), args.trials, seed)
-                    )
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ("n", "m", "ell", "p", "side", "alpha", "critical_value", "trials", "seed")
-    )
-    writer.writerows(rows)
-    _emit(buf.getvalue(), args.out)
+    p_values = _parse_list(args.p, "norm orders", float)
+    m_values = _parse_int_list(args.m) if args.m is not None else (None,)
+    # Resolve every spec before drawing any table: a bad flag fails at once.
+    pinned = [
+        (n, _spec(args, seed, m=m, p_norm=p, side=Side(side)).resolve(n))
+        for n in _parse_int_list(args.n)
+        for m in m_values
+        for p in p_values
+        for side in sides
+    ]
+    rows = [
+        (n, rs.m, len(rs.indices), rs.p_norm, rs.side.value, rs.sig_level,
+         critical_value(rs, n), rs.mc_trials, rs.seed)
+        for n, rs in pinned
+    ]
+    header = ("n", "m", "ell", "p", "side", "alpha", "critical_value", "trials", "seed")
+    _emit(simulation._csv(header, rows), args.out)
     return 0
 
 
@@ -269,7 +238,7 @@ def _check_pp_flags(args) -> None:
     given = (
         ("--g", parse_family(args.g) != Exponential()),
         ("--m", args.m is not None),
-        ("--p", _parse_p(args.p) != 1.0),
+        ("--p", float(args.p) != 1.0),
         ("--ell", args.ell is not None),
         ("--assumed-alpha", args.assumed_alpha is not None),
         ("--assumed-beta", args.assumed_beta is not None),
@@ -291,7 +260,7 @@ def cmd_power(args) -> int:
     else:
         if args.m is None:
             raise CliError("give --m for power grids")
-        spec = _spec(args, seed, p_norm=_parse_p(args.p), side=Side(args.side))
+        spec = _spec(args, seed, p_norm=float(args.p), side=Side(args.side))
         grid = PowerGrid(args.family, params, _parse_int_list(args.n),
                          tuple((m, spec.ell) for m in _parse_int_list(args.m)),
                          replace(spec, ell=None), args.replications)

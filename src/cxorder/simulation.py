@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from io import StringIO
 from pathlib import Path
 import numpy as np
 
-from ._cache import clear_caches
 from ._seeds import _cached_draws
 from .baselines import _check_pp_args, _pp_null, _pp_table
 from .distributions import (
@@ -71,18 +70,18 @@ class PowerRow:
     trials: int
     seed: int
 
-    def as_record(self) -> tuple:
-        def fmt(v):
-            if v is None:
-                return ""
-            if isinstance(v, float) and math.isinf(v):
-                return "inf"
-            return v
-
-        return tuple(fmt(getattr(self, f.name)) for f in fields(self))
-
 
 CSV_HEADER = tuple(f.name for f in fields(PowerRow))
+
+
+def _csv(header: tuple[str, ...], rows) -> str:
+    """CSV text of a header and rows, each line ended by "\\n". It formats
+    nothing: csv already writes None as an empty field and math.inf as inf."""
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 @dataclass
@@ -90,12 +89,7 @@ class PowerTable:
     rows: list[PowerRow]
 
     def to_csv(self, path: str | Path | None = None) -> str:
-        buf = StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in self.rows:
-            writer.writerow(row.as_record())
-        text = buf.getvalue()
+        text = _csv(CSV_HEADER, map(astuple, self.rows))
         if path is not None:
             Path(path).write_text(text)
         return text

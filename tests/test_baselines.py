@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from cxorder import TiesWarning, ingest, normalized_spacings, pp_statistic, pp_test
-from cxorder.baselines import _pair_counts, clear_caches
+from cxorder._cache import clear_caches
+from cxorder.baselines import _pair_counts
 
 
 def test_spacings_small_samples():

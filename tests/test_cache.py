@@ -12,7 +12,7 @@ import pytest
 import cxorder
 from cxorder import (Cauchy, Exponential, Frechet, InfeasibleSpecError, Logistic, PowerGrid,
                      TestSpec, critical_value, ingest, pi_bound, pp_power, run_test)
-from cxorder import _cache, baselines, order_stats, simulation, testing
+from cxorder import _cache, baselines, order_stats, testing
 from cxorder.special import ConvergenceError
 from cxorder._seeds import _cached_draws, _sorted_draws
 from cxorder.baselines import _pp_null
@@ -76,9 +76,8 @@ def test_null_and_alternative_tables_never_share_an_entry():
         assert got["null"].tobytes() != got["alt"].tobytes()
 
 
-@pytest.mark.parametrize("clear", [testing.clear_caches, simulation.clear_caches,
-                                   baselines.clear_caches, _cache.clear_caches],
-                         ids=["testing", "simulation", "baselines", "cache"])
+@pytest.mark.parametrize("clear", [testing.clear_caches, _cache.clear_caches],
+                         ids=["testing", "cache"])
 def test_each_clear_caches_alias_empties_every_kind(clear):
     rows = _fill()
     clear()
@@ -250,9 +249,8 @@ def test_rank_without_a_bound_raises_every_time_and_stores_nothing():
     assert not _bound_keys()
 
 
-@pytest.mark.parametrize("clear", [testing.clear_caches, simulation.clear_caches,
-                                   baselines.clear_caches, _cache.clear_caches],
-                         ids=["testing", "simulation", "baselines", "cache"])
+@pytest.mark.parametrize("clear", [testing.clear_caches, _cache.clear_caches],
+                         ids=["testing", "cache"])
 def test_each_clear_caches_alias_drops_the_bound_vectors(clear):
     _, pis = testing._arrays_for(Logistic(), 30, 5, (1, 2, 3, 4, 5))
     assert not pis.flags.writeable
@@ -263,9 +261,8 @@ def test_each_clear_caches_alias_drops_the_bound_vectors(clear):
     assert not _bound_keys()
 
 
-@pytest.mark.parametrize("clear", [testing.clear_caches, simulation.clear_caches,
-                                   baselines.clear_caches, _cache.clear_caches],
-                         ids=["testing", "simulation", "baselines", "cache"])
+@pytest.mark.parametrize("clear", [testing.clear_caches, _cache.clear_caches],
+                         ids=["testing", "cache"])
 def test_weight_matrix_is_one_entry_of_the_stacked_rank_vectors(clear):
     ranks = (2, 3, 5)
     weight_mat, _ = testing._arrays_for(Logistic(), 30, 5, ranks)
@@ -308,9 +305,8 @@ def test_repeat_request_computes_no_bound_and_no_weight_vector(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("clear", [testing.clear_caches, simulation.clear_caches,
-                                   baselines.clear_caches, _cache.clear_caches],
-                         ids=["testing", "simulation", "baselines", "cache"])
+@pytest.mark.parametrize("clear", [testing.clear_caches, _cache.clear_caches],
+                         ids=["testing", "cache"])
 def test_each_clear_caches_alias_drops_the_weights(clear, monkeypatch):
     sample = ingest(np.random.default_rng(6).logistic(size=50))
     spec = TestSpec(Logistic(), m=7, mc_trials=200, seed=2)

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cxorder import cli
 from cxorder.cli import CliError, main, parse_family, read_data_file
 from cxorder.distributions import Exponential, Frechet, LogLogistic, TailInfo
 from cxorder.simulation import CSV_HEADER, PowerGrid, estimate_power
@@ -194,6 +195,11 @@ class TestPpTestCommand:
         )
         assert code == 0
         record = json.loads(out)
+        # The test record's layout: config through side, outcome, the rest.
+        assert list(record) == [
+            "test", "n", "side", "statistic", "critical_value", "p_value", "reject",
+            "alpha", "trials", "seed", "warnings", "input",
+        ]
         assert record["test"] == "proschan-pyke"
         assert record["n"] == 40 and record["side"] == "ihr"
         assert record["reject"] == (
@@ -254,6 +260,16 @@ class TestCriticalValueCommand:
         )
         assert code == 2 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("flag, value", [("--side", "upper,bogus"), ("--p", "1,0.5")])
+    def test_bad_value_exits_2_before_any_table(self, capsys, monkeypatch, flag, value):
+        def drawn(*args):
+            raise AssertionError("a critical value was computed")
+
+        monkeypatch.setattr(cli, "critical_value", drawn)
+        code, out, err = run_cli(capsys, "critical-value", "--n", "20", "--m", "3",
+                                 flag, value, "--trials", "150", "--seed", "5")
+        assert code == 2 and out == "" and err.startswith("error:")
+
 
 class TestPowerCommand:
     ARGS = (
@@ -294,6 +310,12 @@ class TestPowerCommand:
             "--seed", "3",
         )
         assert code == 2 and err.startswith("error:")
+
+    def test_params_and_param_range_together_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, *self.ARGS, "--params", "1.5",
+                                 "--param-range", "1:2:0.5")
+        assert code == 2 and out == ""
+        assert "exactly one of --params and --param-range" in err
 
     def test_pp_baseline_rows(self, capsys):
         code, out, _ = run_cli(

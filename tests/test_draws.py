@@ -17,8 +17,9 @@ from cxorder import (
     Uniform,
     pp_power,
 )
+from cxorder._cache import clear_caches
 from cxorder._seeds import _BLOCK_ROWS, _sorted_draws, derive_rng
-from cxorder.baselines import _pp_null, clear_caches
+from cxorder.baselines import _pp_null
 from cxorder.distributions import Alternative, RefFamily
 
 FAMILIES = [

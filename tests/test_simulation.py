@@ -23,7 +23,8 @@ from cxorder import (
     reproduce,
 )
 from cxorder import baselines
-from cxorder.simulation import CSV_HEADER, EXHIBITS, PowerTable, clear_caches
+from cxorder.simulation import CSV_HEADER, EXHIBITS, PowerTable
+from cxorder.testing import clear_caches
 
 
 def small_grid(**overrides) -> PowerGrid:
@@ -96,8 +97,11 @@ def test_infeasible_cell_reports_none_rate():
         params=(1.5,),
         n_grid=(25,),
     )
-    (row,) = estimate_power(grid).rows
+    table = estimate_power(grid)
+    (row,) = table.rows
     assert row.rate is None and row.se is None
+    (record,) = csv.DictReader(io.StringIO(table.to_csv()))
+    assert record["rate"] == record["se"] == ""
     assert (row.family, row.param, row.n) == ("log-logistic", 1.5, 25)
     assert (row.m, row.ell, row.p, row.side) == (2, 2, 1.0, "upper")
     assert row.trials == grid.replications == 40
