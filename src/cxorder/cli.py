@@ -212,12 +212,14 @@ def cmd_pp_test(args) -> int:
 
 def cmd_critical_value(args) -> int:
     seed = _resolve_seed(args)
-    sides = _parse_list(args.side, "sides", str.strip)
+    sides = tuple(map(Side, _parse_list(args.side, "sides", str.strip)))
+    if Side.BOTH in sides:
+        raise CliError("critical-value takes side upper or lower, not both")
     p_values = _parse_list(args.p, "norm orders", float)
     m_values = _parse_int_list(args.m) if args.m is not None else (None,)
     # Resolve every spec before drawing any table: a bad flag fails at once.
     pinned = [
-        (n, _spec(args, seed, m=m, p_norm=p, side=Side(side)).resolve(n))
+        (n, _spec(args, seed, m=m, p_norm=p, side=side).resolve(n))
         for n in _parse_int_list(args.n)
         for m in m_values
         for p in p_values

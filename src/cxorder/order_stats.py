@@ -84,10 +84,10 @@ def ingest(raw) -> Sample:
         raise ValueError(f"expected a one-dimensional sample, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("sample is empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("sample contains non-finite values")
     values = np.sort(arr)
-    tie_flag = bool(values.size > 1 and np.any(np.diff(values) == 0.0))
+    tie_flag = bool((values[1:] == values[:-1]).any())
     if tie_flag:
         warnings.warn(
             "sample contains tied values; tied ECDF knots are collapsed",
@@ -195,7 +195,7 @@ def _score(sorted_rows: np.ndarray, weight_mat: np.ndarray) -> tuple[np.ndarray,
     mus = np.empty((rows, len(weight_mat)))
     fts = np.empty_like(mus)
     grid = np.arange(1, n + 1) / n
-    shift = 1 - np.frexp(np.maximum(-sorted_rows[:, 0], sorted_rows[:, -1]))[1][:, np.newaxis]
+    shift = 1 - np.frexp(np.maximum(-sorted_rows[:, :1], sorted_rows[:, -1:]))[1]
     step = max(1, _CHUNK_VALUES // (n * _BLOCK_ROWS)) * _BLOCK_ROWS
     batch = step > _BLOCK_ROWS and len(weight_mat) <= _BATCH_RANKS
     for lo in range(0, rows, step):

@@ -37,7 +37,8 @@ from .testing import (
     Side,
     TestSpec,
     _decide,
-    _null_side,
+    _nulls,
+    _pick,
     batch_statistics,
 )
 
@@ -154,11 +155,11 @@ def _power_cell(grid: PowerGrid, param: float, n: int, m: int, ell: int | None) 
         rs = replace(spec, m=m, ell=ell).resolve(n)
     except InfeasibleSpecError:
         return _power_row(*cell, None, m, ell, spec.p_norm)
-    null = _null_side(rs, n, spec.side)
+    null = _pick(_nulls(rs, n), spec.side)
     rows = _cached_draws(Alternative(grid.alternative, param), n, grid.replications,
                          spec.seed, "alt")
-    t_plus, t_minus = batch_statistics(rows, rs.ref, rs.m, rs.indices, rs.p_norm)
-    rejects = _decide(null, rs.sig_level, t_plus if spec.side is Side.UPPER else t_minus)[1]
+    stats = batch_statistics(rows, rs.ref, rs.m, rs.indices, rs.p_norm)
+    rejects = _decide(null, rs.sig_level, _pick(stats, spec.side))[1]
     return _power_row(*cell, rejects, rs.m, len(rs.indices), spec.p_norm)
 
 

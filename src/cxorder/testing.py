@@ -12,8 +12,10 @@ block of rows), so results never depend on scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -165,8 +167,9 @@ class TestSpec:
 
     def resolve(self, n: int) -> "TestSpec":
         """The pinned spec for a sample of size n: m and the index set filled
-        in, ell and the rank-choice settings cleared. A pinned spec resolves
-        to itself."""
+        in, ell and the rank-choice settings cleared. A pinned spec (m and
+        indices given) resolves to itself, the same object, once its ranks
+        pass the checks; any other spec to a new pinned copy."""
         if n < 1:
             raise ValueError("n must be positive")
         if self.ell is None and (self.assumed_tails or self.index_rule):
@@ -176,9 +179,9 @@ class TestSpec:
             idx = self.indices
             if len(idx) == 0:
                 raise ValueError("indices must be non-empty")
-            if any(not 1 <= j <= m for j in idx):
+            if not 1 <= min(idx) <= max(idx) <= m:
                 raise ValueError(f"indices must lie in 1..{m}, got {idx}")
-            if any(b >= a for a, b in zip(idx[1:], idx)):
+            if any(map(operator.ge, idx, idx[1:])):
                 raise ValueError(f"indices must be strictly increasing, got {idx}")
         elif self.ell is not None:
             idx = select_indices(
@@ -188,8 +191,12 @@ class TestSpec:
             idx = tuple(range(1, m + 1))
         _require_bounds(self.ref, m, idx,
                         "; pass ell to restrict the ranks" if self.indices is None else "")
-        return replace(self, m=m, indices=idx, ell=None, assumed_tails=None,
-                       index_rule=None)
+        if self.m is not None and self.indices is not None:
+            return self
+        pinned = object.__new__(type(self))  # replace() would re-run __post_init__
+        pinned.__dict__.update(vars(self), m=m, indices=idx, ell=None, assumed_tails=None,
+                               index_rule=None)
+        return pinned
 
 
 class IndexDiagnostic(NamedTuple):
@@ -218,6 +225,8 @@ def _require_bounds(ref: RefFamily, m: int, ranks: Sequence[int], hint: str = ""
     """Raise InfeasibleSpecError, ending in hint, at the first of ranks whose
     exceedance bound under ref is undefined (`_divergent_ranks`)."""
     left_max, right_min = _divergent_ranks(ref.tail_info(), m)
+    if right_min > left_max:
+        return
     for j in ranks:
         if right_min <= j <= left_max:
             raise InfeasibleSpecError(
@@ -234,11 +243,12 @@ def _check_mc(sig_level: float, mc_trials: int) -> None:
 
 
 def _pnorm(parts: np.ndarray, p: float) -> np.ndarray | float:
+    # np.add.reduce and np.maximum.reduce are what .sum and .max call.
     if math.isinf(p):
-        return parts.max(axis=-1)
+        return np.maximum.reduce(parts, axis=-1)
     if p == 1.0:
-        return parts.sum(axis=-1)
-    return np.power(np.power(parts, p).sum(axis=-1), 1.0 / p)
+        return np.add.reduce(parts, axis=-1)
+    return np.power(np.add.reduce(np.power(parts, p), axis=-1), 1.0 / p)
 
 
 def _t_pair(gaps: np.ndarray, p: float) -> tuple:
@@ -257,7 +267,7 @@ def _arrays_for(
     and a bound whose quadrature fails raises ConvergenceError, on every
     call; no bound vector is stored for either.
     """
-    indices = tuple(int(j) for j in indices)
+    indices = tuple(map(int, indices))
 
     def bounds() -> np.ndarray:
         _require_bounds(ref, m, indices)
@@ -297,7 +307,7 @@ def batch_statistics(
             raise ValueError("each row of sorted_rows must be finite and sorted ascending")
         gaps = _gap_matrix(sorted_rows, ref, m, indices)
     else:
-        key = ("gaps", rows_key, ref.identity(), m, tuple(int(j) for j in indices))
+        key = ("gaps", rows_key, ref.identity(), m, tuple(map(int, indices)))
         gaps = _cache.lookup(key, lambda: _gap_matrix(sorted_rows, ref, m, indices))
     t_plus, t_minus = _t_pair(gaps, p_norm)
     return np.asarray(t_plus), np.asarray(t_minus)
@@ -318,7 +328,7 @@ def null_statistics(
     Held by the cache layer in memory, and on disk as well when the cache
     directory environment variable is set.
     """
-    key = ("null", ref.identity(), n, m, tuple(int(j) for j in indices), float(p_norm),
+    key = ("null", ref.identity(), n, m, tuple(map(int, indices)), float(p_norm),
            trials, seed)
 
     def compute() -> tuple[np.ndarray, np.ndarray]:
@@ -343,7 +353,7 @@ def _p_value(null_sorted: np.ndarray, t_obs: float) -> float:
     """Add-one p-value (1 + #{T_sim >= t_obs}) / (T + 1) of T sorted null
     statistics; the count is T less the number below t_obs."""
     trials = len(null_sorted)
-    return (1 + trials - int(np.searchsorted(null_sorted, t_obs, "left"))) / (trials + 1)
+    return (1 + trials - int(null_sorted.searchsorted(t_obs, "left"))) / (trials + 1)
 
 
 def _result(null_sorted: np.ndarray, sig_level: float, t_obs: float, side: str, n: int,
@@ -355,13 +365,15 @@ def _result(null_sorted: np.ndarray, sig_level: float, t_obs: float, side: str, 
                       config)
 
 
-def _null_side(pinned: TestSpec, n: int, side: Side) -> np.ndarray:
-    """Sorted null statistics of one side for a pinned spec."""
-    t_plus, t_minus = null_statistics(
-        pinned.ref, n, pinned.m, pinned.indices, pinned.p_norm, pinned.mc_trials,
-        pinned.seed,
-    )
-    return t_plus if side is Side.UPPER else t_minus
+def _nulls(pinned: TestSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted upper and lower null statistics for a pinned spec."""
+    return null_statistics(pinned.ref, n, pinned.m, pinned.indices, pinned.p_norm,
+                           pinned.mc_trials, pinned.seed)
+
+
+def _pick(pair: tuple, side: Side):
+    """The upper or the lower member of an (upper, lower) pair."""
+    return pair[0] if side is Side.UPPER else pair[1]
 
 
 def critical_value(spec: TestSpec, n: int) -> float:
@@ -369,7 +381,7 @@ def critical_value(spec: TestSpec, n: int) -> float:
     when its statistic reaches it."""
     if spec.side is Side.BOTH:
         raise ValueError("critical_value needs side upper or lower")
-    return _decide(_null_side(spec.resolve(n), n, spec.side), spec.sig_level)[0]
+    return _decide(_pick(_nulls(spec.resolve(n), n), spec.side), spec.sig_level)[0]
 
 
 def p_value(spec: TestSpec, t_obs: float, n: int) -> float:
@@ -378,20 +390,22 @@ def p_value(spec: TestSpec, t_obs: float, n: int) -> float:
         raise ValueError("p_value needs side upper or lower")
     if not t_obs >= 0.0:
         raise ValueError("observed statistic must be nonnegative")
-    return _p_value(_null_side(spec.resolve(n), n, spec.side), t_obs)
+    return _p_value(_pick(_nulls(spec.resolve(n), n), spec.side), t_obs)
 
 
 def _observed(
     s: Sample, spec: TestSpec
-) -> tuple[TestSpec, tuple[IndexDiagnostic, ...], float, float]:
+) -> tuple[TestSpec, tuple[IndexDiagnostic, ...], tuple[float, float]]:
+    """The pinned spec, per-rank diagnostics and (upper, lower) statistics of s."""
     rs = spec.resolve(s.n)
     weight_mat, pis = _arrays_for(rs.ref, s.n, rs.m, rs.indices)
     (mus,), (fts,) = _score(s.values[np.newaxis], weight_mat)
     gaps = pis - fts
-    columns = (a.tolist() for a in (pis, mus, fts, gaps))
-    diags = tuple(map(IndexDiagnostic._make, zip(rs.indices, *columns)))
+    # tuple.__new__ is what IndexDiagnostic._make calls, without its frame.
+    diags = tuple(map(tuple.__new__, repeat(IndexDiagnostic), zip(
+        rs.indices, pis.tolist(), mus.tolist(), fts.tolist(), gaps.tolist())))
     t_plus, t_minus = _t_pair(gaps, rs.p_norm)
-    return rs, diags, float(t_plus), float(t_minus)
+    return rs, diags, (float(t_plus), float(t_minus))
 
 
 def statistic(
@@ -400,24 +414,8 @@ def statistic(
     """Observed statistic for one side, with per-rank diagnostics."""
     if spec.side is Side.BOTH:
         raise ValueError("statistic is defined per side; pick upper or lower")
-    rs, diags, t_plus, t_minus = _observed(s, spec)
-    return (t_plus if spec.side is Side.UPPER else t_minus), diags
-
-
-def _echo(rs: TestSpec, n: int, side: Side) -> dict:
-    return {
-        "g": rs.ref.name,
-        "g_params": rs.ref.params(),
-        "n": n,
-        "m": rs.m,
-        "p": rs.p_norm,
-        "ell": len(rs.indices),
-        "indices": list(rs.indices),
-        "side": side.value,
-        "alpha": rs.sig_level,
-        "trials": rs.mc_trials,
-        "seed": rs.seed,
-    }
+    _, diags, t_pair = _observed(s, spec)
+    return _pick(t_pair, spec.side), diags
 
 
 def run_test(s: Sample, spec: TestSpec):
@@ -429,12 +427,17 @@ def run_test(s: Sample, spec: TestSpec):
     critical value. The bound vector and the null tables come from the cache
     layer, so a repeat request with the same spec and n computes neither.
     """
-    rs, diags, t_plus, t_minus = _observed(s, spec)
+    n = s.n
+    rs, diags, t_pair = _observed(s, spec)
+    nulls = _nulls(rs, n)
 
     def one(side: Side) -> TestResult:
-        t_obs = t_plus if side is Side.UPPER else t_minus
-        return _result(_null_side(rs, s.n, side), rs.sig_level, t_obs, side.value, s.n, diags,
-                       _echo(rs, s.n, side))
+        config = {"g": rs.ref.name, "g_params": rs.ref.params(), "n": n, "m": rs.m,
+                  "p": rs.p_norm, "ell": len(rs.indices), "indices": list(rs.indices),
+                  "side": side.value, "alpha": rs.sig_level, "trials": rs.mc_trials,
+                  "seed": rs.seed}
+        return _result(_pick(nulls, side), rs.sig_level, _pick(t_pair, side), side.value, n,
+                       diags, config)
 
     if spec.side is Side.BOTH:
         return one(Side.UPPER), one(Side.LOWER)

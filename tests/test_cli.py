@@ -260,7 +260,9 @@ class TestCriticalValueCommand:
         )
         assert code == 2 and out == "" and err.startswith("error:")
 
-    @pytest.mark.parametrize("flag, value", [("--side", "upper,bogus"), ("--p", "1,0.5")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--side", "upper,bogus"), ("--side", "upper,both"), ("--p", "1,0.5"),
+    ])
     def test_bad_value_exits_2_before_any_table(self, capsys, monkeypatch, flag, value):
         def drawn(*args):
             raise AssertionError("a critical value was computed")

@@ -2,6 +2,7 @@
 bounds, and the Hill estimator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,25 @@ def test_ingest_flags_and_warns_on_ties():
     with pytest.warns(TiesWarning):
         s = ingest([1.0, 1.0, 2.0])
     assert s.tie_flag
+
+
+@pytest.mark.parametrize("raw, tied", [
+    ([5.0], False),
+    ([2.0, 1.0], False),
+    ([1.0, 1.0], True),
+    ([-0.0, 0.0], True),
+    ([3.0, 1e-300, 2e-300, -4.0], False),
+    ([4.0, 2.0, 3.0, 2.0, 9.0], True),
+    ([9.0, 1.0, 2.0, 3.0, 9.0], True),
+    (list(np.random.default_rng(3).logistic(size=200)), False),
+], ids=["n1", "n2", "n2-tied", "signed-zeros", "tiny-gaps", "inner-tie", "tie-at-top",
+        "n200"])
+def test_ingest_tie_flag(raw, tied):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error" if not tied else "ignore", TiesWarning)
+        s = ingest(raw)
+    assert s.tie_flag is tied
+    assert s.tie_flag is bool(np.any(np.diff(np.sort(raw)) == 0.0))
 
 
 def test_ingest_rejects_bad_input():

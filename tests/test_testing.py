@@ -3,7 +3,7 @@ test procedure."""
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -251,8 +251,53 @@ def test_resolve_pins_a_spec_that_resolves_to_itself(spec):
     pinned = spec.resolve(30)
     assert isinstance(pinned, TestSpec)
     assert pinned.m is not None and pinned.ell is None
-    assert pinned.resolve(30) == pinned
+    assert pinned.resolve(30) is pinned
+    assert pinned.resolve(7) is pinned
     assert critical_value(pinned, 30) == critical_value(spec, 30)
+
+
+def test_warm_run_test_validates_no_spec(monkeypatch):
+    spec = TestSpec(ref=Logistic(), m=30, side=Side.BOTH, mc_trials=200, seed=4)
+    sample = ingest(np.random.default_rng(8).logistic(size=200))
+    one_side = replace(spec, side=Side.UPPER)
+    run_test(sample, spec)
+    calls = []
+    post_init = TestSpec.__post_init__
+    monkeypatch.setattr(TestSpec, "__post_init__",
+                        lambda self: calls.append(self) or post_init(self))
+    upper, lower = run_test(sample, spec)
+    assert statistic(sample, one_side)[0] == upper.statistic
+    assert critical_value(one_side, 200) == upper.critical_value
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec, n, error, message", [
+    (TestSpec(Exponential(), m=4, indices=()), 20, ValueError, "indices must be non-empty"),
+    (TestSpec(Exponential(), m=4, indices=(0, 1)), 20, ValueError,
+     "indices must lie in 1..4, got (0, 1)"),
+    (TestSpec(Exponential(), m=4, indices=(2, 5)), 20, ValueError,
+     "indices must lie in 1..4, got (2, 5)"),
+    (TestSpec(Exponential(), m=4, indices=(3, 2, 9)), 20, ValueError,
+     "indices must lie in 1..4, got (3, 2, 9)"),
+    (TestSpec(Exponential(), m=4, indices=(2, 2, 3)), 20, ValueError,
+     "indices must be strictly increasing, got (2, 2, 3)"),
+    (TestSpec(Exponential(), m=4, indices=(3, 1)), 20, ValueError,
+     "indices must be strictly increasing, got (3, 1)"),
+    (TestSpec(Exponential(), m=4, indices=(1, 2)), 0, ValueError, "n must be positive"),
+    (TestSpec(Exponential(), index_rule="low"), 20, ValueError,
+     "assumed_tails and index_rule choose ranks under ell; give ell"),
+    (TestSpec(Cauchy(), m=1, indices=(1,)), 20, InfeasibleSpecError,
+     "exceedance bound undefined at j=1, m=1 under cauchy()"),
+    (TestSpec(Cauchy(), m=1), 20, InfeasibleSpecError,
+     "exceedance bound undefined at j=1, m=1 under cauchy(); pass ell to restrict the ranks"),
+    (TestSpec(Cauchy(), m=9, ell=9), 20, InfeasibleSpecError,
+     "only 7 eligible ranks for m=9 under cauchy() with tails (alpha=1.0, beta=1.0); "
+     "need ell=9"),
+])
+def test_resolve_errors_keep_type_and_message(spec, n, error, message):
+    with pytest.raises(error) as info:
+        spec.resolve(n)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def _old_bound_status(ref, j, m):
@@ -291,9 +336,12 @@ def _old_resolve(spec, n):
 
 def _outcome(resolve, spec):
     try:
-        return resolve(spec, 50)
+        pinned = resolve(spec, 50)
     except ValueError as err:
         return type(err), str(err)
+    # Field for field, with the type of each value, not only ==.
+    return tuple((f.name, type(getattr(pinned, f.name)), getattr(pinned, f.name))
+                 for f in fields(TestSpec))
 
 
 def _declared_tail_customs():

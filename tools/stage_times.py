@@ -5,7 +5,9 @@ with a record of the machine, to BENCH_<label>.json at the repository root.
 
 Each stage is timed best of 5 with time.perf_counter, after a set-up that
 is not timed (clearing the cache layer, drawing the rows a stage reads).
-The stages are the ones the north star names:
+The observed statistic and the warm-request stages take microseconds, so
+each of their repeats times CALLS back-to-back calls and records the time
+per call (the caches they read stay warm). The stages are the ones the north star names:
 
 - cold L-estimator weights of every rank at (n, m) = (200, 30) and
   (1000, 150), one weight matrix, with the cache layer cleared before each
@@ -26,9 +28,11 @@ The stages are the ones the north star names:
   reference (closed-form bounds), with warm weights;
 - a warm `run_test`, logistic reference, n = 200, m = 30, T = 2000, both
   sides, with the null table and the bounds computed by an untimed first
-  request, and two of its per-request steps on their own: `TestSpec.resolve`
-  of that spec (the rank check) and a warm `testing._arrays_for` (the
-  weight matrix and bound vector of its ranks);
+  request, and four of a warm request's steps on their own: `ingest` of the
+  n = 200 sample, `TestSpec.resolve` of that spec (the rank check), a warm
+  `testing._arrays_for` (the weight matrix and bound vector of its ranks)
+  and a warm `testing._observed` (resolve, arrays, the one-row score and
+  the diagnostics);
 - Proschan-Pyke pair counts `_pp_counts` of 1000 exponential rows at
   n = 25, 200 and 500;
 - the gap-matrix product rows @ weights.T at (rows, n, ranks) =
@@ -59,20 +63,23 @@ from cxorder._cache import clear_caches
 from cxorder._seeds import _sorted_draws
 from cxorder.baselines import _pp_counts
 from cxorder.order_stats import _weights_readonly, pi_bound
-from cxorder.testing import Side, _arrays_for, batch_statistics
+from cxorder.testing import Side, _arrays_for, _observed, batch_statistics
 
 REPEATS = 5
+CALLS = 2000
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _best(run: Callable[[], object], setup: Callable[[], object] = lambda: None) -> dict:
+def _best(run: Callable[[], object], setup: Callable[[], object] = lambda: None,
+          calls: int = 1) -> dict:
     times = []
     for _ in range(REPEATS):
         setup()
         start = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - start)
-    return {"best_s": min(times), "times_s": times}
+        for _ in range(calls):
+            run()
+        times.append((time.perf_counter() - start) / calls)
+    return {"best_s": min(times), "times_s": times, "calls": calls}
 
 
 def _weights(n: int, m: int) -> Callable[[], np.ndarray]:
@@ -113,16 +120,22 @@ def stages() -> dict[str, dict]:
     sample = ingest(np.random.default_rng(5).exponential(size=200))
     spec = TestSpec(Exponential(), m=30, side=Side.UPPER)
     _weights(200, 30)()
-    out["observed_statistic n=200 m=30 exponential"] = _best(lambda: statistic(sample, spec))
+    out["observed_statistic n=200 m=30 exponential"] = _best(lambda: statistic(sample, spec),
+                                                             calls=CALLS)
 
-    sample = ingest(np.random.default_rng(5).logistic(size=200))
+    raw = np.random.default_rng(5).logistic(size=200)
+    sample = ingest(raw)
     spec = TestSpec(Logistic(), m=30, side=Side.BOTH, mc_trials=2000, seed=3)
     run_test(sample, spec)
-    out["run_test_warm n=200 m=30 trials=2000 logistic"] = _best(lambda: run_test(sample, spec))
-    out["resolve n=200 m=30 logistic"] = _best(lambda: spec.resolve(200))
+    out["run_test_warm n=200 m=30 trials=2000 logistic"] = _best(
+        lambda: run_test(sample, spec), calls=CALLS)
+    out["ingest n=200"] = _best(lambda: ingest(raw), calls=CALLS)
+    out["_observed warm n=200 m=30 logistic"] = _best(lambda: _observed(sample, spec),
+                                                      calls=CALLS)
+    out["resolve n=200 m=30 logistic"] = _best(lambda: spec.resolve(200), calls=CALLS)
     pinned = spec.resolve(200)
     out["_arrays_for warm n=200 m=30"] = _best(
-        lambda: _arrays_for(pinned.ref, 200, pinned.m, pinned.indices))
+        lambda: _arrays_for(pinned.ref, 200, pinned.m, pinned.indices), calls=CALLS)
 
     for n in (25, 200, 500):
         table = _sorted_draws(Exponential(), n, 1000, 13, "pp-null")
@@ -170,7 +183,7 @@ def main() -> None:
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     for name, stage in record["stages"].items():
-        print(f"{name:45s} {stage['best_s'] * 1e3:10.2f} ms")
+        print(f"{name:45s} {stage['best_s'] * 1e3:10.4f} ms")
     print(f"wrote {path.name}")
 
 
