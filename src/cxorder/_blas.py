@@ -4,10 +4,11 @@ OpenBLAS splits a product between its threads, and the bytes of the result
 depend on how many it uses: at n >= 400 the statistics differ in the last
 digits between one and two threads. Every product behind a statistic goes
 through `matmul`, which sets numpy's bundled OpenBLAS to one thread around
-the product and then restores the count it found, under a lock so that
-concurrent callers cannot restore a stale count. The library is looked up
-on the first product, not at import. Without it (numpy built against
-another BLAS) `matmul` is a plain `@`, and the bytes follow that BLAS.
+the product, unless it runs on one already, and then restores the count it
+found, under a lock so that concurrent callers cannot restore a stale count.
+The library is looked up on the first product, not at import. Without it
+(numpy built against another BLAS) `matmul` is a plain `@`, and the bytes
+follow that BLAS.
 """
 
 from __future__ import annotations
@@ -62,12 +63,15 @@ def handle() -> Handle | None:
 
 def matmul(a: np.ndarray, b: np.ndarray):
     """a @ b computed on one OpenBLAS thread."""
-    fns = handle()
+    # Once looked up, the handle never changes, so it is read without the lock.
+    fns = handle() if _handle is _NOT_LOOKED_UP else _handle
     if fns is None:
         return a @ b
     get, put = fns
     with _lock:
         before = get()
+        if before == 1:
+            return a @ b
         put(1)
         try:
             return a @ b

@@ -12,7 +12,6 @@ their file name hashes the key together with CACHE_VERSION.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 import threading
@@ -31,7 +30,7 @@ CACHE_DIR_ENV = "CXORDER_CACHE_DIR"
 # entries hold, which are null-statistic tables only. Bump the revision when
 # a change alters such a table (its reference draws, the statistic, the BLAS
 # threads of the product), so no entry written before it is read.
-CACHE_VERSION = ("npz-pair-1", 5)
+CACHE_VERSION = ("npz-pair-1", 6)
 
 # Array bytes held in memory. At R = T = 5000, table1 holds 43 MiB; each
 # figure exhibit would hold 230-245 MiB unbounded, mostly alternative draws
@@ -117,6 +116,8 @@ def _disk_path(key: tuple) -> Path | None:
     root = os.environ.get(CACHE_DIR_ENV)
     if not root:
         return None
+    import hashlib  # loaded on the first disk lookup, not by importing the package
+
     digest = hashlib.sha256(repr((CACHE_VERSION, key)).encode()).hexdigest()
     return Path(root) / f"{key[0]}-{digest}.npz"
 

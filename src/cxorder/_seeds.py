@@ -9,12 +9,11 @@ _BLOCK_ROWS rows with one stream per block, and each block with one
 family.sample(_BLOCK_ROWS * n, rng) call read row after row. A short last
 block is drawn whole and cut, so the first k rows of a table are the k-row
 table.
-numpy.random is loaded on the first draw, not by importing the package.
+numpy.random and hashlib are loaded on the first draw, not by importing the
+package.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
@@ -29,6 +28,8 @@ _BLOCK_ROWS = 64
 
 def derive_rng(seed: int, *path: object) -> np.random.Generator:
     """Child generator fully determined by (seed, path)."""
+    import hashlib  # loaded on the first draw, like numpy.random
+
     h = hashlib.sha256(repr(int(seed)).encode())
     for part in path:
         h.update(b"\x1f" + repr(part).encode())

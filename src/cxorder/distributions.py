@@ -10,7 +10,6 @@ or for Student's t n normals over the root of n scaled chi-squares.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -110,10 +109,17 @@ class RefFamily:
         return self._invert(q, self._quantile_comp_arr, complement=True)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n independent draws by inversion, one uniform per draw."""
+        """n independent draws by inversion, one uniform per draw, to the bytes
+        of quantile(rng.random(n)). The engine's uniforms lie in [0, 1 - 2^-53],
+        so without a 0 among them quantile's checks, clip and end pins change
+        nothing, and _quantile_arr inverts them directly."""
         if n < 1:
             raise ValueError("n must be positive")
-        return self.quantile(rng.random(n))
+        u = rng.random(n)
+        if not u.all():
+            return self.quantile(u)
+        with np.errstate(divide="ignore", over="ignore"):
+            return self._quantile_arr(u)
 
     def cache_key(self) -> str:
         items = ",".join(f"{k}={v!r}" for k, v in sorted(self.params().items()))
@@ -349,6 +355,8 @@ class Custom(RefFamily):
         with np.errstate(all="ignore"):
             q = self.quantile(_PROBES)
             c = self.cdf(0.5 * (q[1:] + q[:-1]))
+        import hashlib  # loaded on the first fingerprint, not by importing the package
+
         h = hashlib.sha256(q.tobytes() + c.tobytes())
         h.update(repr((self.right_index, self.left_index, self.support())).encode())
         return h.hexdigest()[:16]

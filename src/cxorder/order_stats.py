@@ -19,6 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from . import _blas, _cache
 from ._seeds import _BLOCK_ROWS
 from .distributions import (
     Exponential,
+    Logistic,
     LogLogistic,
     NegExponential,
     RefFamily,
@@ -35,7 +37,7 @@ from .distributions import (
 from .special import (
     ConvergenceError,
     _beta_pdf_interior,
-    integrate_01,
+    _integrate_01_rows,
     partial_harmonic,
     reg_inc_beta,
 )
@@ -301,56 +303,98 @@ def bound_status(ref: RefFamily, j: int, m: int) -> BoundStatus:
 
 def pi_bound(ref: RefFamily, j: int, m: int) -> PiBound:
     """Null probability that the j-th of m expected order statistics is
-    not exceeded, under the standard reference distribution.
+    not exceeded, under the standard reference distribution: the one-rank
+    case of `_pi_values`, which computes every rank of a bound vector at once.
 
-    Closed forms cover the uniform, exponential, negative exponential, and
-    unit-shape log-logistic references; anything else goes through tanh-sinh
-    quadrature (`integrate_01`) of the quantile against the Beta(j, m - j + 1)
-    density: within 5e-13 of the logistic and log-logistic(1.5) closed forms
-    at every finite rank for m in {2, 5, 30, 150, 400} (tested), 2e-12 up to
-    m = 2000. A tail too heavy to cut off (Frechet(0.5001), j = 4, m = 5)
-    raises ConvergenceError.
+    Routes, each checked against independent values at every finite rank for
+    m in {2, 5, 30, 150, 400} (tests/test_order_stats.py):
+    - closed forms: uniform j / (m + 1); exponential 1 - exp(-(H_m - H_{m-j}));
+      negative exponential exp(-(H_m - H_{j-1})); log-logistic(1) j / m;
+      logistic G(H_{j-1} - H_{m-j}), within 2e-16 of 40-digit values up to
+      m = 2000; log-logistic(a) G at the mean B(j + 1/a, m - j + 1 - 1/a) /
+      B(j, m - j + 1) through math.lgamma, within 5e-13 up to m = 400 and
+      3e-12 at m = 2000 (a = 0.7, 1.5, 3);
+    - every other reference (Cauchy, Frechet, Custom): tanh-sinh quadrature
+      (`integrate_01`'s rule) of the quantile against the Beta(j, m - j + 1)
+      density, as the product of the quantile on the nodes with a ranks x
+      nodes matrix of densities. Within 5e-13 of the logistic and
+      log-logistic(1.5) closed forms, 2e-12 up to m = 2000. A tail too heavy
+      to cut off (Frechet(0.5001), j = 4, m = 5) raises ConvergenceError.
     """
     status = bound_status(ref, j, m)
     if status is BoundStatus.UNDEFINED:
         return PiBound(status, None)
-    if status is not BoundStatus.FINITE:
-        return PiBound(status, float(status is BoundStatus.TRIVIALLY_ONE))
+    return PiBound(status, float(_pi_values(ref, m, (j,))[0]))
 
+
+def _harmonic_gap(j: int, m: int) -> float:
+    """H_{j-1} - H_{m-j}, as one compensated partial harmonic sum."""
+    if j - 1 > m - j:
+        return partial_harmonic(m - j + 1, j - 1)
+    if j - 1 < m - j:
+        return -partial_harmonic(j, m - j)
+    return 0.0
+
+
+def _pi_values(ref: RefFamily, m: int, ranks: Sequence[int]) -> np.ndarray:
+    """pi(j, m) for each of ranks, none of which may be UNDEFINED: 0 or 1 where
+    one side of the expectation diverges, else by the route `pi_bound` names.
+    The quadrature evaluates the quantile once per step size for all ranks
+    and refines only the ranks that have not converged; ConvergenceError
+    names the first rank that does not.
+    """
+    left_max, right_min = _divergent_ranks(ref.tail_info(), m)
+    js = np.asarray(ranks, dtype=np.int64)
+    out = (js >= right_min).astype(float)
+    finite = (js > left_max) & (js < right_min)
+    if finite.any():
+        out[finite] = _finite_pis(ref, m, js[finite])
+    return out
+
+
+def _finite_pis(ref: RefFamily, m: int, js: np.ndarray):
+    """pi(j, m) for ranks js whose expectation converges on both sides."""
+    ranks = js.tolist()
     if isinstance(ref, Uniform):
-        return PiBound(BoundStatus.FINITE, j / (m + 1))
+        return [j / (m + 1) for j in ranks]
     if isinstance(ref, Exponential):
-        return PiBound(
-            BoundStatus.FINITE, -math.expm1(-partial_harmonic(m - j + 1, m))
-        )
+        return [-math.expm1(-partial_harmonic(m - j + 1, m)) for j in ranks]
     if isinstance(ref, NegExponential):
-        return PiBound(BoundStatus.FINITE, math.exp(-partial_harmonic(j, m)))
+        return [math.exp(-partial_harmonic(j, m)) for j in ranks]
     if isinstance(ref, LogLogistic) and ref.a == 1.0:
-        return PiBound(BoundStatus.FINITE, j / m)
+        return [j / m for j in ranks]
+    if isinstance(ref, Logistic):
+        return ref.cdf(np.array([_harmonic_gap(j, m) for j in ranks]))
+    if isinstance(ref, LogLogistic):
+        s = 1.0 / ref.a
+        return ref.cdf(np.exp([math.lgamma(j + s) - math.lgamma(j)
+                               + math.lgamma(m - j + 1 - s) - math.lgamma(m - j + 1)
+                               for j in ranks]))
 
     # Split the expectation at probability 1/2 and fold the upper half onto
     # (0, 1/2) through the complement quantile and the Beta reflection
     # B_{j:m} =d 1 - B_{m-j+1:m}. Quadrature nodes reach within 1e-302 of 0
     # (floats are dense there) but round to 1 within about 1e-16 of it, so any
     # integrable singularity from a heavy right tail must be moved to the origin.
+    # Keep p off 0, where the quantile jumps to the support endpoint; the clamp
+    # moves only nodes within 2e-300 of 0.
+    def half(quantile, shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        def rowwise(u: np.ndarray, half_q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            pdf = _beta_pdf_interior(np.maximum(0.5 * u, 1e-300), shapes[rows, np.newaxis], m)
+            pdf *= half_q
+            return pdf
 
-    def lower_half(u: np.ndarray) -> np.ndarray:
-        # Keep p off 0, where the quantile jumps to the support endpoint; the
-        # clamp moves only nodes within 2e-300 of 0.
-        p = np.maximum(0.5 * u, 1e-300)
-        return 0.5 * ref.quantile(p) * _beta_pdf_interior(p, j, m)
+        return _integrate_01_rows(lambda u: 0.5 * quantile(np.maximum(0.5 * u, 1e-300)),
+                                  rowwise, len(shapes), rel_tol=1e-10, abs_tol=5e-13)
 
-    def upper_half(u: np.ndarray) -> np.ndarray:
-        q = np.maximum(0.5 * u, 1e-300)
-        return 0.5 * ref.quantile_complement(q) * _beta_pdf_interior(q, m - j + 1, m)
-
-    lo = integrate_01(lower_half, rel_tol=1e-10, abs_tol=5e-13)
-    hi = integrate_01(upper_half, rel_tol=1e-10, abs_tol=5e-13)
-    if not (lo.converged and hi.converged):
+    (lower, _, lower_ok), (upper, _, upper_ok) = (half(ref.quantile, js),
+                                                 half(ref.quantile_complement, m - js + 1))
+    failed = np.flatnonzero(~(lower_ok & upper_ok))
+    if failed.size:
         raise ConvergenceError(
-            f"quadrature failed for pi bound j={j}, m={m} under {ref.cache_key()}"
+            f"quadrature failed for pi bound j={ranks[failed[0]]}, m={m} under {ref.cache_key()}"
         )
-    return PiBound(BoundStatus.FINITE, float(ref.cdf(lo.value + hi.value)))
+    return ref.cdf(lower + upper)
 
 
 def hill_estimate(s: Sample, k: int | None = None) -> float:

@@ -16,7 +16,6 @@ seed and runs the parts.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import astuple, dataclass, fields, replace
 from io import StringIO
@@ -78,6 +77,8 @@ CSV_HEADER = tuple(f.name for f in fields(PowerRow))
 def _csv(header: tuple[str, ...], rows) -> str:
     """CSV text of a header and rows, each line ended by "\\n". It formats
     nothing: csv already writes None as an empty field and math.inf as inf."""
+    import csv  # loaded on the first table written, not by importing the package
+
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

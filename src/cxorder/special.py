@@ -103,16 +103,21 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
 
 
-def _beta_pdf_interior(p: np.ndarray, j: int, m: int) -> np.ndarray:
-    # Vectorized density for p inside (0, 1). Terms with zero exponent are
-    # skipped outright: a quadrature node rounded onto an endpoint would turn
-    # 0 * log(0) into nan otherwise.
-    log_pdf = np.full_like(np.asarray(p, dtype=float), -ln_beta(float(j), float(m - j + 1)))
-    if j > 1:
-        log_pdf += (j - 1) * np.log(p)
-    if m > j:
-        log_pdf += (m - j) * np.log1p(-p)
-    return np.exp(log_pdf)
+def _beta_pdf_interior(p, j, m: int) -> np.ndarray:
+    # Vectorized density for p inside (0, 1), broadcast over p and j (a rank
+    # or an integer array of ranks). The logs are clamped at -1e308, which
+    # changes no finite log but keeps a zero exponent's term an exact zero
+    # where a quadrature node rounds onto an endpoint (0 * log(0) is nan).
+    # exp is 0 below -745.2; leaving those lanes out, which numpy's vector exp
+    # would take a slow path for, gives the same bytes faster.
+    p, j = np.asarray(p, dtype=float), np.asarray(j, dtype=float)
+    log_norm = np.reshape([-ln_beta(a, m + 1.0 - a) for a in j.ravel().tolist()], j.shape)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_pdf = np.multiply(j - 1.0, np.maximum(np.log(p), -1e308),
+                              out=np.empty(np.broadcast_shapes(p.shape, j.shape)))
+        log_pdf += log_norm
+        log_pdf += (m - j) * np.maximum(np.log1p(-p), -1e308)
+    return np.exp(log_pdf, out=np.zeros_like(log_pdf), where=log_pdf > -746.0)
 
 
 def partial_harmonic(lo: int, hi: int) -> float:
@@ -162,21 +167,69 @@ def integrate_01(
     finite ones, is reported through the flag, not raised: for the bounds a
     divergent integral is an answer, and the caller decides what it means.
     """
+    value, error, converged = _integrate_01_rows(f, lambda u, fu, rows: fu, 1, rel_tol, abs_tol)
+    return QuadResult(float(value[0]), float(error[0]), bool(converged[0]))
+
+
+# Integrands per chunk of _integrate_01_rows: 64 x 3121 terms take 1.6 MiB.
+_CHUNK_ROWS = 64
+
+
+def _integrate_01_rows(
+    shared: Callable[[np.ndarray], np.ndarray],
+    rowwise: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    count: int,
+    rel_tol: float = 1e-10,
+    abs_tol: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """integrate_01 of count integrands, each under integrate_01's rule and to
+    the bytes integrate_01 gives it alone, as arrays of values, error bounds
+    and converged flags. At nodes u, row i of rowwise(u, shared(u), rows) is
+    the integrand of rows[i]: shared is evaluated once per step size that
+    some integrand reaches, and rowwise on chunks of at most _CHUNK_ROWS
+    integrands that have not converged yet.
+    """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
-    terms = np.empty_like(_NODES)
-    for stride, new in _LEVELS:
-        with np.errstate(all="ignore"):  # overflow and 0 * inf at the end nodes
-            terms[new] = _WEIGHTS[new] * np.asarray(f(_NODES[new]), dtype=float)
-        level = terms[::stride]
-        finite = np.flatnonzero(np.isfinite(level))
-        if finite.size == 0 or finite[-1] - finite[0] + 1 != finite.size:
-            return QuadResult(math.nan, math.inf, False)
-        lo, hi = int(finite[0]), int(finite[-1])
-        value = stride * float(np.sum(level[lo : hi + 1]))
-        # The rule at twice the step takes the even positions (k = -1560 is even).
-        coarse = 2 * stride * float(np.sum(level[lo + lo % 2 : hi + 1 : 2]))
-        error = abs(value - coarse) + stride * (abs(float(level[lo])) + abs(float(level[hi])))
-        if error <= max(rel_tol * abs(value), abs_tol):
-            return QuadResult(value, error, True)
-    return QuadResult(value, error, False)
+    value, error = np.full(count, math.nan), np.full(count, math.inf)
+    converged = np.zeros(count, dtype=bool)
+    at_step: dict[int, np.ndarray] = {}
+    for start in range(0, count, _CHUNK_ROWS):
+        live = np.arange(start, min(start + _CHUNK_ROWS, count))
+        level = None  # row i: the terms of integrand live[i] at this step
+        for stride, new in _LEVELS:
+            u = _NODES[new]
+            with np.errstate(all="ignore"):  # overflow and 0 * inf at the end nodes
+                if stride not in at_step:
+                    at_step[stride] = shared(u)
+                fresh = _WEIGHTS[new] * np.asarray(rowwise(u, at_step[stride], live), dtype=float)
+                if level is None:
+                    level = np.broadcast_to(fresh, (live.size, u.size))
+                else:  # each step's new nodes fall between the last step's
+                    both = np.empty((live.size, level.shape[1] + u.size))
+                    both[:, ::2], both[:, 1::2] = level, fresh
+                    level = both
+                total = stride * level.sum(axis=1)
+                # The rule at twice the step takes the even positions (k = -1560 is even).
+                coarse = 2 * stride * level[:, ::2].sum(axis=1)
+                lo = np.zeros(live.size, dtype=np.int64)
+                hi = np.full(live.size, level.shape[1] - 1)
+                whole = np.isfinite(total)
+                for r in np.flatnonzero(~whole):  # a non-finite term: cut the rule at its ends
+                    finite = np.flatnonzero(np.isfinite(level[r]))
+                    if finite.size and finite[-1] - finite[0] + 1 == finite.size:
+                        lo[r], hi[r], whole[r] = finite[0], finite[-1], True
+                        total[r] = stride * level[r, lo[r] : hi[r] + 1].sum()
+                        coarse[r] = 2 * stride * level[r, lo[r] + lo[r] % 2 : hi[r] + 1 : 2].sum()
+                every = np.arange(live.size)
+                bound = np.abs(total - coarse) + stride * (np.abs(level[every, lo])
+                                                           + np.abs(level[every, hi]))
+                done = bound <= np.maximum(rel_tol * np.abs(total), abs_tol)
+            value[live] = np.where(whole, total, math.nan)
+            error[live] = np.where(whole, bound, math.inf)
+            converged[live] = done
+            refine = whole & ~done
+            if not refine.any():
+                break
+            live, level = live[refine], level[refine]
+    return value, error, converged

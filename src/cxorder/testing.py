@@ -24,7 +24,8 @@ from . import _cache
 from ._cache import CACHE_DIR_ENV, clear_caches
 from ._seeds import _cached_draws
 from .distributions import RefFamily, TailInfo
-from .order_stats import Sample, _divergent_ranks, _score, _weights_readonly, pi_bound
+from .order_stats import Sample, _divergent_ranks, _pi_values, _score, _weights_readonly
+from .order_stats import pi_bound  # noqa: F401  (perfbench traces this binding)
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -263,15 +264,16 @@ def _arrays_for(
     given ranks, each one cache-layer entry computed once per process and
     cache clear: ("weights", n, m, indices), built by `_weights_readonly`,
     and ("bounds", ref.identity(), m, indices), as the bounds depend only on
-    (reference, m, ranks). A rank without a bound raises InfeasibleSpecError,
-    and a bound whose quadrature fails raises ConvergenceError, on every
-    call; no bound vector is stored for either.
+    (reference, m, ranks), and come from one `_pi_values` call. A rank without
+    a bound raises InfeasibleSpecError, and a bound whose quadrature fails
+    raises ConvergenceError, on every call; no bound vector is stored for
+    either.
     """
     indices = tuple(map(int, indices))
 
     def bounds() -> np.ndarray:
         _require_bounds(ref, m, indices)
-        return np.array([pi_bound(ref, j, m).value for j in indices])
+        return _pi_values(ref, m, indices)
 
     weight_mat = _weights_readonly(n, m, indices)
     return weight_mat, _cache.lookup(("bounds", ref.identity(), m, indices), bounds)

@@ -17,7 +17,7 @@ from cxorder.special import ConvergenceError
 from cxorder._seeds import _cached_draws, _sorted_draws
 from cxorder.baselines import _pp_null
 from cxorder.distributions import Alternative
-from cxorder.order_stats import os_weights
+from cxorder.order_stats import _pi_values, os_weights
 from cxorder.simulation import estimate_power
 from cxorder.testing import batch_statistics, null_statistics
 from test_testing import _unlabeled_customs
@@ -208,15 +208,16 @@ def _bound_keys() -> list:
 def test_repeat_request_computes_no_bound(monkeypatch):
     calls = []
 
-    def counting(ref, j, m):
-        calls.append(j)
-        return pi_bound(ref, j, m)
+    def counting(ref, m, ranks):
+        calls.append(tuple(ranks))
+        return _pi_values(ref, m, ranks)
 
-    monkeypatch.setattr(testing, "pi_bound", counting)
+    # Every bound vector is computed by one _pi_values call for all its ranks.
+    monkeypatch.setattr(testing, "_pi_values", counting)
     sample = ingest(np.random.default_rng(3).logistic(size=60))
     spec = TestSpec(Logistic(), m=9, side="both", mc_trials=200, seed=4)
     first = run_test(sample, spec)
-    assert calls == list(range(1, 10))
+    assert calls == [tuple(range(1, 10))]
     assert _bound_keys() == [("bounds", Logistic().identity(), 9, tuple(range(1, 10)))]
     calls.clear()
     assert run_test(sample, spec) == first
@@ -289,7 +290,7 @@ def test_repeat_request_computes_no_bound_and_no_weight_vector(monkeypatch):
     # Weight builds are counted by their reg_inc_beta calls, since every
     # weight lookup goes through _weights_readonly; null tables by
     # batch_statistics, which null_statistics calls through its module name.
-    monkeypatch.setattr(testing, "pi_bound", counting("pi_bound", testing.pi_bound))
+    monkeypatch.setattr(testing, "_pi_values", counting("bounds", testing._pi_values))
     monkeypatch.setattr(order_stats, "reg_inc_beta",
                         counting("weights", order_stats.reg_inc_beta))
     monkeypatch.setattr(testing, "batch_statistics",
@@ -297,8 +298,9 @@ def test_repeat_request_computes_no_bound_and_no_weight_vector(monkeypatch):
     sample = ingest(np.random.default_rng(6).logistic(size=50))
     spec = TestSpec(Logistic(), m=7, side="both", mc_trials=200, seed=2)
     first = run_test(sample, spec)
-    assert sorted(set(calls)) == ["batch_statistics", "pi_bound", "weights"]
+    assert sorted(set(calls)) == ["batch_statistics", "bounds", "weights"]
     assert calls.count("batch_statistics") == 1
+    assert calls.count("bounds") == 1
     assert calls.count("weights") == 7 * 51
     calls.clear()
     assert run_test(sample, spec) == first

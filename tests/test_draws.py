@@ -89,6 +89,50 @@ def test_first_rows_are_the_shorter_table(family, k):
     assert _sorted_draws(family, 37, k, 6, "label").tobytes() == full[:k].tobytes()
 
 
+REFERENCES = [family for family in FAMILIES if isinstance(family, RefFamily)]
+
+
+@pytest.mark.parametrize("family", REFERENCES, ids=lambda f: f.cache_key())
+@pytest.mark.parametrize("n", [1, 7, 640])
+def test_reference_sample_is_the_checked_quantile_of_its_uniforms(family, n):
+    for seed in range(20):
+        got = family.sample(n, np.random.default_rng(seed))
+        want = family.quantile(np.random.default_rng(seed).random(n))
+        assert got.tobytes() == want.tobytes(), seed
+
+
+class _UniformsWithAZero:
+    """An rng stub whose uniforms are u, the first of which is 0."""
+
+    def __init__(self, n):
+        self.u = np.linspace(0.0, 0.5, n)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("family, end", [(Logistic(), -math.inf), (Exponential(), 0.0)],
+                         ids=["logistic", "exponential"])
+def test_a_zero_uniform_takes_the_checked_quantile_and_pins_the_support_end(family, end,
+                                                                            monkeypatch):
+    checked = []
+
+    def quantile(self, p, _quantile=type(family).quantile):
+        checked.append(len(p))
+        return _quantile(self, p)
+
+    monkeypatch.setattr(type(family), "quantile", quantile)
+    rng = _UniformsWithAZero(9)
+    got = family.sample(9, rng)
+    assert checked == [9]
+    assert got[0] == end and np.signbit(got[0]) == (end < 0)
+    assert got[1:].tobytes() == family._quantile_arr(rng.u[1:]).tobytes()
+    # Uniforms without a zero skip the checks.
+    family.sample(9, np.random.default_rng(0))
+    assert checked == [9]
+
+
 def _pair_count_loop(x):
     # Normalized spacings and their strictly ordered pairs, written out.
     n = len(x)

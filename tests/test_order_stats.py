@@ -3,6 +3,7 @@ bounds, and the Hill estimator."""
 
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy.stats import beta as beta_dist
 from cxorder import (
     BoundStatus,
     Cauchy,
+    Custom,
     Exponential,
     Frechet,
     Logistic,
@@ -28,8 +30,9 @@ from cxorder import (
     pi_bound,
     reg_inc_beta,
 )
-from cxorder.order_stats import bound_status
-from cxorder.special import ConvergenceError, partial_harmonic
+from cxorder.distributions import RefFamily
+from cxorder.order_stats import _divergent_ranks, _pi_values, bound_status
+from cxorder.special import ConvergenceError, _beta_pdf_interior, integrate_01, partial_harmonic
 
 
 # ---------------------------------------------------------------- ingest
@@ -333,22 +336,77 @@ def test_pi_quadrature_reference_values():
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _KeepsComplement(Custom):
+    ref: RefFamily | None = None
+
+    def _quantile_comp_arr(self, q):
+        return self.ref._quantile_comp_arr(q)
+
+
+def _as_custom(ref, keep_complement: bool = False) -> Custom:
+    """ref's handles, tails and support under a type that no closed form
+    matches, so pi_bound integrates it. A plain Custom's complement quantile
+    is quantile(1 - q), which loses the upper tail; keep_complement keeps
+    ref's own."""
+    tails, (lo, hi) = ref.tail_info(), ref.support()
+    kind, extra = (_KeepsComplement, {"ref": ref}) if keep_complement else (Custom, {})
+    return kind(cdf_fn=ref.cdf, quantile_fn=ref.quantile, right_index=tails.right_index,
+                left_index=tails.left_index, support_lo=lo, support_hi=hi,
+                label=ref.cache_key(), **extra)
+
+
 @pytest.mark.parametrize("m", [2, 5, 30, 150, 400])
 def test_pi_quadrature_matches_closed_forms(m):
     # E[G^{-1}(B_{j:m})] is psi(j) - psi(m - j + 1) for the logistic and
-    # B(j + 1/a, m - j + 1 - 1/a) / B(j, m - j + 1) for log-logistic(a).
+    # B(j + 1/a, m - j + 1 - 1/a) / B(j, m - j + 1) for log-logistic(a). The
+    # built-in references use closed forms, so the quadrature is tested on
+    # the same references hidden from them; the plain Custom wrapper of the
+    # logistic keeps quantile(1 - q) as its complement, and still converges.
     a = 1.5
+    logistic, log_logistic = Logistic(), LogLogistic(a)
     for j in range(1, m + 1):
-        mean = sps.digamma(j) - sps.digamma(m - j + 1)
-        assert pi_bound(Logistic(), j, m).value == pytest.approx(
-            sps.expit(mean), abs=5e-13
-        )
+        want = sps.expit(sps.digamma(j) - sps.digamma(m - j + 1))
+        for ref in (logistic, _as_custom(logistic, True), _as_custom(logistic)):
+            assert pi_bound(ref, j, m).value == pytest.approx(want, abs=5e-13), (ref, j)
         if m - j + 1 > 1.0 / a:
             mean = math.exp(sps.betaln(j + 1.0 / a, m - j + 1.0 - 1.0 / a)
                             - sps.betaln(j, m - j + 1))
-            assert pi_bound(LogLogistic(a), j, m).value == pytest.approx(
-                mean**a / (1.0 + mean**a), abs=5e-13
-            )
+            for ref in (log_logistic, _as_custom(log_logistic, True)):
+                assert pi_bound(ref, j, m).value == pytest.approx(
+                    mean**a / (1.0 + mean**a), abs=5e-13
+                ), (ref, j)
+
+
+def _per_rank_quadrature(ref, j, m):
+    # pi(j, m) as one integrate_01 call per half, rank by rank: the loop the
+    # batched quadrature replaced.
+    def lower_half(u):
+        p = np.maximum(0.5 * u, 1e-300)
+        return 0.5 * ref.quantile(p) * _beta_pdf_interior(p, j, m)
+
+    def upper_half(u):
+        q = np.maximum(0.5 * u, 1e-300)
+        return 0.5 * ref.quantile_complement(q) * _beta_pdf_interior(q, m - j + 1, m)
+
+    lo = integrate_01(lower_half, rel_tol=1e-10, abs_tol=5e-13)
+    hi = integrate_01(upper_half, rel_tol=1e-10, abs_tol=5e-13)
+    assert lo.converged and hi.converged
+    return float(ref.cdf(lo.value + hi.value))
+
+
+@pytest.mark.parametrize("ref", [Cauchy(), Frechet(0.7), Frechet(2.0), _as_custom(Logistic())],
+                         ids=lambda ref: ref.cache_key())
+@pytest.mark.parametrize("m", [5, 30, 300])
+def test_batched_quadrature_matches_the_per_rank_loop(ref, m):
+    left_max, right_min = _divergent_ranks(ref.tail_info(), m)
+    ranks = tuple(range(left_max + 1, right_min))
+    want = [_per_rank_quadrature(ref, j, m) for j in ranks]
+    np.testing.assert_allclose(_pi_values(ref, m, ranks), want, rtol=0, atol=1e-14)
+    # Ranks that diverge on one side get their trivial bounds in the same vector.
+    defined = tuple(j for j in range(1, m + 1)
+                    if bound_status(ref, j, m) is not BoundStatus.UNDEFINED)
+    assert _pi_values(ref, m, defined).tolist() == [pi_bound(ref, j, m).value for j in defined]
 
 
 def test_pi_quadrature_raises_on_a_barely_integrable_tail():
@@ -358,6 +416,18 @@ def test_pi_quadrature_raises_on_a_barely_integrable_tail():
     assert bound_status(Frechet(0.5001), 4, 5) is BoundStatus.FINITE
     with pytest.raises(ConvergenceError):
         pi_bound(Frechet(0.5001), 4, 5)
+
+
+@pytest.mark.parametrize("ref, j, m", [(Frechet(0.5001), 4, 5), (_as_custom(Frechet(2.0)), 5, 5),
+                                       (_as_custom(Frechet(2.0)), 30, 30)])
+def test_batched_quadrature_names_the_rank_it_cannot_integrate(ref, j, m):
+    # The plain Custom's complement quantile(1 - q) rounds to infinity next to
+    # the pole, so the extreme rank's upper half cannot be cut off either.
+    with pytest.raises(ConvergenceError, match=f"pi bound j={j}, m={m} "):
+        pi_bound(ref, j, m)
+    with pytest.raises(ConvergenceError, match=f"pi bound j={j}, m={m} "):
+        _pi_values(ref, m, (j - 1, j))
+    assert np.isfinite(_pi_values(ref, m, (j - 1,))).all()
 
 
 def test_pi_monotone_in_rank():

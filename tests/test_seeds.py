@@ -21,10 +21,14 @@ def test_derive_rng_is_default_rng_of_the_path_digest():
 
 
 def test_import_does_not_load_numpy_random():
+    # Nor the other modules that only a draw, a disk-cache lookup or a CSV needs.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
+    deferred = ("numpy.random", "hashlib", "csv")
     subprocess.run(
-        [sys.executable, "-c", "import cxorder, sys; assert 'numpy.random' not in sys.modules"],
+        [sys.executable, "-c",
+         f"import cxorder, sys; loaded = set({deferred!r}) & set(sys.modules); "
+         "assert not loaded, loaded"],
         env=env,
         check=True,
         timeout=60,

@@ -19,7 +19,7 @@ from cxorder import (
     partial_harmonic,
     reg_inc_beta,
 )
-from cxorder.special import _beta_pdf_interior
+from cxorder.special import _NODES, _beta_pdf_interior, _integrate_01_rows
 
 
 def test_ln_beta_small_integer_values():
@@ -208,6 +208,35 @@ def test_integrate_01_error_estimate_honest():
     res = integrate_01(lambda p: p * (1.0 - p) ** 3)
     assert res.converged
     assert abs(res.value - 1.0 / 20.0) <= max(res.error, 1e-13)
+
+
+def test_integrate_01_rows_matches_one_integral_at_a_time():
+    # Bumps from wide (converged at step 1/64) to too narrow for step 1/256,
+    # a divergent integrand, holes (one that only step 1/128 meets), an end
+    # pole cut off by truncation and an end singularity, shuffled so that rows
+    # of each kind refine side by side, and more of them than one chunk holds.
+    def bump(u, c, w):
+        return np.exp(-0.5 * ((u - c) / w) ** 2)
+
+    bumps = [lambda u, c=c, w=w: bump(u, c, w)
+             for c, w in zip(np.linspace(0.2, 0.8, 64), np.geomspace(0.2, 0.0005, 64))]
+    others = [lambda u: 1.0 / u,
+              lambda u: np.where((u > 0.3) & (u < 0.35), np.nan, 1.0),
+              lambda u: np.where((u > 0.3) & (u < 0.35), np.inf, 1.0),
+              lambda u: np.where(u == _NODES[1562], np.nan, bump(u, 0.5, 0.01)),
+              lambda u: np.where(u > 1.0 - 1e-12, np.inf, u),
+              lambda u: 1.0 / np.sqrt(u)]
+    fs = [(bumps + others)[i] for i in np.random.default_rng(4).permutation(70)]
+    value, error, converged = _integrate_01_rows(
+        lambda u: u, lambda u, shared, rows: np.array([fs[r](shared) for r in rows]), len(fs),
+        rel_tol=1e-10, abs_tol=1e-300)
+    assert 0 < converged.sum() < len(fs)
+    holes = [fs.index(others[k]) for k in (1, 2, 3)]
+    assert np.isnan(value[holes]).all() and np.isinf(error[holes]).all()
+    for f, got in zip(fs, zip(value, error, converged)):
+        one = integrate_01(f, rel_tol=1e-10, abs_tol=1e-300)
+        assert repr(tuple(map(float, got[:2]))) == repr((one.value, one.error))
+        assert got[2] == one.converged
 
 
 def test_integrate_01_rejects_bad_tolerance():

@@ -12,8 +12,11 @@ per call (the caches they read stay warm). The stages are the ones the north sta
 - cold L-estimator weights of every rank at (n, m) = (200, 30) and
   (1000, 150), one weight matrix, with the cache layer cleared before each
   repeat;
-- exceedance bounds `pi_bound` for every rank: logistic at m = 30 (tanh-sinh
-  quadrature) and exponential at m = 150 (closed form);
+- exceedance bounds: the cold bound vector of every rank that
+  `testing._arrays_for` builds for a request, with the cache layer cleared
+  and the (cheap, n = 1) weights rebuilt before each repeat: logistic at
+  m = 30 and 300, exponential at m = 150 and Cauchy at m = 300 (tanh-sinh
+  quadrature);
 - draws `_sorted_draws`: exponential nulls at n = 1000, 2000 rows;
   Student's t(1.1) at n = 100, 5000 rows (table2's shape); weibull(1.5) at
   n = 200, 1000 rows (the power study's alternatives);
@@ -58,11 +61,12 @@ from typing import Callable
 
 import numpy as np
 
-from cxorder import Alternative, Exponential, Logistic, TestSpec, ingest, run_test, statistic
+from cxorder import (Alternative, Cauchy, Exponential, Logistic, TestSpec, ingest, run_test,
+                     statistic)
 from cxorder._cache import clear_caches
 from cxorder._seeds import _sorted_draws
 from cxorder.baselines import _pp_counts
-from cxorder.order_stats import _weights_readonly, pi_bound
+from cxorder.order_stats import _weights_readonly
 from cxorder.testing import Side, _arrays_for, _observed, batch_statistics
 
 REPEATS = 5
@@ -86,16 +90,18 @@ def _weights(n: int, m: int) -> Callable[[], np.ndarray]:
     return lambda: _weights_readonly(n, m, tuple(range(1, m + 1)))
 
 
-def _bounds(ref, m: int) -> Callable[[], list]:
-    return lambda: [pi_bound(ref, j, m) for j in range(1, m + 1)]
+def _bounds(ref, m: int) -> dict:
+    ranks = tuple(range(1, m + 1))
+    return _best(lambda: _arrays_for(ref, 1, m, ranks),
+                 lambda: (clear_caches(), _weights_readonly(1, m, ranks)))
 
 
 def stages() -> dict[str, dict]:
     out = {}
     for n, m in ((200, 30), (1000, 150)):
         out[f"weights_cold n={n} m={m}"] = _best(_weights(n, m), clear_caches)
-    out["pi_bound logistic m=30 quadrature"] = _best(_bounds(Logistic(), 30))
-    out["pi_bound exponential m=150 closed_form"] = _best(_bounds(Exponential(), 150))
+    for ref, m in ((Logistic(), 30), (Logistic(), 300), (Exponential(), 150), (Cauchy(), 300)):
+        out[f"bounds_cold {ref.name} m={m}"] = _bounds(ref, m)
     out["sorted_draws exponential n=1000 rows=2000"] = _best(
         lambda: _sorted_draws(Exponential(), 1000, 2000, 11, "null"))
     out["sorted_draws student-t n=100 rows=5000"] = _best(
