@@ -1,10 +1,13 @@
-"""The one cache layer every Monte Carlo table, bound vector and weight
+"""The one cache layer every Monte Carlo result, bound vector and weight
 matrix goes through.
 
 A key is a tuple that names the computation behind its value: the kind of
-entry first ("draws", "gaps", "null", "pairs", "bounds", "weights"), then
-everything the value depends on. Values are arrays, or tuples of arrays, and
-are stored read-only. In memory, entries share one least-recently-used store
+entry first, then everything the value depends on. The kinds are "gaps" (the
+rows x ranks gap matrix of a drawn table, keyed by the table's draw key),
+"null" (sorted null statistics), "pairs" (sorted Proschan-Pyke pair counts),
+"bounds" and "weights". No draw table is stored: a table is drawn, scored
+and dropped. Values are arrays, or tuples of arrays, and are stored
+read-only. In memory, entries share one least-recently-used store
 bounded to BUDGET_BYTES of array data. Entries asked for with a disk length
 are also kept on disk when the CXORDER_CACHE_DIR environment variable is set;
 their file name hashes the key together with CACHE_VERSION.
@@ -22,7 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["BUDGET_BYTES", "CACHE_DIR_ENV", "CACHE_VERSION", "clear_caches", "lookup", "source"]
+__all__ = ["BUDGET_BYTES", "CACHE_DIR_ENV", "CACHE_VERSION", "clear_caches", "get", "keep",
+           "lookup"]
 
 CACHE_DIR_ENV = "CXORDER_CACHE_DIR"
 
@@ -32,18 +36,16 @@ CACHE_DIR_ENV = "CXORDER_CACHE_DIR"
 # threads of the product), so no entry written before it is read.
 CACHE_VERSION = ("npz-pair-1", 6)
 
-# Array bytes held in memory. At R = T = 5000, table1 holds 43 MiB; each
-# figure exhibit would hold 230-245 MiB unbounded, mostly alternative draws
-# and single-use gap matrices, and at this budget fig_drhr still computes
-# every entry once.
+# Array bytes held in memory. At R = T = 5000 table1 holds about 15 MiB and
+# fig_drhr 68 MiB, nearly all of it gap matrices (90% of fig_drhr's are of
+# alternative tables, each used once); fig_3d would hold 150 MiB unbounded.
+# Gap matrices grow with R and T, so these are ten times what R = T = 500
+# holds.
 BUDGET_BYTES = 128 << 20
 
 Value = np.ndarray | tuple
 
 _entries: OrderedDict[tuple, Value] = OrderedDict()
-# id of each stored single array -> its key; the store keeps those arrays
-# alive, so an id found here names the very array that was stored.
-_origins: dict[int, tuple] = {}
 _held = 0
 _lock = threading.Lock()
 
@@ -61,13 +63,7 @@ def clear_caches() -> None:
     global _held
     with _lock:
         _entries.clear()
-        _origins.clear()
         _held = 0
-
-
-def source(arr: np.ndarray) -> tuple | None:
-    """Key of the stored array arr, or None when the store does not hold it."""
-    return _origins.get(id(arr))
 
 
 def _put(key: tuple, value: Value) -> None:
@@ -79,11 +75,30 @@ def _put(key: tuple, value: Value) -> None:
         while _held + size > BUDGET_BYTES:
             _, old = _entries.popitem(last=False)
             _held -= _nbytes(old)
-            _origins.pop(id(old), None)
         _entries[key] = value
-        if not isinstance(value, tuple):
-            _origins[id(value)] = key
         _held += size
+
+
+def get(key: tuple, disk_length: int | None = None) -> Value | None:
+    """The value stored under key, or None. With disk_length set, a value
+    missing from memory is read from the disk tier as `lookup` reads it."""
+    with _lock:
+        value = _entries.get(key)
+        if value is not None:
+            _entries.move_to_end(key)
+            return value
+    path = _disk_path(key) if disk_length is not None else None
+    value = _load_pair(path, disk_length) if path is not None else None
+    return None if value is None else keep(key, value)
+
+
+def keep(key: tuple, value: Value) -> Value:
+    """Make value read-only, store it under key when the budget allows, and
+    return it."""
+    for arr in _arrays(value):
+        arr.setflags(write=False)
+    _put(key, value)
+    return value
 
 
 def lookup(key: tuple, compute: Callable[[], Value], disk_length: int | None = None) -> Value:
@@ -95,20 +110,13 @@ def lookup(key: tuple, compute: Callable[[], Value], disk_length: int | None = N
     that does not load as two finite, sorted arrays of that length is
     recomputed and rewritten.
     """
-    with _lock:
-        value = _entries.get(key)
-        if value is not None:
-            _entries.move_to_end(key)
-            return value
-    path = _disk_path(key) if disk_length is not None else None
-    value = _load_pair(path, disk_length) if path is not None else None
+    value = get(key, disk_length)
     if value is None:
         value = compute()
+        path = _disk_path(key) if disk_length is not None else None
         if path is not None:
             _store_pair(path, value)
-    for arr in _arrays(value):
-        arr.setflags(write=False)
-    _put(key, value)
+        keep(key, value)
     return value
 
 

@@ -8,22 +8,32 @@ the digest read as a little-endian integer. A table is drawn in blocks of
 _BLOCK_ROWS rows with one stream per block, and each block with one
 family.sample(_BLOCK_ROWS * n, rng) call read row after row. A short last
 block is drawn whole and cut, so the first k rows of a table are the k-row
-table.
+table. An engine table (`DrawTable`) is drawn one chunk of whole blocks at
+a time, so no table needs to be held whole.
 numpy.random and hashlib are loaded on the first draw, not by importing the
 package.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
-from . import _cache
 from .distributions import Alternative, RefFamily
 
 __all__ = ["derive_rng"]
 
 # Rows per stream; at n = 1000 each block is 0.5 MiB.
 _BLOCK_ROWS = 64
+# Values per chunk (512 KiB): a chunk is as many whole blocks as fit, at
+# least one. The scoring kernel works in the same chunks.
+_CHUNK_VALUES = 1 << 16
+
+
+def _chunk_rows(n: int) -> int:
+    """Rows per chunk of a table whose rows hold n values."""
+    return max(1, _CHUNK_VALUES // (n * _BLOCK_ROWS)) * _BLOCK_ROWS
 
 
 def derive_rng(seed: int, *path: object) -> np.random.Generator:
@@ -37,28 +47,50 @@ def derive_rng(seed: int, *path: object) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _sorted_draws(family: RefFamily | Alternative, n: int, count: int, seed: int,
-                  label: str) -> np.ndarray:
-    """count x n matrix of sorted samples of family.
-
-    Block b (rows b * _BLOCK_ROWS onward) is family.sample(_BLOCK_ROWS * n,
-    derive_rng(seed, label, family.cache_key(), n, b)) cut to its rows.
-    """
-    out = np.empty((count, n))
+def _fill(rows: np.ndarray, family: RefFamily | Alternative, seed: int, label: str,
+          first: int) -> None:
+    """Write the sorted table rows first, first + 1, ... into rows; first is
+    a multiple of _BLOCK_ROWS. Block b (rows b * _BLOCK_ROWS onward) is
+    family.sample(_BLOCK_ROWS * n, derive_rng(seed, label, family.cache_key(),
+    n, b)) cut to its rows."""
+    n = rows.shape[1]
     key = family.cache_key()
-    for b, start in enumerate(range(0, count, _BLOCK_ROWS)):
-        block = out[start : start + _BLOCK_ROWS]
-        rng = derive_rng(seed, label, key, n, b)
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS]
+        rng = derive_rng(seed, label, key, n, (first + start) // _BLOCK_ROWS)
         block[:] = family.sample(_BLOCK_ROWS * n, rng)[: block.size].reshape(block.shape)
         block.sort(axis=1)
-    return out
 
 
-def _cached_draws(family: RefFamily | Alternative, n: int, count: int, seed: int,
+class DrawTable:
+    """The count x n table of sorted samples of family drawn under (seed,
+    label). It is drawn when asked for, whole or chunk by chunk, and never
+    stored; key() names it in the keys of what is computed from it."""
+
+    # A plain class: a dataclass costs about 1 ms of import time.
+    __slots__ = ("family", "n", "count", "seed", "label")
+
+    def __init__(self, family: RefFamily | Alternative, n: int, count: int, seed: int,
+                 label: str) -> None:
+        self.family, self.n, self.count, self.seed, self.label = family, n, count, seed, label
+
+    def key(self) -> tuple:
+        """The draw key: the table's computation, with the family's identity."""
+        return ("draws", self.label, self.family.identity(), self.n, self.count, self.seed)
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The table's rows, _chunk_rows(n) at a time, each chunk a fresh array."""
+        step = _chunk_rows(self.n)
+        for first in range(0, self.count, step):
+            chunk = np.empty((min(step, self.count - first), self.n))
+            _fill(chunk, self.family, self.seed, self.label, first)
+            yield chunk
+
+
+def _sorted_draws(family: RefFamily | Alternative, n: int, count: int, seed: int,
                   label: str) -> np.ndarray:
-    """_sorted_draws(family, n, count, seed, label), held read-only by the
-    cache layer under the family's identity."""
-    return _cache.lookup(
-        ("draws", label, family.identity(), n, count, seed),
-        lambda: _sorted_draws(family, n, count, seed, label),
-    )
+    """The whole table DrawTable(family, n, count, seed, label) as one
+    count x n matrix, for the Proschan-Pyke tables, tests and tools."""
+    out = np.empty((count, n))
+    _fill(out, family, seed, label, 0)
+    return out

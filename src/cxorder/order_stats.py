@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _blas, _cache
-from ._seeds import _BLOCK_ROWS
+from ._seeds import _BLOCK_ROWS, _chunk_rows
 from .distributions import (
     Exponential,
     Logistic,
@@ -38,7 +38,6 @@ from .special import (
     ConvergenceError,
     _beta_pdf_interior,
     _integrate_01_rows,
-    partial_harmonic,
     reg_inc_beta,
 )
 
@@ -175,9 +174,7 @@ def interp_ecdf(s: Sample) -> InterpolatedEcdf:
     return InterpolatedEcdf(*_ecdf_knots(s.values))
 
 
-# Scaled values per ECDF chunk (512 KiB, whole blocks), and the most ranks
-# the batched ECDF pass takes; both cut-offs were measured (see _score).
-_CHUNK_VALUES = 1 << 16
+# The most ranks the batched ECDF pass takes; measured (see _score).
 _BATCH_RANKS = 32
 
 
@@ -186,10 +183,12 @@ def _score(sorted_rows: np.ndarray, weight_mat: np.ndarray) -> tuple[np.ndarray,
     row under each row of weight_mat (ranks x n), and the row's interpolated
     ECDF at them. Rows are scaled, row by row, by the power of two that brings
     max |x| into [1, 2): exact for normal floats, and no underflow for a
-    subnormal row. The product runs in _BLOCK_ROWS blocks, the ECDF in chunks
-    of about _CHUNK_VALUES values: one _interp_rows pass if there are at most
-    _BATCH_RANKS ranks, n <= 512 (chunks of two blocks or more) and the chunk
-    has a whole block, else one np.interp per row; both give the same bytes.
+    subnormal row. The product runs in _BLOCK_ROWS blocks, the ECDF in the
+    draw engine's chunks (`_seeds._chunk_rows`), so a table scored chunk by
+    chunk gets the bytes of the whole: one _interp_rows pass if there are at
+    most _BATCH_RANKS ranks, n <= 512 (chunks of two blocks or more) and the
+    chunk has a whole block, else one np.interp per row; both give the same
+    bytes.
     A row with a tie, found by one compare along the chunk, is interpolated
     again on collapsed knots (a pair spanning two rows rescores a row to the
     same bytes)."""
@@ -198,7 +197,7 @@ def _score(sorted_rows: np.ndarray, weight_mat: np.ndarray) -> tuple[np.ndarray,
     fts = np.empty_like(mus)
     grid = np.arange(1, n + 1) / n
     shift = 1 - np.frexp(np.maximum(-sorted_rows[:, :1], sorted_rows[:, -1:]))[1]
-    step = max(1, _CHUNK_VALUES // (n * _BLOCK_ROWS)) * _BLOCK_ROWS
+    step = _chunk_rows(n)
     batch = step > _BLOCK_ROWS and len(weight_mat) <= _BATCH_RANKS
     for lo in range(0, rows, step):
         scaled = np.ldexp(sorted_rows[lo : lo + step], shift[lo : lo + step])
@@ -327,15 +326,6 @@ def pi_bound(ref: RefFamily, j: int, m: int) -> PiBound:
     return PiBound(status, float(_pi_values(ref, m, (j,))[0]))
 
 
-def _harmonic_gap(j: int, m: int) -> float:
-    """H_{j-1} - H_{m-j}, as one compensated partial harmonic sum."""
-    if j - 1 > m - j:
-        return partial_harmonic(m - j + 1, j - 1)
-    if j - 1 < m - j:
-        return -partial_harmonic(j, m - j)
-    return 0.0
-
-
 def _pi_values(ref: RefFamily, m: int, ranks: Sequence[int]) -> np.ndarray:
     """pi(j, m) for each of ranks, none of which may be UNDEFINED: 0 or 1 where
     one side of the expectation diverges, else by the route `pi_bound` names.
@@ -357,14 +347,19 @@ def _finite_pis(ref: RefFamily, m: int, js: np.ndarray):
     ranks = js.tolist()
     if isinstance(ref, Uniform):
         return [j / (m + 1) for j in ranks]
-    if isinstance(ref, Exponential):
-        return [-math.expm1(-partial_harmonic(m - j + 1, m)) for j in ranks]
-    if isinstance(ref, NegExponential):
-        return [math.exp(-partial_harmonic(j, m)) for j in ranks]
     if isinstance(ref, LogLogistic) and ref.a == 1.0:
         return [j / m for j in ranks]
-    if isinstance(ref, Logistic):
-        return ref.cdf(np.array([_harmonic_gap(j, m) for j in ranks]))
+    if isinstance(ref, (Exponential, NegExponential, Logistic)):
+        # inv[k - 1] = 1/k. math.fsum rounds the exact sum once, so the sum of
+        # a slice is partial_harmonic's value over those k, to the bit.
+        inv = [1.0 / k for k in range(1, m + 1)]
+        if isinstance(ref, Exponential):  # H_m - H_{m-j}
+            return [-math.expm1(-math.fsum(inv[m - j : m])) for j in ranks]
+        if isinstance(ref, NegExponential):  # H_m - H_{j-1}
+            return [math.exp(-math.fsum(inv[j - 1 : m])) for j in ranks]
+        # Logistic: G(H_{j-1} - H_{m-j}).
+        return ref.cdf(np.array([math.fsum(inv[m - j : j - 1]) if j - 1 >= m - j
+                                 else -math.fsum(inv[j - 1 : m - j]) for j in ranks]))
     if isinstance(ref, LogLogistic):
         s = 1.0 / ref.a
         return ref.cdf(np.exp([math.lgamma(j + s) - math.lgamma(j)

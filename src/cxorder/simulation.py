@@ -22,7 +22,8 @@ from io import StringIO
 from pathlib import Path
 import numpy as np
 
-from ._seeds import _cached_draws
+from . import _cache
+from ._seeds import DrawTable
 from .baselines import _check_pp_args, _pp_null, _pp_table
 from .distributions import (
     Alternative,
@@ -36,8 +37,10 @@ from .testing import (
     Side,
     TestSpec,
     _decide,
+    _null_key,
     _nulls,
     _pick,
+    _table_gaps,
     batch_statistics,
 )
 
@@ -149,30 +152,56 @@ def _power_row(family: str, param: float, n: int, side: str, trials: int, seed: 
     return PowerRow(family, param, n, m, ell, p, side, rate, se, trials, seed)
 
 
-def _power_cell(grid: PowerGrid, param: float, n: int, m: int, ell: int | None) -> PowerRow:
+def _pinned(spec: TestSpec, n: int, m: int, ell: int | None) -> TestSpec | None:
+    """replace(spec, m=m, ell=ell) resolved at n, or None when it is infeasible."""
+    try:
+        return replace(spec, m=m, ell=ell).resolve(n)
+    except InfeasibleSpecError:
+        return None
+
+
+def _alt_table(grid: PowerGrid, param: float, n: int) -> DrawTable:
+    return DrawTable(Alternative(grid.alternative, param), n, grid.replications, grid.spec.seed,
+                     "alt")
+
+
+def _power_cell(grid: PowerGrid, param: float, n: int, m: int, ell: int | None,
+                rs: TestSpec | None) -> PowerRow:
+    """The row of cell (param, n, m, ell), whose spec resolves to rs, or to
+    None when it is infeasible."""
     spec = grid.spec
     cell = (grid.alternative, param, n, spec.side.value, grid.replications, spec.seed)
-    try:
-        rs = replace(spec, m=m, ell=ell).resolve(n)
-    except InfeasibleSpecError:
+    if rs is None:
         return _power_row(*cell, None, m, ell, spec.p_norm)
     null = _pick(_nulls(rs, n), spec.side)
-    rows = _cached_draws(Alternative(grid.alternative, param), n, grid.replications,
-                         spec.seed, "alt")
-    stats = batch_statistics(rows, rs.ref, rs.m, rs.indices, rs.p_norm)
+    stats = batch_statistics(_alt_table(grid, param, n), rs.ref, rs.m, rs.indices, rs.p_norm)
     rejects = _decide(null, rs.sig_level, _pick(stats, spec.side))[1]
     return _power_row(*cell, rejects, rs.m, len(rs.indices), spec.p_norm)
 
 
 def estimate_power(grid: PowerGrid) -> PowerTable:
-    """Empirical rejection rate for every cell of the grid."""
-    cells = [
-        (param, n, m, ell)
-        for param in grid.params
-        for n in grid.n_grid
-        for (m, ell) in grid.m_ell
-    ]
-    return PowerTable(rows=[_power_cell(grid, *c) for c in cells])
+    """Empirical rejection rate for every cell of the grid.
+
+    For each (param, n), one streamed pass scores the alternative's table
+    for every feasible cell, and one the null table for every cell whose null
+    statistics are not stored yet, so no table is drawn twice; the cells then
+    read their gap matrices from the cache layer.
+    """
+    spec = grid.spec
+    rows = []
+    for param in grid.params:
+        for n in grid.n_grid:
+            pinned = [_pinned(spec, n, m, ell) for m, ell in grid.m_ell]
+            live = [rs for rs in pinned if rs is not None]
+            unscored = [(rs.m, rs.indices) for rs in live if _cache.get(
+                _null_key(rs.ref, n, rs.m, rs.indices, rs.p_norm, rs.mc_trials, rs.seed),
+                rs.mc_trials) is None]
+            _table_gaps(DrawTable(spec.ref, n, spec.mc_trials, spec.seed, "null"), spec.ref,
+                        unscored)
+            _table_gaps(_alt_table(grid, param, n), spec.ref, [(rs.m, rs.indices) for rs in live])
+            rows += [_power_cell(grid, param, n, m, ell, rs)
+                     for (m, ell), rs in zip(grid.m_ell, pinned)]
+    return PowerTable(rows=rows)
 
 
 def pp_power(

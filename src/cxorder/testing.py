@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _cache
 from ._cache import CACHE_DIR_ENV, clear_caches
-from ._seeds import _cached_draws
+from ._seeds import DrawTable
 from .distributions import RefFamily, TailInfo
 from .order_stats import Sample, _divergent_ranks, _pi_values, _score, _weights_readonly
 from .order_stats import pi_bound  # noqa: F401  (perfbench traces this binding)
@@ -244,17 +244,23 @@ def _check_mc(sig_level: float, mc_trials: int) -> None:
 
 
 def _pnorm(parts: np.ndarray, p: float) -> np.ndarray | float:
+    """The p-norm along the last axis of nonnegative parts, which it may
+    overwrite."""
     # np.add.reduce and np.maximum.reduce are what .sum and .max call.
     if math.isinf(p):
         return np.maximum.reduce(parts, axis=-1)
     if p == 1.0:
         return np.add.reduce(parts, axis=-1)
-    return np.power(np.add.reduce(np.power(parts, p), axis=-1), 1.0 / p)
+    return np.power(np.add.reduce(np.power(parts, p, out=parts), axis=-1), 1.0 / p)
 
 
 def _t_pair(gaps: np.ndarray, p: float) -> tuple:
-    """T+ and T- of a gap vector, or of each row of a gap matrix."""
-    return _pnorm(np.maximum(gaps, 0.0), p), _pnorm(np.maximum(-gaps, 0.0), p)
+    """T+ and T- of a gap vector, or of each row of a gap matrix, through
+    one scratch array the size of gaps."""
+    parts = np.maximum(gaps, 0.0)
+    t_plus = _pnorm(parts, p)
+    np.negative(gaps, out=parts)
+    return t_plus, _pnorm(np.maximum(parts, 0.0, out=parts), p)
 
 
 def _arrays_for(
@@ -287,32 +293,65 @@ def _gap_matrix(
     return pis - _score(sorted_rows, weight_mat)[1]
 
 
+def _table_gaps(table: DrawTable, ref: RefFamily,
+                rank_sets: Sequence[tuple[int, Sequence[int]]]) -> list[np.ndarray]:
+    """The gap matrix of an engine table for each (m, indices) of rank_sets:
+    the cache layer's ("gaps", table.key(), ref.identity(), m, indices) entry.
+
+    Every entry missing from the layer comes from one pass over the table,
+    which is drawn, scored for each missing rank set and dropped one chunk
+    at a time, so the table is never held whole. A chunk is scored as
+    `_score` scores those rows of the whole table, to the same bytes.
+    """
+    sets = [(m, tuple(map(int, idx))) for m, idx in rank_sets]
+    keys = [("gaps", table.key(), ref.identity(), *ranks) for ranks in sets]
+    found = {key: _cache.get(key) for key in keys}
+    missing = {key: ranks for key, ranks in zip(keys, sets) if found[key] is None}
+    if missing:
+        arrays = [_arrays_for(ref, table.n, m, idx) for m, idx in missing.values()]
+        gaps = [np.empty((table.count, len(pis))) for _, pis in arrays]
+        lo = 0
+        for chunk in table.chunks():
+            for (weight_mat, pis), out in zip(arrays, gaps):
+                np.subtract(pis, _score(chunk, weight_mat)[1], out=out[lo : lo + len(chunk)])
+            lo += len(chunk)
+        for key, value in zip(missing, gaps):
+            found[key] = _cache.keep(key, value)
+    return [found[key] for key in keys]
+
+
 def batch_statistics(
-    sorted_rows: np.ndarray,
+    sorted_rows: np.ndarray | DrawTable,
     ref: RefFamily,
     m: int,
     indices: Sequence[int],
     p_norm: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Upper and lower statistics for each row of presorted samples.
+    """Upper and lower statistics for each row of a table.
 
-    Rows must be finite and sorted ascending, and are scored as `statistic`
-    scores a sample. Returns a pair of length-R arrays. The gap matrix does
-    not depend on p_norm: a draw table held by the cache layer has it cached
-    per (reference, m, indices); caller rows are checked and scored afresh.
+    The table is either caller rows, which must be finite and sorted
+    ascending and are checked and scored afresh, or an engine table named by
+    its DrawTable, whose gap matrix (`_table_gaps`) the cache layer holds per
+    (reference, m, indices). Rows are scored as `statistic` scores a sample.
+    Returns a pair of length-R arrays. The gap matrix does not depend on
+    p_norm.
     """
-    if sorted_rows.ndim != 2:
-        raise ValueError("sorted_rows must be a 2-D array")
-    rows_key = _cache.source(sorted_rows)
-    if rows_key is None:
+    if isinstance(sorted_rows, DrawTable):
+        (gaps,) = _table_gaps(sorted_rows, ref, [(m, indices)])
+    else:
+        if sorted_rows.ndim != 2:
+            raise ValueError("sorted_rows must be a 2-D array")
         if not np.isfinite(sorted_rows).all() or (sorted_rows[:, 1:] < sorted_rows[:, :-1]).any():
             raise ValueError("each row of sorted_rows must be finite and sorted ascending")
         gaps = _gap_matrix(sorted_rows, ref, m, indices)
-    else:
-        key = ("gaps", rows_key, ref.identity(), m, tuple(map(int, indices)))
-        gaps = _cache.lookup(key, lambda: _gap_matrix(sorted_rows, ref, m, indices))
     t_plus, t_minus = _t_pair(gaps, p_norm)
     return np.asarray(t_plus), np.asarray(t_minus)
+
+
+def _null_key(ref: RefFamily, n: int, m: int, indices: Sequence[int], p_norm: float,
+              trials: int, seed: int) -> tuple:
+    """The cache key of null_statistics(ref, n, m, indices, p_norm, trials, seed)."""
+    return ("null", ref.identity(), n, m, tuple(map(int, indices)), float(p_norm), trials, seed)
 
 
 def null_statistics(
@@ -328,17 +367,18 @@ def null_statistics(
     configuration.
 
     Held by the cache layer in memory, and on disk as well when the cache
-    directory environment variable is set.
+    directory environment variable is set. On a miss the null table is
+    scored by batch_statistics, looked up through this module's global, so a
+    caller that wraps it sees every computed table.
     """
-    key = ("null", ref.identity(), n, m, tuple(map(int, indices)), float(p_norm),
-           trials, seed)
 
     def compute() -> tuple[np.ndarray, np.ndarray]:
-        rows = _cached_draws(ref, n, trials, seed, "null")
-        t_plus, t_minus = batch_statistics(rows, ref, m, indices, p_norm)
+        table = DrawTable(ref, n, trials, seed, "null")
+        t_plus, t_minus = batch_statistics(table, ref, m, indices, p_norm)
         return np.sort(t_plus), np.sort(t_minus)
 
-    return _cache.lookup(key, compute, disk_length=trials)
+    return _cache.lookup(_null_key(ref, n, m, indices, p_norm, trials, seed), compute,
+                         disk_length=trials)
 
 
 def _decide(null_sorted: np.ndarray, sig_level: float, stats=0.0) -> tuple:

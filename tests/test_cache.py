@@ -5,6 +5,7 @@ import importlib
 import math
 import pkgutil
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,14 +13,14 @@ import pytest
 import cxorder
 from cxorder import (Cauchy, Exponential, Frechet, InfeasibleSpecError, Logistic, PowerGrid,
                      TestSpec, critical_value, ingest, pi_bound, pp_power, run_test)
-from cxorder import _cache, baselines, order_stats, testing
+from cxorder import _cache, baselines, order_stats, simulation, testing
 from cxorder.special import ConvergenceError
-from cxorder._seeds import _cached_draws, _sorted_draws
+from cxorder._seeds import DrawTable, _sorted_draws
 from cxorder.baselines import _pp_null
 from cxorder.distributions import Alternative
-from cxorder.order_stats import _pi_values, os_weights
+from cxorder.order_stats import _pi_values, _weights_readonly, os_weights
 from cxorder.simulation import estimate_power
-from cxorder.testing import batch_statistics, null_statistics
+from cxorder.testing import _gap_matrix, _table_gaps, batch_statistics, null_statistics
 from test_testing import _unlabeled_customs
 
 
@@ -34,14 +35,19 @@ def _kinds() -> set:
     return {key[0] for key in _cache._entries}
 
 
-def _fill() -> np.ndarray:
-    """Put every kind of entry in the store; returns a cached draw table."""
+def _fill() -> list:
+    """Put every kind of entry in the store; returns the keys it holds. No
+    entry is a draw table: a power grid keeps the gap matrices of its tables
+    (50 and 120 rows of n = 20, scored at 3 ranks), never their rows."""
     grid = PowerGrid(alternative="weibull", params=(1.5,), n_grid=(20,), m_ell=((3, None),),
                      spec=TestSpec(Exponential(), mc_trials=120, seed=3), replications=50)
     estimate_power(grid)
     pp_power("weibull", 1.5, 12, replications=50, mc_trials=120, base_seed=3)
-    assert _kinds() == {"draws", "gaps", "null", "pairs", "bounds", "weights"}
-    return _cached_draws(Alternative("weibull", 1.5), 20, 50, 3, "alt")
+    assert _kinds() == {"gaps", "null", "pairs", "bounds", "weights"}
+    shapes = {a.shape for value in _cache._entries.values() for a in _cache._arrays(value)}
+    assert {(50, 3), (120, 3)} <= shapes
+    assert not {(50, 20), (120, 20)} & shapes
+    return list(_cache._entries)
 
 
 def test_same_label_customs_get_their_own_gap_matrices_and_rates():
@@ -56,41 +62,49 @@ def test_same_label_customs_get_their_own_gap_matrices_and_rates():
     _cache.clear_caches()
     # Both references score the same cached alternative table.
     assert [estimate_power(grid).rows[0].rate for grid in grids] == fresh
-    rows = _cached_draws(Alternative("weibull", 1.5), 40, 300, 2, "alt")
-    gaps = [_cache._entries[("gaps", _cache.source(rows), ref.identity(), 6, tuple(range(1, 7)))]
+    table = DrawTable(Alternative("weibull", 1.5), 40, 300, 2, "alt")
+    gaps = [_cache._entries[("gaps", table.key(), ref.identity(), 6, tuple(range(1, 7)))]
             for ref in refs]
     assert gaps[0].tobytes() != gaps[1].tobytes()
 
 
 def test_null_and_alternative_tables_never_share_an_entry():
     null_ref, alt = Exponential(), Alternative("weibull", 1.0)
+    ranks = (1, 2, 3)
     for order in ((null_ref, alt), (alt, null_ref)):
         _cache.clear_caches()
         got = {}
         for family in order:
             label = "null" if family is null_ref else "alt"
-            got[label] = _cached_draws(family, 30, 200, 5, label)
-        assert _cache.source(got["null"]) != _cache.source(got["alt"])
-        assert got["null"].tobytes() == _sorted_draws(null_ref, 30, 200, 5, "null").tobytes()
-        assert got["alt"].tobytes() == _sorted_draws(alt, 30, 200, 5, "alt").tobytes()
+            (got[label],) = _table_gaps(DrawTable(family, 30, 200, 5, label), null_ref,
+                                        [(3, ranks)])
+        assert [key[1] for key in _cache._entries if key[0] == "gaps"] == [
+            DrawTable(family, 30, 200, 5, "null" if family is null_ref else "alt").key()
+            for family in order]
+        for label, family in (("null", null_ref), ("alt", alt)):
+            want = _gap_matrix(_sorted_draws(family, 30, 200, 5, label), null_ref, 3, ranks)
+            assert got[label].tobytes() == want.tobytes()
         assert got["null"].tobytes() != got["alt"].tobytes()
 
 
 @pytest.mark.parametrize("clear", [testing.clear_caches, _cache.clear_caches],
                          ids=["testing", "cache"])
 def test_each_clear_caches_alias_empties_every_kind(clear):
-    rows = _fill()
+    keys = _fill()
     clear()
     assert not _cache._entries
     assert _cache._held == 0
-    assert _cache.source(rows) is None
+    assert [_cache.get(key) for key in keys] == [None] * len(keys)
 
 
 def test_every_array_the_layer_hands_out_is_read_only(tmp_path, monkeypatch):
     monkeypatch.setenv(_cache.CACHE_DIR_ENV, str(tmp_path))
-    rows = _fill()
-    handed = [rows, *_pp_null(12, 120, 3), *null_statistics(Exponential(), 20, 3, (1, 2, 3),
-                                                             1.0, 120, 3)]
+    _fill()
+    # One gap matrix the grid stored and one computed here.
+    table = DrawTable(Alternative("weibull", 1.5), 20, 50, 3, "alt")
+    handed = [*_table_gaps(table, Exponential(), [(3, (1, 2, 3)), (5, (2, 4))]),
+              *_pp_null(12, 120, 3), *null_statistics(Exponential(), 20, 3, (1, 2, 3), 1.0, 120, 3)]
+    handed += [a for value in _cache._entries.values() for a in _cache._arrays(value)]
     _cache.clear_caches()
     handed += null_statistics(Exponential(), 20, 3, (1, 2, 3), 1.0, 120, 3)  # from disk
     handed += [a for value in _cache._entries.values() for a in _cache._arrays(value)]
@@ -117,18 +131,24 @@ def test_disk_entry_of_another_version_is_recomputed(tmp_path, monkeypatch):
 
 
 def test_tiny_budget_evicts_least_recently_used_and_recomputes_identically(monkeypatch):
-    ref = Exponential()
-    keys = [(ref, 25, 100, seed) for seed in (1, 2, 3)]
-    size = 25 * 100 * 8
-    monkeypatch.setattr(_cache, "BUDGET_BYTES", int(2.5 * size))
-    first = [_cached_draws(*key, "null").tobytes() for key in keys[:2]]
-    _cached_draws(*keys[0], "null")  # now keys[1] is the least recently used
-    third = _cached_draws(*keys[2], "null")
-    held = {key[5] for key in _cache._entries}
+    ref, ranks = Exponential(), (1, 2, 3)
+    tables = [DrawTable(ref, 25, 100, seed, "null") for seed in (1, 2, 3)]
+    size = 100 * 3 * 8
+    # The one weight matrix and bound vector all three tables share.
+    shared = _weights_readonly(25, 3, ranks).nbytes + 3 * 8
+    monkeypatch.setattr(_cache, "BUDGET_BYTES", int(2.5 * size) + shared)
+
+    def gaps(table):
+        return _table_gaps(table, ref, [(3, ranks)])[0]
+
+    first = [gaps(table).tobytes() for table in tables[:2]]
+    gaps(tables[0])  # now tables[1] is the least recently used
+    third = gaps(tables[2])
+    held = {key[1][5] for key in _cache._entries if key[0] == "gaps"}
     assert held == {1, 3}
-    assert _cache._held == 2 * size
-    assert _cache.source(third) is not None
-    again = [_cached_draws(*key, "null").tobytes() for key in keys[:2]]
+    assert _cache._held == 2 * size + shared
+    assert _cache.get(("gaps", tables[2].key(), ref.identity(), 3, ranks)) is third
+    again = [gaps(table).tobytes() for table in tables[:2]]
     assert again == first
 
 
@@ -146,19 +166,24 @@ def test_tiny_budget_gives_identical_power_tables(monkeypatch):
 
 
 def test_entry_over_budget_is_handed_out_read_only_and_not_held(monkeypatch):
+    # The 100 x 3 gap matrix is 2400 bytes; its weights and bounds fit.
     monkeypatch.setattr(_cache, "BUDGET_BYTES", 1000)
-    rows = _cached_draws(Exponential(), 25, 100, 1, "null")
-    assert not rows.flags.writeable
-    assert _cache.source(rows) is None
-    assert not _cache._entries
+    table = DrawTable(Exponential(), 25, 100, 1, "null")
+    (gaps,) = _table_gaps(table, Exponential(), [(3, (1, 2, 3))])
+    assert not gaps.flags.writeable
+    assert gaps.tobytes() == _gap_matrix(_sorted_draws(Exponential(), 25, 100, 1, "null"),
+                                         Exponential(), 3, (1, 2, 3)).tobytes()
+    assert _kinds() == {"bounds", "weights"}
 
 
 def test_caller_rows_are_scored_without_caching():
     ref = Exponential()
-    rows = _cached_draws(ref, 20, 120, 4, "null").copy()
+    rows = _sorted_draws(ref, 20, 120, 4, "null")
+    table = batch_statistics(DrawTable(ref, 20, 120, 4, "null"), ref, 3, (1, 2, 3), 1.0)
     _cache.clear_caches()
-    batch_statistics(rows, ref, 3, (1, 2, 3), 1.0)
-    assert not _kinds() & {"draws", "gaps"}
+    caller = batch_statistics(rows, ref, 3, (1, 2, 3), 1.0)
+    assert [a.tobytes() for a in caller] == [a.tobytes() for a in table]
+    assert _kinds() == {"bounds", "weights"}
 
 
 def test_gap_matrix_is_shared_across_p_norms():
@@ -192,13 +217,17 @@ def test_every_drawn_table_is_keyed_by_the_family_identity():
     # streams, but not an identity: no table of one may serve the other.
     families = (*_unlabeled_customs(), Alternative("student-t", 3.0))
     for family in families:
-        _cached_draws(family, 6, 10, 2, "draws-label")
+        batch_statistics(DrawTable(family, 6, 10, 2, "draws-label"), Exponential(), 2, (1, 2),
+                         1.0)
         baselines._pp_table(family, 6, 10, 2, "pairs-label")
-    assert {key[:3] for key in _cache._entries if key[0] in ("draws", "pairs")} == {
+    drawn = [key[1] for key in _cache._entries if key[0] == "gaps"]
+    drawn += [key for key in _cache._entries if key[0] == "pairs"]
+    assert {key[:3] for key in drawn} == {
         (kind, label, family.identity())
         for family in families
         for kind, label in (("draws", "draws-label"), ("pairs", "pairs-label"))
     }
+    assert len(drawn) == 2 * len(families)
 
 
 def _bound_keys() -> list:
@@ -329,3 +358,62 @@ def test_no_functools_cache_outside_the_cache_layer():
               for attr, value in vars(mod).items()
               if callable(getattr(value, "cache_clear", None))]
     assert cached == []
+
+
+def test_a_computed_null_table_is_scored_beneath_null_statistics(monkeypatch):
+    """A cold null_statistics call scores its table with exactly one
+    testing.batch_statistics call, looked up as a module global, and a warm
+    call makes none. The benchmark's traced cold guard (perfbench/layers.py)
+    counts a null table computed without a batch_statistics span beneath
+    null_statistics as a cache hit, so a cold run would read as warm."""
+    calls, depth = [], []
+    real_batch, real_null = testing.batch_statistics, testing.null_statistics
+
+    def batch(*args, **kwargs):
+        calls.append((bool(depth), args[0]))
+        return real_batch(*args, **kwargs)
+
+    def null(*args, **kwargs):
+        depth.append(1)
+        try:
+            return real_null(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(testing, "batch_statistics", batch)
+    monkeypatch.setattr(testing, "null_statistics", null)
+    args = (Exponential(), 40, 5, range(1, 6), 1.0, 300, 7)
+    first = testing.null_statistics(*args)
+    assert [(inside, rows.key()) for inside, rows in calls] == [
+        (True, DrawTable(Exponential(), 40, 300, 7, "null").key())]
+    assert testing.null_statistics(*args) is first
+    assert len(calls) == 1
+    # A new p reads the stored gap matrix, but its statistics are computed.
+    testing.null_statistics(*args[:4], 2.0, *args[5:])
+    assert len(calls) == 2 and calls[1][0]
+    # A power grid scores its tables in shared passes, yet each null entry it
+    # computes still goes through batch_statistics beneath null_statistics.
+    _cache.clear_caches()
+    calls.clear()
+    monkeypatch.setattr(simulation, "batch_statistics", batch)
+    grid = PowerGrid(alternative="weibull", params=(1.5, 2.0), n_grid=(20,),
+                     m_ell=((1, None), (3, None)), spec=TestSpec(Exponential(), mc_trials=120),
+                     replications=50)
+    estimate_power(grid)
+    assert [inside for inside, rows in calls if rows.label == "null"] == [True, True]
+    assert [inside for inside, rows in calls if rows.label == "alt"] == [False] * 4
+
+
+def test_a_cold_null_table_holds_one_chunk_of_draws_at_a_time(monkeypatch):
+    # The whole 2000 x 1000 draw table would be 15.3 MiB; a 64-row chunk is
+    # 0.5 MiB and the gap matrix 0.15 MiB.
+    monkeypatch.delenv(_cache.CACHE_DIR_ENV, raising=False)
+    ref, ranks = Exponential(), tuple(range(1, 11))
+    testing._arrays_for(ref, 1000, 10, ranks)
+    tracemalloc.start()
+    try:
+        null_statistics(ref, 1000, 10, range(1, 11), 1.0, 2000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20

@@ -290,6 +290,26 @@ def test_pi_exponential_closed_form():
             assert v == pytest.approx(expect, abs=1e-13)
 
 
+def _harmonic(lo: int, hi: int) -> float:
+    """sum of 1/k for lo <= k <= hi, 0.0 when the range is empty."""
+    return partial_harmonic(lo, hi) if lo <= hi else 0.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 30, 150, 2000])
+def test_harmonic_closed_forms_are_partial_harmonic_sums_to_the_bit(m):
+    # _pi_values sums slices of one list of reciprocals; math.fsum rounds the
+    # exact sum once, so each rank gets the bytes of its own partial sum.
+    ranks = np.arange(1, m + 1)
+    want = {
+        Exponential(): [-math.expm1(-_harmonic(m - j + 1, m)) for j in ranks.tolist()],
+        NegExponential(): [math.exp(-_harmonic(j, m)) for j in ranks.tolist()],
+        Logistic(): Logistic().cdf(np.array([_harmonic(m - j + 1, j - 1) - _harmonic(j, m - j)
+                                             for j in ranks.tolist()])),
+    }
+    for ref, values in want.items():
+        assert _pi_values(ref, m, ranks).tobytes() == np.asarray(values, dtype=float).tobytes()
+
+
 def test_pi_neg_exponential_closed_form():
     # mpmath: exp(-(1/3 + ... + 1/7))
     b = pi_bound(NegExponential(), 3, 7)

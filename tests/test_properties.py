@@ -27,7 +27,7 @@ from cxorder import (
     statistic,
 )
 from cxorder import _cache
-from cxorder._seeds import _cached_draws
+from cxorder._seeds import DrawTable, _sorted_draws
 from cxorder.baselines import _pair_counts
 from cxorder.order_stats import Sample
 from cxorder.testing import Side, _gap_matrix, batch_statistics
@@ -47,31 +47,39 @@ def _drop_tables():
 
 @st.composite
 def tables(draw):
-    """A cached null table with a reference, m and a set of ranks."""
+    """An engine null table with a reference, m and a set of ranks."""
     ref = draw(st.sampled_from(REFS))
     n = draw(st.integers(1, 40))
     m = draw(st.integers(1, 8))
     indices = tuple(sorted(draw(st.sets(st.integers(1, m), min_size=1))))
-    rows = _cached_draws(ref, n, draw(st.integers(1, 150)), draw(st.integers(0, 2**31)), "null")
-    return rows, ref, m, indices
+    table = DrawTable(ref, n, draw(st.integers(1, 150)), draw(st.integers(0, 2**31)), "null")
+    return table, ref, m, indices
+
+
+def _rows(table: DrawTable) -> np.ndarray:
+    return _sorted_draws(table.family, table.n, table.count, table.seed, table.label)
 
 
 @SETTINGS
 @given(tables())
 def test_cached_reductions_equal_uncached_bit_for_bit(table):
-    rows, ref, m, indices = table
+    # The engine table is streamed and its gap matrix cached; the same rows
+    # drawn whole and passed in are scored afresh.
+    table, ref, m, indices = table
+    rows = _rows(table)
     for p in P_NORMS:
-        cached = batch_statistics(rows, ref, m, indices, p)
-        fresh = batch_statistics(rows.copy(), ref, m, indices, p)
+        cached = batch_statistics(table, ref, m, indices, p)
+        fresh = batch_statistics(rows, ref, m, indices, p)
         assert [a.tobytes() for a in cached] == [a.tobytes() for a in fresh]
-    assert ("gaps", _cache.source(rows), ref.identity(), m, indices) in _cache._entries
+    assert ("gaps", table.key(), ref.identity(), m, indices) in _cache._entries
 
 
 @SETTINGS
 @given(tables())
 def test_upper_minus_lower_is_the_gap_sum_at_p_1(table):
-    rows, ref, m, indices = table
-    t_plus, t_minus = batch_statistics(rows, ref, m, indices, 1.0)
+    table, ref, m, indices = table
+    rows = _rows(table)
+    t_plus, t_minus = batch_statistics(table, ref, m, indices, 1.0)
     k = len(indices)
     # Each side sums k terms of magnitude below 1.
     np.testing.assert_allclose(t_plus - t_minus, _gap_matrix(rows, ref, m, indices).sum(axis=1),
@@ -81,10 +89,10 @@ def test_upper_minus_lower_is_the_gap_sum_at_p_1(table):
 @SETTINGS
 @given(tables(), st.sampled_from(P_NORMS))
 def test_statistics_lie_between_0_and_the_rank_count_root(table, p):
-    rows, ref, m, indices = table
+    table, ref, m, indices = table
     k = len(indices)
     bound = k ** (1.0 / p) * (1 + 4 * k * EPS)
-    for t in batch_statistics(rows, ref, m, indices, p):
+    for t in batch_statistics(table, ref, m, indices, p):
         assert np.all(t >= 0.0)
         assert np.all(t <= bound)
 
@@ -96,7 +104,7 @@ def scored_tables(draw):
     ref = draw(st.sampled_from(REFS))
     n = draw(st.integers(1, 80))
     m = draw(st.integers(1, 8))
-    rows = _cached_draws(ref, n, draw(st.integers(1, 70)), draw(st.integers(0, 2**31)), "alt")
+    rows = _sorted_draws(ref, n, draw(st.integers(1, 70)), draw(st.integers(0, 2**31)), "alt")
     form = draw(st.sampled_from(["drawn", "rounded", "subnormal"]))
     rows = {"drawn": rows, "rounded": np.round(rows, 1), "subnormal": rows * 1e-310}[form]
     return np.array(rows), ref, m

@@ -1,7 +1,8 @@
 """The scoring kernel `order_stats._score`: its batched ECDF pass against one
 np.interp per row, bit for bit; which path a table takes; the prefix and
-block structure of drawn tables' gap matrices; and an exact oracle for the
-statistic at n = 1000, m = 150."""
+block structure of drawn tables' gap matrices; engine tables scored chunk by
+chunk against the whole table; and an exact oracle for the statistic at
+n = 1000, m = 150."""
 
 import bisect
 import math
@@ -28,10 +29,10 @@ from cxorder import (
     statistic,
 )
 from cxorder import _cache, order_stats
-from cxorder._seeds import _BLOCK_ROWS, _sorted_draws
+from cxorder._seeds import _BLOCK_ROWS, DrawTable, _chunk_rows, _sorted_draws
 from cxorder.distributions import Alternative
 from cxorder.order_stats import _interp_rows, _score, _weights_readonly
-from cxorder.testing import Side, _gap_matrix
+from cxorder.testing import Side, _gap_matrix, _table_gaps, null_statistics
 
 FAMILIES = [
     Uniform(),
@@ -236,6 +237,45 @@ def test_a_tables_gaps_are_its_blocks_gaps(n, m):
     blocks = [_gap_matrix(rows[lo : lo + _BLOCK_ROWS], Exponential(), m, range(1, m + 1))
               for lo in range(0, len(rows), _BLOCK_ROWS)]
     assert full.tobytes() == np.vstack(blocks).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 25, 200, 1000])
+@pytest.mark.parametrize("count", [100, 1000, 5000])
+def test_streamed_tables_score_to_the_whole_tables_bytes(n, count):
+    # Chunks are 64 rows at n = 1000, 320 at 200 and 2560 at 25 (one chunk
+    # at n = 2), so the sizes cover one chunk, many, and a short last block.
+    ref = Exponential()
+    assert _chunk_rows(n) == {2: 512 * _BLOCK_ROWS, 25: 2560, 200: 320, 1000: 64}[n]
+    # Both sides of the batched pass's cut-off, scored in one shared pass.
+    sets = [(5, tuple(range(1, 6))), (40, tuple(range(1, 41)))]
+    got = _table_gaps(DrawTable(ref, n, count, 43, "null"), ref, sets)
+    rows = _sorted_draws(ref, n, count, 43, "null")
+    for (m, ranks), gaps in zip(sets, got):
+        assert gaps.tobytes() == _gap_matrix(rows, ref, m, ranks).tobytes()
+    # A cold null table, streamed alone.
+    nulls = null_statistics(ref, n, 5, range(1, 6), 2.0, count, 47)
+    gaps = _gap_matrix(_sorted_draws(ref, n, count, 47, "null"), ref, 5, range(1, 6))
+    want = [np.sort(np.power(np.add.reduce(np.power(np.maximum(side, 0.0), 2.0), axis=1), 0.5))
+            for side in (gaps, -gaps)]
+    assert [a.tobytes() for a in nulls] == [a.tobytes() for a in want]
+
+
+def test_an_engine_table_is_drawn_one_chunk_at_a_time(monkeypatch):
+    from cxorder import _seeds
+
+    filled = []
+    real = _seeds._fill
+
+    def counting(rows, family, seed, label, first):
+        filled.append((first, len(rows)))
+        return real(rows, family, seed, label, first)
+
+    monkeypatch.setattr(_seeds, "_fill", counting)
+    chunks = list(DrawTable(Exponential(), 200, 1000, 3, "null").chunks())
+    assert filled == [(0, 320), (320, 320), (640, 320), (960, 40)]
+    assert [len(c) for c in chunks] == [320, 320, 320, 40]
+    assert np.vstack(chunks).tobytes() == _sorted_draws(Exponential(), 200, 1000, 3,
+                                                        "null").tobytes()
 
 
 # ------------------------------------------------- exact oracle, n = 1000

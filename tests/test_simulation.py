@@ -7,6 +7,7 @@ import hashlib
 import io
 import math
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,7 @@ from cxorder import (
     reproduce,
 )
 from cxorder import baselines
+from cxorder._seeds import DrawTable
 from cxorder.simulation import CSV_HEADER, EXHIBITS, PowerTable
 from cxorder.testing import clear_caches
 
@@ -188,6 +190,35 @@ def test_table2_draws_each_proschan_pyke_table_once(tmp_path, monkeypatch):
     reproduce("table2", out_dir=tmp_path, replications=100, mc_trials=100)
     # One null and one alternative table for each of the five sample sizes.
     assert drawn == {"pp-null": 5, "pp-alt": 5}
+
+
+def test_shared_passes_give_each_cell_its_one_at_a_time_row(monkeypatch):
+    # (3, 3) is infeasible: log-logistic(1) has no bound at rank m.
+    grid = PowerGrid(alternative="log-logistic", params=(0.5, 1.5), n_grid=(20, 60),
+                     m_ell=((3, 1), (5, 3), (3, 3), (10, 8)),
+                     spec=TestSpec(LogLogistic(1.0), p_norm=2.0, mc_trials=200, seed=4),
+                     replications=150)
+    drawn = []
+    real = DrawTable.chunks
+
+    def counting(table):
+        drawn.append((table.label, table.family.identity(), table.n))
+        return real(table)
+
+    monkeypatch.setattr(DrawTable, "chunks", counting)
+    clear_caches()
+    rows = estimate_power(grid).rows
+    # One alternative table per (param, n), one null table per n.
+    assert sorted(Counter(drawn).values()) == [1] * 6
+    assert sum(row.rate is None for row in rows) == 4
+    one_at_a_time = []
+    for param in grid.params:
+        for n in grid.n_grid:
+            for m_ell in grid.m_ell:
+                clear_caches()
+                cell = replace(grid, params=(param,), n_grid=(n,), m_ell=(m_ell,))
+                one_at_a_time += estimate_power(cell).rows
+    assert rows == one_at_a_time
 
 
 def test_reproduce_rejects_nonpositive_threads(tmp_path):

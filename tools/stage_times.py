@@ -20,6 +20,9 @@ per call (the caches they read stay warm). The stages are the ones the north sta
 - draws `_sorted_draws`: exponential nulls at n = 1000, 2000 rows;
   Student's t(1.1) at n = 100, 5000 rows (table2's shape); weibull(1.5) at
   n = 200, 1000 rows (the power study's alternatives);
+- a cold exponential null table at n = 1000, m = 150 (every rank), p = 1,
+  T = 2000 (`null_statistics`: draws and scoring), with warm weights and a
+  new seed for each repeat, so the table is cold and the weights are not;
 - `batch_statistics` at m = 150, every rank, p = 1, on 2000 exponential
   rows of n = 1000 that the caller built (so no gap matrix is cached), with
   warm weights; the same on 1000 rows at n = 25 with m = 1 and 20 (the
@@ -43,10 +46,16 @@ per call (the caches they read stay warm). The stages are the ones the north sta
   own threads and through `cxorder._blas.matmul` on one thread (checkouts
   without that module get no pinned stage).
 
+Apart from the timings, it records the tracemalloc peak, in MiB, of one
+cold exponential null table (`null_statistics`, p = 1, every rank, weights
+and bounds warm, no disk cache) at (n, T, m) = (1000, 2000, 150) and
+(2000, 5000, 300): the memory a cold request needs beyond its weights.
+Warming the weights at (2000, 300) takes about 5 s.
+
 To compare two checkouts on one machine, run this script from either with
 PYTHONPATH pointing at each checkout's src/ in turn, under two labels, and
 compare the files stage by stage. It uses the standard library and numpy
-only, and takes about 25 s on two cores.
+only, and takes about 40 s on two cores.
 """
 
 from __future__ import annotations
@@ -56,6 +65,7 @@ import json
 import os
 import platform
 import time
+import tracemalloc
 from pathlib import Path
 from typing import Callable
 
@@ -63,11 +73,11 @@ import numpy as np
 
 from cxorder import (Alternative, Cauchy, Exponential, Logistic, TestSpec, ingest, run_test,
                      statistic)
-from cxorder._cache import clear_caches
+from cxorder._cache import CACHE_DIR_ENV, clear_caches
 from cxorder._seeds import _sorted_draws
 from cxorder.baselines import _pp_counts
 from cxorder.order_stats import _weights_readonly
-from cxorder.testing import Side, _arrays_for, _observed, batch_statistics
+from cxorder.testing import Side, _arrays_for, _observed, batch_statistics, null_statistics
 
 REPEATS = 5
 CALLS = 2000
@@ -111,6 +121,9 @@ def stages() -> dict[str, dict]:
 
     rows = _sorted_draws(Exponential(), 1000, 2000, 11, "null")
     _weights(1000, 150)()
+    seeds = iter(range(100, 100 + REPEATS))
+    out["null_statistics_cold n=1000 m=150 trials=2000"] = _best(
+        lambda: null_statistics(Exponential(), 1000, 150, range(1, 151), 1.0, 2000, next(seeds)))
     out["batch_statistics n=1000 m=150 rows=2000"] = _best(
         lambda: batch_statistics(rows, Exponential(), 150, range(1, 151), 1.0))
     for n, ms in ((25, (1, 20)), (200, (1, 10, 20, 30, 50))):
@@ -161,6 +174,22 @@ def stages() -> dict[str, dict]:
     return out
 
 
+def memory() -> dict[str, dict]:
+    out = {}
+    for n, trials, m in ((1000, 2000, 150), (2000, 5000, 300)):
+        ranks = tuple(range(1, m + 1))
+        clear_caches()
+        _arrays_for(Exponential(), n, m, ranks)
+        tracemalloc.start()
+        try:
+            null_statistics(Exponential(), n, m, ranks, 1.0, trials, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out[f"null_statistics_cold n={n} trials={trials} m={m}"] = {"peak_mib": peak / 2**20}
+    return out
+
+
 def _blas() -> str:
     try:
         deps = np.show_config(mode="dicts")["Build Dependencies"]
@@ -185,11 +214,15 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     args = parser.parse_args()
-    record = {"label": args.label, "repeats": REPEATS, "machine": machine(), "stages": stages()}
+    os.environ.pop(CACHE_DIR_ENV, None)  # a disk entry would serve the cold tables
+    record = {"label": args.label, "repeats": REPEATS, "machine": machine(), "stages": stages(),
+              "tracemalloc_peak": memory()}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     for name, stage in record["stages"].items():
         print(f"{name:45s} {stage['best_s'] * 1e3:10.4f} ms")
+    for name, peak in record["tracemalloc_peak"].items():
+        print(f"{name:45s} {peak['peak_mib']:10.2f} MiB peak")
     print(f"wrote {path.name}")
 
 
