@@ -3,14 +3,14 @@ matrix goes through.
 
 A key is a tuple that names the computation behind its value: the kind of
 entry first, then everything the value depends on. The kinds are "gaps" (the
-rows x ranks gap matrix of a drawn table, keyed by the table's draw key),
-"null" (sorted null statistics), "pairs" (sorted Proschan-Pyke pair counts),
-"bounds" and "weights". No draw table is stored: a table is drawn, scored
-and dropped. Values are arrays, or tuples of arrays, and are stored
-read-only. In memory, entries share one least-recently-used store
-bounded to BUDGET_BYTES of array data. Entries asked for with a disk length
-are also kept on disk when the CXORDER_CACHE_DIR environment variable is set;
-their file name hashes the key together with CACHE_VERSION.
+rows x ranks gap matrix of a drawn table) and "pairs" (its sorted
+Proschan-Pyke pair counts), both naming the table by `DrawTable.key()`,
+"null" (sorted null statistics), "bounds" and "weights". No draw table is
+stored. Values are arrays, or tuples of arrays, stored read-only, in one
+least-recently-used store bounded to BUDGET_BYTES of array data. Entries
+asked for with a disk length, the "null" ones, are also kept on disk when
+the CXORDER_CACHE_DIR environment variable is set; their file name hashes
+the key together with CACHE_VERSION.
 """
 
 from __future__ import annotations

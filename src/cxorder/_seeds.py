@@ -8,8 +8,9 @@ the digest read as a little-endian integer. A table is drawn in blocks of
 _BLOCK_ROWS rows with one stream per block, and each block with one
 family.sample(_BLOCK_ROWS * n, rng) call read row after row. A short last
 block is drawn whole and cut, so the first k rows of a table are the k-row
-table. An engine table (`DrawTable`) is drawn one chunk of whole blocks at
-a time, so no table needs to be held whole.
+table. Every Monte Carlo table is a `DrawTable`, and `DrawTable.chunks()`
+is the only code that draws one: a chunk of whole blocks at a time, so no
+table is ever held whole.
 numpy.random and hashlib are loaded on the first draw, not by importing the
 package.
 """
@@ -47,25 +48,10 @@ def derive_rng(seed: int, *path: object) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _fill(rows: np.ndarray, family: RefFamily | Alternative, seed: int, label: str,
-          first: int) -> None:
-    """Write the sorted table rows first, first + 1, ... into rows; first is
-    a multiple of _BLOCK_ROWS. Block b (rows b * _BLOCK_ROWS onward) is
-    family.sample(_BLOCK_ROWS * n, derive_rng(seed, label, family.cache_key(),
-    n, b)) cut to its rows."""
-    n = rows.shape[1]
-    key = family.cache_key()
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start : start + _BLOCK_ROWS]
-        rng = derive_rng(seed, label, key, n, (first + start) // _BLOCK_ROWS)
-        block[:] = family.sample(_BLOCK_ROWS * n, rng)[: block.size].reshape(block.shape)
-        block.sort(axis=1)
-
-
 class DrawTable:
     """The count x n table of sorted samples of family drawn under (seed,
-    label). It is drawn when asked for, whole or chunk by chunk, and never
-    stored; key() names it in the keys of what is computed from it."""
+    label). It is drawn chunk by chunk when asked for and never stored;
+    key() names it in the keys of what is computed from it."""
 
     # A plain class: a dataclass costs about 1 ms of import time.
     __slots__ = ("family", "n", "count", "seed", "label")
@@ -76,21 +62,20 @@ class DrawTable:
 
     def key(self) -> tuple:
         """The draw key: the table's computation, with the family's identity."""
-        return ("draws", self.label, self.family.identity(), self.n, self.count, self.seed)
+        return (self.label, self.family.identity(), self.n, self.count, self.seed)
 
-    def chunks(self) -> Iterator[np.ndarray]:
-        """The table's rows, _chunk_rows(n) at a time, each chunk a fresh array."""
-        step = _chunk_rows(self.n)
+    def chunks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(first, rows): table rows first, first + 1, ..., _chunk_rows(n) at a
+        time, each chunk a fresh array. Block b (rows b * _BLOCK_ROWS onward)
+        is family.sample(_BLOCK_ROWS * n, derive_rng(seed, label,
+        family.cache_key(), n, b)) cut to its rows."""
+        n, key, step = self.n, self.family.cache_key(), _chunk_rows(self.n)
         for first in range(0, self.count, step):
-            chunk = np.empty((min(step, self.count - first), self.n))
-            _fill(chunk, self.family, self.seed, self.label, first)
-            yield chunk
-
-
-def _sorted_draws(family: RefFamily | Alternative, n: int, count: int, seed: int,
-                  label: str) -> np.ndarray:
-    """The whole table DrawTable(family, n, count, seed, label) as one
-    count x n matrix, for the Proschan-Pyke tables, tests and tools."""
-    out = np.empty((count, n))
-    _fill(out, family, seed, label, 0)
-    return out
+            rows = np.empty((min(step, self.count - first), n))
+            for lo in range(0, len(rows), _BLOCK_ROWS):
+                block = rows[lo : lo + _BLOCK_ROWS]
+                rng = derive_rng(self.seed, self.label, key, n, (first + lo) // _BLOCK_ROWS)
+                values = self.family.sample(_BLOCK_ROWS * n, rng)
+                block[:] = values[: block.size].reshape(block.shape)
+                block.sort(axis=1)
+            yield first, rows

@@ -6,25 +6,27 @@ the sorted sample. Under exponentiality its distribution is parameter
 free, so critical values come from Monte Carlo under the standard
 exponential. The spacings omit any artificial origin term, which makes
 the statistic invariant under location and scale changes. One vector or a
-whole table of draws is counted by one sweep over per-row ranks: O(rows k^2)
-comparisons of small integers in O(rows k) memory.
+table is counted by one sweep over per-row ranks: O(rows k^2) comparisons
+of small integers in O(rows k) memory. A Monte Carlo table is ranked chunk
+by chunk as `DrawTable.chunks()` draws it, so it holds its k x rows rank
+matrix and one chunk of draws, never the table.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from . import _cache
-from ._seeds import _sorted_draws
-from .distributions import Alternative, Exponential, RefFamily
+from ._seeds import DrawTable
+from .distributions import Exponential
 from .order_stats import Sample
-from .testing import TestResult, _check_mc, _result
+from .testing import TestResult, _check_mc, _integer, _result
 
 __all__ = ["normalized_spacings", "pp_statistic", "pp_test"]
 
 _SIDES = ("ihr", "dhr")
-# Rows ranked at a time: a chunk's sorted copy and int64 argsort stay small.
-_RANK_ROWS = 256
 
 
 def normalized_spacings(s: Sample) -> np.ndarray:
@@ -47,39 +49,36 @@ def _spacings(x: np.ndarray) -> np.ndarray:
     return d
 
 
-def _pair_counts(d: np.ndarray) -> tuple:
-    """(#{i < j: d_i > d_j}, #{i < j: d_i < d_j}) along the last axis of d,
-    as two ints for a vector or two float arrays for a rows x k table.
-
-    A value's rank counts the values below it in its row, so a tied pair
-    counts in neither; one sweep over the columns of the k x rows ranks
-    counts ihr, and a row's ranks sum to ihr + dhr.
-    """
-    d = np.asarray(d, dtype=float)
-    k = d.shape[-1]
-    table = d.reshape(-1, k)
-    pos = np.arange(k, dtype=np.min_scalar_type(k))
-    ranks = np.empty((k, len(table)), dtype=pos.dtype)
-    for lo in range(0, len(table), _RANK_ROWS):
-        part = table[lo : lo + _RANK_ROWS]
-        s = np.sort(part, axis=1)
-        first = np.zeros(part.shape, dtype=pos.dtype)
-        np.copyto(first[:, 1:], pos[1:], where=s[:, 1:] != s[:, :-1])
-        np.maximum.accumulate(first, axis=1, out=first)
-        np.put_along_axis(ranks.T[lo : lo + _RANK_ROWS], np.argsort(part, axis=1), first, axis=1)
-    ihr = np.zeros(len(table))
+def _counts(parts: Iterable[tuple[int, np.ndarray]], k: int,
+            rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float pair counts (ihr, dhr) of each row of a rows x k table that
+    arrives as (first, part) pieces of rows first, first + 1, ... Each part
+    is sorted in place and ranked into one C-order k x rows matrix: a rank
+    counts the values below it in its row, so a tied pair counts in neither.
+    One sweep over the matrix counts ihr; a row's ranks sum to ihr + dhr."""
+    ranks = np.empty((k, rows), dtype=np.min_scalar_type(k))
+    pos = np.arange(k, dtype=ranks.dtype)
+    for first, d in parts:
+        order = np.argsort(d, axis=1)
+        d.sort(axis=1)
+        tied = np.zeros(d.shape, dtype=ranks.dtype)
+        np.copyto(tied[:, 1:], pos[1:], where=d[:, 1:] != d[:, :-1])
+        np.maximum.accumulate(tied, axis=1, out=tied)
+        np.put_along_axis(ranks[:, first : first + len(d)].T, order, tied, axis=1)
+    ihr = np.zeros(rows)
     for j in range(1, k):
         # At most j < k pairs per row, so the rank dtype holds the sum.
         ihr += (ranks[:j] > ranks[j]).sum(axis=0, dtype=ranks.dtype)
-    dhr = ranks.sum(axis=0, dtype=float) - ihr
-    if d.ndim == 1:
-        return int(ihr[0]), int(dhr[0])
-    return ihr, dhr
+    return ihr, ranks.sum(axis=0, dtype=float) - ihr
 
 
-def _pp_counts(sorted_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair counts (ihr, dhr) of the normalized spacings of each presorted row."""
-    return _pair_counts(_spacings(sorted_rows))
+def _pair_counts(d: np.ndarray) -> tuple:
+    """(#{i < j: d_i > d_j}, #{i < j: d_i < d_j}) along the last axis of d,
+    as two ints for a vector or two float arrays for a rows x k table."""
+    d = np.array(d, dtype=float)  # a copy, which _counts sorts
+    table = d.reshape(-1, d.shape[-1])
+    ihr, dhr = _counts([(0, table)], table.shape[1], len(table))
+    return (int(ihr[0]), int(dhr[0])) if d.ndim == 1 else (ihr, dhr)
 
 
 def pp_statistic(d: np.ndarray) -> int:
@@ -90,30 +89,31 @@ def pp_statistic(d: np.ndarray) -> int:
     return _pair_counts(d)[0]
 
 
-def _pp_table(family: RefFamily | Alternative, n: int, count: int, seed: int,
-              label: str) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted, read-only pair counts (ihr, dhr) of the drawn table
-    _sorted_draws(family, n, count, seed, label), held by the cache layer."""
+def _pp_table(table: DrawTable) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted, read-only pair counts (ihr, dhr) of the normalized spacings of
+    each row of an engine table, held by the cache layer under ("pairs",
+    table.key()). Each chunk's spacings are ranked as the chunk is drawn."""
 
     def compute() -> tuple[np.ndarray, np.ndarray]:
-        v_ihr, v_dhr = _pp_counts(_sorted_draws(family, n, count, seed, label))
-        return np.sort(v_ihr), np.sort(v_dhr)
+        parts = ((first, _spacings(rows)) for first, rows in table.chunks())
+        return tuple(map(np.sort, _counts(parts, table.n - 1, table.count)))
 
-    return _cache.lookup(("pairs", label, family.identity(), n, count, seed), compute)
+    return _cache.lookup(("pairs", table.key()), compute)
 
 
 def _pp_null(n: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted, read-only null pair counts (ihr, dhr)."""
-    return _pp_table(Exponential(), n, trials, seed, "pp-null")
+    return _pp_table(DrawTable(Exponential(), n, trials, seed, "pp-null"))
 
 
-def _check_pp_args(side: str, sig_level: float, mc_trials: int, n: int) -> None:
-    """The checks pp_test and pp_power share."""
+def _check_pp_args(side: str, sig_level: float, mc_trials: int, n: int) -> int:
+    """The checks pp_test and pp_power share; returns mc_trials as an int."""
     if side not in _SIDES:
         raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
-    _check_mc(sig_level, mc_trials)
+    mc_trials = _check_mc(sig_level, mc_trials)
     if n < 3:
         raise ValueError("need at least three observations")
+    return mc_trials
 
 
 def pp_test(
@@ -129,7 +129,8 @@ def pp_test(
     "dhr" counts the reversed inequality and again rejects for large
     values. Needs at least three observations so that spacing pairs exist.
     """
-    _check_pp_args(side, sig_level, mc_trials, s.n)
+    mc_trials = _check_pp_args(side, sig_level, mc_trials, s.n)
+    seed = _integer("seed", seed)
     k = _SIDES.index(side)
     v_obs = float(_pair_counts(normalized_spacings(s))[k])
     config = {"test": "proschan-pyke", "n": s.n, "side": side, "alpha": sig_level,

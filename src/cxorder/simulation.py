@@ -37,6 +37,7 @@ from .testing import (
     Side,
     TestSpec,
     _decide,
+    _integer,
     _null_key,
     _nulls,
     _pick,
@@ -134,8 +135,7 @@ class PowerGrid:
             raise ValueError("power grids are per side; run upper and lower separately")
         if (self.spec.m, self.spec.ell, self.spec.indices) != (None, None, None):
             raise ValueError("a grid's spec gives no m, ell or indices; m_ell sets them")
-        if self.replications < 1:
-            raise ValueError("replications must be positive")
+        object.__setattr__(self, "replications", _integer("replications", self.replications, 1))
         if not (self.params and self.n_grid and self.m_ell):
             raise ValueError("a grid needs at least one parameter, sample size and (m, ell)")
 
@@ -215,12 +215,13 @@ def pp_power(
     base_seed: int = 0,
 ) -> PowerRow:
     """Rejection rate of the Proschan-Pyke test under an alternative."""
-    _check_pp_args(side, sig_level, mc_trials, n)
-    if replications < 1:
-        raise ValueError("replications must be positive")
+    mc_trials = _check_pp_args(side, sig_level, mc_trials, n)
+    replications = _integer("replications", replications, 1)
+    base_seed = _integer("base_seed", base_seed)
     k = 0 if side == "ihr" else 1
     null = _pp_null(n, mc_trials, base_seed)[k]
-    v = _pp_table(Alternative(alternative, param), n, replications, base_seed, "pp-alt")[k]
+    v = _pp_table(DrawTable(Alternative(alternative, param), n, replications, base_seed,
+                            "pp-alt"))[k]
     return _power_row(alternative, param, n, side, replications, base_seed,
                       _decide(null, sig_level, v)[1])
 

@@ -152,11 +152,12 @@ class TestSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "side", Side(self.side))
         object.__setattr__(self, "p_norm", float(self.p_norm))
-        if self.m is not None and self.m < 1:
-            raise ValueError("m must be positive")
+        if self.m is not None:
+            object.__setattr__(self, "m", _integer("m", self.m, 1))
         if not self.p_norm >= 1.0:
             raise ValueError("p_norm must be at least 1 (math.inf allowed)")
-        _check_mc(self.sig_level, self.mc_trials)
+        object.__setattr__(self, "mc_trials", _check_mc(self.sig_level, self.mc_trials))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.indices is not None and self.ell is not None:
             raise ValueError("give either explicit indices or ell, not both")
         if self.index_rule not in _INDEX_RULES:
@@ -235,12 +236,24 @@ def _require_bounds(ref: RefFamily, m: int, ranks: Sequence[int], hint: str = ""
             )
 
 
-def _check_mc(sig_level: float, mc_trials: int) -> None:
-    """The Monte Carlo settings every test checks."""
+def _integer(name: str, value: object, least: int | None = None) -> int:
+    """value as an int (operator.index) of at least `least`, or ValueError
+    naming the field. A float seed would draw int(seed)'s tables, and a float
+    count would fail deep inside numpy."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return value
+
+
+def _check_mc(sig_level: float, mc_trials: int) -> int:
+    """The Monte Carlo settings every test checks; returns mc_trials as an int."""
     if not 0.0 < sig_level < 1.0:
         raise ValueError("sig_level must lie strictly between 0 and 1")
-    if mc_trials < 100:
-        raise ValueError("mc_trials must be at least 100")
+    return _integer("mc_trials", mc_trials, 100)
 
 
 def _pnorm(parts: np.ndarray, p: float) -> np.ndarray | float:
@@ -310,11 +323,9 @@ def _table_gaps(table: DrawTable, ref: RefFamily,
     if missing:
         arrays = [_arrays_for(ref, table.n, m, idx) for m, idx in missing.values()]
         gaps = [np.empty((table.count, len(pis))) for _, pis in arrays]
-        lo = 0
-        for chunk in table.chunks():
+        for first, rows in table.chunks():
             for (weight_mat, pis), out in zip(arrays, gaps):
-                np.subtract(pis, _score(chunk, weight_mat)[1], out=out[lo : lo + len(chunk)])
-            lo += len(chunk)
+                np.subtract(pis, _score(rows, weight_mat)[1], out=out[first : first + len(rows)])
         for key, value in zip(missing, gaps):
             found[key] = _cache.keep(key, value)
     return [found[key] for key in keys]

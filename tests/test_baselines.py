@@ -8,7 +8,10 @@ import pytest
 
 from cxorder import TiesWarning, ingest, normalized_spacings, pp_statistic, pp_test
 from cxorder._cache import clear_caches
-from cxorder.baselines import _pair_counts
+from cxorder._seeds import DrawTable, _chunk_rows
+from cxorder.baselines import _pair_counts, _pp_table, _spacings
+from cxorder.distributions import Alternative, Exponential
+from _tables import stacked
 
 
 def test_spacings_small_samples():
@@ -150,6 +153,13 @@ def test_pp_test_input_validation():
         pp_test(s, sig_level=0.0)
     with pytest.raises(ValueError):
         pp_test(s, mc_trials=50)
+    for bad in (dict(seed=1.7), dict(seed=1.0), dict(mc_trials=200.0)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            pp_test(s, **bad)
+    # Numpy integers are plain ints to the test and its record.
+    got = pp_test(s, mc_trials=np.int64(200), seed=np.int32(3))
+    assert got == pp_test(s, mc_trials=200, seed=3)
+    assert type(got.config["seed"]) is int and type(got.config["trials"]) is int
 
 
 def test_pp_test_detects_increasing_hazard():
@@ -162,3 +172,18 @@ def test_pp_test_detects_increasing_hazard():
     res = pp_test(exp_sample, side="ihr", mc_trials=1000, seed=4)
     assert res.p_value > 0.05
     clear_caches()
+
+
+@pytest.mark.parametrize("label, family", [("pp-null", Exponential()),
+                                           ("pp-alt", Alternative("student-t", 1.1))])
+@pytest.mark.parametrize("n", [3, 25, 200, 500])
+@pytest.mark.parametrize("count", [100, 1000])
+def test_streamed_pair_counts_are_the_whole_tables_bytes(label, family, n, count):
+    # One chunk at n = 3 and 25; 320-row chunks at n = 200 and 128-row ones
+    # at 500, so 1000 rows end in a short chunk and, at 500, a short block.
+    assert _chunk_rows(n) == {3: 21824, 25: 2560, 200: 320, 500: 128}[n]
+    clear_caches()
+    got = _pp_table(DrawTable(family, n, count, 5, label))
+    want = _pair_counts(_spacings(stacked(family, n, count, 5, label)))
+    assert [a.tobytes() for a in got] == [np.sort(a).tobytes() for a in want]
+    assert [a.dtype for a in got] == [np.float64] * 2

@@ -15,13 +15,14 @@ from cxorder import (Cauchy, Exponential, Frechet, InfeasibleSpecError, Logistic
                      TestSpec, critical_value, ingest, pi_bound, pp_power, run_test)
 from cxorder import _cache, baselines, order_stats, simulation, testing
 from cxorder.special import ConvergenceError
-from cxorder._seeds import DrawTable, _sorted_draws
+from cxorder._seeds import DrawTable
 from cxorder.baselines import _pp_null
 from cxorder.distributions import Alternative
 from cxorder.order_stats import _pi_values, _weights_readonly, os_weights
 from cxorder.simulation import estimate_power
 from cxorder.testing import _gap_matrix, _table_gaps, batch_statistics, null_statistics
 from test_testing import _unlabeled_customs
+from _tables import stacked
 
 
 @pytest.fixture(autouse=True)
@@ -82,7 +83,7 @@ def test_null_and_alternative_tables_never_share_an_entry():
             DrawTable(family, 30, 200, 5, "null" if family is null_ref else "alt").key()
             for family in order]
         for label, family in (("null", null_ref), ("alt", alt)):
-            want = _gap_matrix(_sorted_draws(family, 30, 200, 5, label), null_ref, 3, ranks)
+            want = _gap_matrix(stacked(family, 30, 200, 5, label), null_ref, 3, ranks)
             assert got[label].tobytes() == want.tobytes()
         assert got["null"].tobytes() != got["alt"].tobytes()
 
@@ -144,7 +145,7 @@ def test_tiny_budget_evicts_least_recently_used_and_recomputes_identically(monke
     first = [gaps(table).tobytes() for table in tables[:2]]
     gaps(tables[0])  # now tables[1] is the least recently used
     third = gaps(tables[2])
-    held = {key[1][5] for key in _cache._entries if key[0] == "gaps"}
+    held = {key[1][-1] for key in _cache._entries if key[0] == "gaps"}
     assert held == {1, 3}
     assert _cache._held == 2 * size + shared
     assert _cache.get(("gaps", tables[2].key(), ref.identity(), 3, ranks)) is third
@@ -171,14 +172,14 @@ def test_entry_over_budget_is_handed_out_read_only_and_not_held(monkeypatch):
     table = DrawTable(Exponential(), 25, 100, 1, "null")
     (gaps,) = _table_gaps(table, Exponential(), [(3, (1, 2, 3))])
     assert not gaps.flags.writeable
-    assert gaps.tobytes() == _gap_matrix(_sorted_draws(Exponential(), 25, 100, 1, "null"),
+    assert gaps.tobytes() == _gap_matrix(stacked(Exponential(), 25, 100, 1, "null"),
                                          Exponential(), 3, (1, 2, 3)).tobytes()
     assert _kinds() == {"bounds", "weights"}
 
 
 def test_caller_rows_are_scored_without_caching():
     ref = Exponential()
-    rows = _sorted_draws(ref, 20, 120, 4, "null")
+    rows = stacked(ref, 20, 120, 4, "null")
     table = batch_statistics(DrawTable(ref, 20, 120, 4, "null"), ref, 3, (1, 2, 3), 1.0)
     _cache.clear_caches()
     caller = batch_statistics(rows, ref, 3, (1, 2, 3), 1.0)
@@ -195,37 +196,40 @@ def test_gap_matrix_is_shared_across_p_norms():
 
 def test_pair_counts_of_a_table_serve_both_sides(monkeypatch):
     drawn = []
-    real = baselines._sorted_draws
+    real = DrawTable.chunks
 
-    def counting(family, n, count, seed, label):
-        drawn.append(label)
-        return real(family, n, count, seed, label)
+    def counting(table):
+        drawn.append(table.label)
+        return real(table)
 
-    monkeypatch.setattr(baselines, "_sorted_draws", counting)
+    monkeypatch.setattr(DrawTable, "chunks", counting)
     for side in ("ihr", "dhr"):
         pp_power("weibull", 1.5, 12, side=side, replications=50, mc_trials=120, base_seed=3)
     assert drawn == ["pp-null", "pp-alt"]
     alt = Alternative("weibull", 1.5)
     assert {key for key in _cache._entries if key[0] == "pairs"} == {
-        ("pairs", "pp-null", Exponential().identity(), 12, 120, 3),
-        ("pairs", "pp-alt", alt.identity(), 12, 50, 3),
+        ("pairs", ("pp-null", Exponential().identity(), 12, 120, 3)),
+        ("pairs", ("pp-alt", alt.identity(), 12, 50, 3)),
     }
 
 
 def test_every_drawn_table_is_keyed_by_the_family_identity():
     # Two unlabeled Custom references share a cache_key, and so their draw
     # streams, but not an identity: no table of one may serve the other.
+    # Gap and pair entries name their table by one key, DrawTable.key().
     families = (*_unlabeled_customs(), Alternative("student-t", 3.0))
     for family in families:
-        batch_statistics(DrawTable(family, 6, 10, 2, "draws-label"), Exponential(), 2, (1, 2),
+        batch_statistics(DrawTable(family, 6, 10, 2, "gaps-label"), Exponential(), 2, (1, 2),
                          1.0)
-        baselines._pp_table(family, 6, 10, 2, "pairs-label")
-    drawn = [key[1] for key in _cache._entries if key[0] == "gaps"]
-    drawn += [key for key in _cache._entries if key[0] == "pairs"]
-    assert {key[:3] for key in drawn} == {
-        (kind, label, family.identity())
+        baselines._pp_table(DrawTable(family, 6, 10, 2, "pairs-label"))
+    drawn = [(key[0], key[1]) for key in _cache._entries if key[0] in ("gaps", "pairs")]
+    assert set(drawn) == {
+        (kind, DrawTable(family, 6, 10, 2, f"{kind}-label").key())
         for family in families
-        for kind, label in (("draws", "draws-label"), ("pairs", "pairs-label"))
+        for kind in ("gaps", "pairs")
+    }
+    assert {table[:2] for _, table in drawn} == {
+        (f"{kind}-label", family.identity()) for family in families for kind in ("gaps", "pairs")
     }
     assert len(drawn) == 2 * len(families)
 
@@ -417,3 +421,17 @@ def test_a_cold_null_table_holds_one_chunk_of_draws_at_a_time(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+def test_a_cold_proschan_pyke_table_holds_its_ranks_and_one_chunk_of_draws():
+    # Each 1000 x 500 table would be 3.8 MiB drawn whole, and more ranked
+    # whole; its 499 x 1000 uint16 rank matrix is 0.95 MiB and a 128-row
+    # chunk 0.5 MiB.
+    tracemalloc.start()
+    try:
+        pp_power("student-t", 1.1, 500, side="dhr", replications=1000, mc_trials=1000,
+                 base_seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20

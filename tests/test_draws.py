@@ -18,9 +18,10 @@ from cxorder import (
     pp_power,
 )
 from cxorder._cache import clear_caches
-from cxorder._seeds import _BLOCK_ROWS, _sorted_draws, derive_rng
+from cxorder._seeds import _BLOCK_ROWS, derive_rng
 from cxorder.baselines import _pp_null
 from cxorder.distributions import Alternative, RefFamily
+from _tables import stacked
 
 FAMILIES = [
     Uniform(),
@@ -60,10 +61,11 @@ def _per_trial(family, n, count, seed, label):
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.cache_key())
-@pytest.mark.parametrize("n", [1, 2, 37])
+# At n = 640 a chunk is one block, so the longer tables span several chunks.
+@pytest.mark.parametrize("n", [1, 2, 37, 640])
 @pytest.mark.parametrize("count", [3, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 5])
 def test_rows_equal_per_trial_streams(family, n, count):
-    got = _sorted_draws(family, n, count, 11, "label")
+    got = stacked(family, n, count, 11, "label")
     want = _per_trial(family, n, count, 11, "label")
     assert got.shape == (count, n)
     assert got.tobytes() == want.tobytes()
@@ -78,15 +80,15 @@ def test_one_sample_call_per_block(family, count, monkeypatch):
             calls.append(n)
             return _sample(self, n, rng)
         monkeypatch.setattr(cls, "sample", counted)
-    _sorted_draws(family, 5, count, 3, "label")
+    stacked(family, 5, count, 3, "label")
     assert calls == [_BLOCK_ROWS * 5] * math.ceil(count / _BLOCK_ROWS)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.cache_key())
 @pytest.mark.parametrize("k", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
 def test_first_rows_are_the_shorter_table(family, k):
-    full = _sorted_draws(family, 37, 2 * _BLOCK_ROWS + 5, 6, "label")
-    assert _sorted_draws(family, 37, k, 6, "label").tobytes() == full[:k].tobytes()
+    full = stacked(family, 37, 2 * _BLOCK_ROWS + 5, 6, "label")
+    assert stacked(family, 37, k, 6, "label").tobytes() == full[:k].tobytes()
 
 
 REFERENCES = [family for family in FAMILIES if isinstance(family, RefFamily)]

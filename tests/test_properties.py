@@ -27,10 +27,11 @@ from cxorder import (
     statistic,
 )
 from cxorder import _cache
-from cxorder._seeds import DrawTable, _sorted_draws
+from cxorder._seeds import DrawTable
 from cxorder.baselines import _pair_counts
 from cxorder.order_stats import Sample
 from cxorder.testing import Side, _gap_matrix, batch_statistics
+from _tables import stacked
 
 EPS = np.finfo(float).eps
 REFS = [Exponential(), Logistic(), NegExponential(), Uniform()]
@@ -57,7 +58,7 @@ def tables(draw):
 
 
 def _rows(table: DrawTable) -> np.ndarray:
-    return _sorted_draws(table.family, table.n, table.count, table.seed, table.label)
+    return stacked(table.family, table.n, table.count, table.seed, table.label)
 
 
 @SETTINGS
@@ -104,7 +105,7 @@ def scored_tables(draw):
     ref = draw(st.sampled_from(REFS))
     n = draw(st.integers(1, 80))
     m = draw(st.integers(1, 8))
-    rows = _sorted_draws(ref, n, draw(st.integers(1, 70)), draw(st.integers(0, 2**31)), "alt")
+    rows = stacked(ref, n, draw(st.integers(1, 70)), draw(st.integers(0, 2**31)), "alt")
     form = draw(st.sampled_from(["drawn", "rounded", "subnormal"]))
     rows = {"drawn": rows, "rounded": np.round(rows, 1), "subnormal": rows * 1e-310}[form]
     return np.array(rows), ref, m

@@ -29,10 +29,11 @@ from cxorder import (
     statistic,
 )
 from cxorder import _cache, order_stats
-from cxorder._seeds import _BLOCK_ROWS, DrawTable, _chunk_rows, _sorted_draws
+from cxorder._seeds import _BLOCK_ROWS, DrawTable, _chunk_rows, derive_rng
 from cxorder.distributions import Alternative
 from cxorder.order_stats import _interp_rows, _score, _weights_readonly
 from cxorder.testing import Side, _gap_matrix, _table_gaps, null_statistics
+from _tables import stacked
 
 FAMILIES = [
     Uniform(),
@@ -117,7 +118,7 @@ def _counting_interp(monkeypatch):
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.cache_key())
 @pytest.mark.parametrize("n", NS)
 def test_batched_pass_equals_np_interp_on_drawn_tables(family, n):
-    x = _scaled(_sorted_draws(family, n, _rows(n), 19, "null"))
+    x = _scaled(stacked(family, n, _rows(n), 19, "null"))
     for m in MS:
         _assert_interp_rows_exact(x @ _weights(n, m).T, x)
 
@@ -125,7 +126,7 @@ def test_batched_pass_equals_np_interp_on_drawn_tables(family, n):
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.cache_key())
 @pytest.mark.parametrize("n", NS)
 def test_score_equals_its_per_row_path_on_drawn_tables(monkeypatch, family, n):
-    rows = _sorted_draws(family, n, _rows(n), 23, "null")
+    rows = stacked(family, n, _rows(n), 23, "null")
     for m in MS:
         _assert_score_matches_per_row(monkeypatch, rows, _weights(n, m))
 
@@ -133,7 +134,7 @@ def test_score_equals_its_per_row_path_on_drawn_tables(monkeypatch, family, n):
 @pytest.mark.parametrize("n", [3, 25, 200])
 @pytest.mark.parametrize("m", [1, 5, 20])
 def test_score_equals_its_per_row_path_on_extreme_rows(monkeypatch, n, m):
-    rows = _sorted_draws(Logistic(), n, 1000, 29, "null")
+    rows = stacked(Logistic(), n, 1000, 29, "null")
     symmetric = np.tile(np.arange(n, dtype=float) - n // 2, (1000, 1))
     for table in (np.round(rows, 1), rows * 1e-310, rows * 1e300, symmetric,
                   np.tile(np.arange(n, dtype=float), (1000, 1))):
@@ -198,7 +199,7 @@ def test_which_path_a_table_takes(monkeypatch):
 
     def interp_calls(n, count, m):
         calls.clear()
-        _score(_sorted_draws(Exponential(), n, count, 31, "null"), _weights(n, m))
+        _score(stacked(Exponential(), n, count, 31, "null"), _weights(n, m))
         return len(calls)
 
     # An observed sample, 150 ranks, and n = 1000 (64-row chunks) go row by row.
@@ -219,10 +220,10 @@ def test_whole_block_prefix_of_a_table_is_the_shorter_table(n, m):
     # Whole blocks only: OpenBLAS rounds a short block's product differently
     # from the same rows inside a 64-row block, so a k-row table with k not a
     # multiple of 64 can differ from the first k rows in the last bits.
-    full = _gap_matrix(_sorted_draws(Exponential(), n, 1000, 37, "null"),
+    full = _gap_matrix(stacked(Exponential(), n, 1000, 37, "null"),
                        Exponential(), m, range(1, m + 1))
     for k in (_BLOCK_ROWS, 5 * _BLOCK_ROWS, 6 * _BLOCK_ROWS, 1000):
-        part = _gap_matrix(_sorted_draws(Exponential(), n, k, 37, "null"),
+        part = _gap_matrix(stacked(Exponential(), n, k, 37, "null"),
                            Exponential(), m, range(1, m + 1))
         assert full[:k].tobytes() == part.tobytes()
 
@@ -232,7 +233,7 @@ def test_whole_block_prefix_of_a_table_is_the_shorter_table(n, m):
 def test_a_tables_gaps_are_its_blocks_gaps(n, m):
     # What streaming a table block by block relies on: each block scored on
     # its own, the short last one included, gives the table's bytes.
-    rows = _sorted_draws(Exponential(), n, 1000, 41, "null")
+    rows = stacked(Exponential(), n, 1000, 41, "null")
     full = _gap_matrix(rows, Exponential(), m, range(1, m + 1))
     blocks = [_gap_matrix(rows[lo : lo + _BLOCK_ROWS], Exponential(), m, range(1, m + 1))
               for lo in range(0, len(rows), _BLOCK_ROWS)]
@@ -249,33 +250,30 @@ def test_streamed_tables_score_to_the_whole_tables_bytes(n, count):
     # Both sides of the batched pass's cut-off, scored in one shared pass.
     sets = [(5, tuple(range(1, 6))), (40, tuple(range(1, 41)))]
     got = _table_gaps(DrawTable(ref, n, count, 43, "null"), ref, sets)
-    rows = _sorted_draws(ref, n, count, 43, "null")
+    rows = stacked(ref, n, count, 43, "null")
     for (m, ranks), gaps in zip(sets, got):
         assert gaps.tobytes() == _gap_matrix(rows, ref, m, ranks).tobytes()
     # A cold null table, streamed alone.
     nulls = null_statistics(ref, n, 5, range(1, 6), 2.0, count, 47)
-    gaps = _gap_matrix(_sorted_draws(ref, n, count, 47, "null"), ref, 5, range(1, 6))
+    gaps = _gap_matrix(stacked(ref, n, count, 47, "null"), ref, 5, range(1, 6))
     want = [np.sort(np.power(np.add.reduce(np.power(np.maximum(side, 0.0), 2.0), axis=1), 0.5))
             for side in (gaps, -gaps)]
     assert [a.tobytes() for a in nulls] == [a.tobytes() for a in want]
 
 
-def test_an_engine_table_is_drawn_one_chunk_at_a_time(monkeypatch):
-    from cxorder import _seeds
-
-    filled = []
-    real = _seeds._fill
-
-    def counting(rows, family, seed, label, first):
-        filled.append((first, len(rows)))
-        return real(rows, family, seed, label, first)
-
-    monkeypatch.setattr(_seeds, "_fill", counting)
+def test_an_engine_table_is_drawn_one_chunk_at_a_time():
     chunks = list(DrawTable(Exponential(), 200, 1000, 3, "null").chunks())
-    assert filled == [(0, 320), (320, 320), (640, 320), (960, 40)]
-    assert [len(c) for c in chunks] == [320, 320, 320, 40]
-    assert np.vstack(chunks).tobytes() == _sorted_draws(Exponential(), 200, 1000, 3,
-                                                        "null").tobytes()
+    assert [(first, len(rows)) for first, rows in chunks] == [
+        (0, 320), (320, 320), (640, 320), (960, 40)]
+    # Each chunk is its rows of the table drawn block by block.
+    for first, rows in chunks:
+        for lo in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[lo : lo + _BLOCK_ROWS]
+            rng = derive_rng(3, "null", Exponential().cache_key(), 200,
+                             (first + lo) // _BLOCK_ROWS)
+            want = np.sort(Exponential().sample(_BLOCK_ROWS * 200, rng).reshape(
+                _BLOCK_ROWS, 200)[: len(block)], axis=1)
+            assert block.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------- exact oracle, n = 1000

@@ -9,6 +9,7 @@ import math
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cxorder import (
@@ -23,7 +24,6 @@ from cxorder import (
     pp_power,
     reproduce,
 )
-from cxorder import baselines
 from cxorder._seeds import DrawTable
 from cxorder.simulation import CSV_HEADER, EXHIBITS, PowerTable
 from cxorder.testing import clear_caches
@@ -49,6 +49,9 @@ def test_grid_validation():
         small_grid(side=Side.BOTH)
     with pytest.raises(ValueError):
         small_grid(replications=0)
+    with pytest.raises(ValueError, match="replications"):
+        small_grid(replications=60.0)
+    assert type(small_grid(replications=np.int64(60)).replications) is int
     # m_ell sets each cell's m and ell, so the spec gives no ranks.
     with pytest.raises(ValueError, match="m_ell"):
         small_grid(m=3)
@@ -177,19 +180,31 @@ def test_pp_power_rejects_what_pp_test_rejects(overrides):
         pp_power(**args)
 
 
+@pytest.mark.parametrize("field, value", [("base_seed", 1.7), ("replications", 50.0),
+                                          ("mc_trials", 150.0)])
+def test_pp_power_names_a_non_integral_seed_or_count(field, value):
+    args = dict(alternative="weibull", param=1.5, n=20, replications=50, mc_trials=150,
+                base_seed=1)
+    with pytest.raises(ValueError, match=field):
+        pp_power(**{**args, field: value})
+    row = pp_power(**{**args, field: np.int64(args[field])})
+    assert row == pp_power(**args) and type(row.seed) is type(row.trials) is int
+
+
 def test_table2_draws_each_proschan_pyke_table_once(tmp_path, monkeypatch):
     drawn = Counter()
-    real = baselines._sorted_draws
+    real = DrawTable.chunks
 
-    def counting(family, n, count, seed, label):
-        drawn[label] += 1
-        return real(family, n, count, seed, label)
+    def counting(table):
+        drawn[table.label] += 1
+        return real(table)
 
-    monkeypatch.setattr(baselines, "_sorted_draws", counting)
+    monkeypatch.setattr(DrawTable, "chunks", counting)
     clear_caches()
     reproduce("table2", out_dir=tmp_path, replications=100, mc_trials=100)
     # One null and one alternative table for each of the five sample sizes.
-    assert drawn == {"pp-null": 5, "pp-alt": 5}
+    assert {label: count for label, count in drawn.items() if label.startswith("pp-")} == {
+        "pp-null": 5, "pp-alt": 5}
 
 
 def test_shared_passes_give_each_cell_its_one_at_a_time_row(monkeypatch):

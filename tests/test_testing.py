@@ -193,6 +193,25 @@ def test_spec_validation():
     assert spec.side is Side.LOWER
 
 
+@pytest.mark.parametrize("field, value", [("seed", 1.7), ("seed", 1.0), ("m", 5.0),
+                                          ("mc_trials", 200.0), ("seed", "1")])
+def test_spec_refuses_a_non_integral_seed_or_count(field, value):
+    # A float seed used to draw int(seed)'s tables while the record echoed the
+    # float; a float count failed deep inside numpy.
+    args = dict(ref=Exponential(), m=5, mc_trials=200, seed=1)
+    with pytest.raises(ValueError, match=field):
+        TestSpec(**{**args, field: value})
+
+
+def test_spec_takes_numpy_integers_as_ints():
+    sample = ingest(np.random.default_rng(4).exponential(size=30))
+    plain = TestSpec(ref=Exponential(), m=5, mc_trials=200, seed=1)
+    spec = TestSpec(ref=Exponential(), m=np.int64(5), mc_trials=np.int32(200), seed=np.uint8(1))
+    assert [type(getattr(spec, f)) for f in ("m", "mc_trials", "seed")] == [int] * 3
+    assert spec == plain
+    assert run_test(sample, spec) == run_test(sample, plain)
+
+
 def test_resolve_defaults_m_and_all_ranks():
     rs = TestSpec(ref=Exponential()).resolve(40)
     assert rs.m == default_m(40) == 6

@@ -17,19 +17,20 @@ per call (the caches they read stay warm). The stages are the ones the north sta
   and the (cheap, n = 1) weights rebuilt before each repeat: logistic at
   m = 30 and 300, exponential at m = 150 and Cauchy at m = 300 (tanh-sinh
   quadrature);
-- draws `_sorted_draws`: exponential nulls at n = 1000, 2000 rows;
+- draws: one pass over `DrawTable.chunks()`, which draws a table chunk by
+  chunk and holds none of it: exponential nulls at n = 1000, 2000 rows;
   Student's t(1.1) at n = 100, 5000 rows (table2's shape); weibull(1.5) at
   n = 200, 1000 rows (the power study's alternatives);
 - a cold exponential null table at n = 1000, m = 150 (every rank), p = 1,
   T = 2000 (`null_statistics`: draws and scoring), with warm weights and a
   new seed for each repeat, so the table is cold and the weights are not;
-- `batch_statistics` at m = 150, every rank, p = 1, on 2000 exponential
-  rows of n = 1000 that the caller built (so no gap matrix is cached), with
-  warm weights; the same on 1000 rows at n = 25 with m = 1 and 20 (the
-  power study's shapes), at n = 200 with m = 1, 10, 20, 30 and 50 (the
-  scoring kernel's batched ECDF pass takes at most 32 ranks, so the sweep
-  crosses its cut-off), and on 1000 rows at n = 200 rounded to 0.1, so
-  nearly every row has a tie;
+- `batch_statistics` at m = 150, every rank, p = 1, on 2000 sorted
+  exponential rows of n = 1000 that the caller drew (so no gap matrix is
+  cached), with warm weights; the same on 1000 rows at n = 25 with m = 1
+  and 20 (the power study's shapes), at n = 200 with m = 1, 10, 20, 30 and
+  50 (the scoring kernel's batched ECDF pass takes at most 32 ranks, so the
+  sweep crosses its cut-off), and on 1000 rows at n = 200 rounded to 0.1,
+  so nearly every row has a tie;
 - the observed statistic at n = 200, m = 30 against the exponential
   reference (closed-form bounds), with warm weights;
 - a warm `run_test`, logistic reference, n = 200, m = 30, T = 2000, both
@@ -39,8 +40,9 @@ per call (the caches they read stay warm). The stages are the ones the north sta
   `testing._arrays_for` (the weight matrix and bound vector of its ranks)
   and a warm `testing._observed` (resolve, arrays, the one-row score and
   the diagnostics);
-- Proschan-Pyke pair counts `_pp_counts` of 1000 exponential rows at
-  n = 25, 200 and 500;
+- a cold Proschan-Pyke null table (`baselines._pp_null`: draws and pair
+  counts) of 1000 rows at n = 25, 200 and 500, with the cache layer cleared
+  before each repeat;
 - the gap-matrix product rows @ weights.T at (rows, n, ranks) =
   (2000, 1000, 150) and (5000, 2000, 300), as a plain `@` on the BLAS's
   own threads and through `cxorder._blas.matmul` on one thread (checkouts
@@ -49,7 +51,8 @@ per call (the caches they read stay warm). The stages are the ones the north sta
 Apart from the timings, it records the tracemalloc peak, in MiB, of one
 cold exponential null table (`null_statistics`, p = 1, every rank, weights
 and bounds warm, no disk cache) at (n, T, m) = (1000, 2000, 150) and
-(2000, 5000, 300): the memory a cold request needs beyond its weights.
+(2000, 5000, 300): the memory a cold request needs beyond its weights; and
+of one cold Proschan-Pyke null table (`_pp_null`) at (n, R) = (500, 5000).
 Warming the weights at (2000, 300) takes about 5 s.
 
 To compare two checkouts on one machine, run this script from either with
@@ -74,8 +77,8 @@ import numpy as np
 from cxorder import (Alternative, Cauchy, Exponential, Logistic, TestSpec, ingest, run_test,
                      statistic)
 from cxorder._cache import CACHE_DIR_ENV, clear_caches
-from cxorder._seeds import _sorted_draws
-from cxorder.baselines import _pp_counts
+from cxorder._seeds import DrawTable
+from cxorder.baselines import _pp_null
 from cxorder.order_stats import _weights_readonly
 from cxorder.testing import Side, _arrays_for, _observed, batch_statistics, null_statistics
 
@@ -100,6 +103,19 @@ def _weights(n: int, m: int) -> Callable[[], np.ndarray]:
     return lambda: _weights_readonly(n, m, tuple(range(1, m + 1)))
 
 
+def _draw(family, n: int, count: int) -> Callable[[], None]:
+    def run() -> None:
+        for _ in DrawTable(family, n, count, 11, "null").chunks():
+            pass
+    return run
+
+
+def _sorted_rows(n: int, count: int) -> np.ndarray:
+    """Sorted standard exponential rows, drawn here: the stages that score
+    caller rows time the scoring, not the draw engine."""
+    return np.sort(np.random.default_rng(11).exponential(size=(count, n)), axis=1)
+
+
 def _bounds(ref, m: int) -> dict:
     ranks = tuple(range(1, m + 1))
     return _best(lambda: _arrays_for(ref, 1, m, ranks),
@@ -112,14 +128,13 @@ def stages() -> dict[str, dict]:
         out[f"weights_cold n={n} m={m}"] = _best(_weights(n, m), clear_caches)
     for ref, m in ((Logistic(), 30), (Logistic(), 300), (Exponential(), 150), (Cauchy(), 300)):
         out[f"bounds_cold {ref.name} m={m}"] = _bounds(ref, m)
-    out["sorted_draws exponential n=1000 rows=2000"] = _best(
-        lambda: _sorted_draws(Exponential(), 1000, 2000, 11, "null"))
-    out["sorted_draws student-t n=100 rows=5000"] = _best(
-        lambda: _sorted_draws(Alternative("student-t", 1.1), 100, 5000, 11, "alt"))
-    out["sorted_draws weibull n=200 rows=1000"] = _best(
-        lambda: _sorted_draws(Alternative("weibull", 1.5), 200, 1000, 11, "alt"))
+    out["draws exponential n=1000 rows=2000"] = _best(_draw(Exponential(), 1000, 2000))
+    out["draws student-t n=100 rows=5000"] = _best(
+        _draw(Alternative("student-t", 1.1), 100, 5000))
+    out["draws weibull n=200 rows=1000"] = _best(
+        _draw(Alternative("weibull", 1.5), 200, 1000))
 
-    rows = _sorted_draws(Exponential(), 1000, 2000, 11, "null")
+    rows = _sorted_rows(1000, 2000)
     _weights(1000, 150)()
     seeds = iter(range(100, 100 + REPEATS))
     out["null_statistics_cold n=1000 m=150 trials=2000"] = _best(
@@ -127,7 +142,7 @@ def stages() -> dict[str, dict]:
     out["batch_statistics n=1000 m=150 rows=2000"] = _best(
         lambda: batch_statistics(rows, Exponential(), 150, range(1, 151), 1.0))
     for n, ms in ((25, (1, 20)), (200, (1, 10, 20, 30, 50))):
-        rows = _sorted_draws(Exponential(), n, 1000, 11, "null")
+        rows = _sorted_rows(n, 1000)
         for m in ms:
             _weights(n, m)()
             out[f"batch_statistics n={n} m={m} rows=1000"] = _best(
@@ -157,8 +172,8 @@ def stages() -> dict[str, dict]:
         lambda: _arrays_for(pinned.ref, 200, pinned.m, pinned.indices), calls=CALLS)
 
     for n in (25, 200, 500):
-        table = _sorted_draws(Exponential(), n, 1000, 13, "pp-null")
-        out[f"pp_counts n={n} rows=1000"] = _best(lambda: _pp_counts(table))
+        out[f"pp_table_cold n={n} rows=1000"] = _best(lambda: _pp_null(n, 1000, 13),
+                                                      clear_caches)
 
     try:
         from cxorder._blas import matmul
@@ -174,19 +189,25 @@ def stages() -> dict[str, dict]:
     return out
 
 
+def _peak(run: Callable[[], object]) -> dict:
+    tracemalloc.start()
+    try:
+        run()
+        return {"peak_mib": tracemalloc.get_traced_memory()[1] / 2**20}
+    finally:
+        tracemalloc.stop()
+
+
 def memory() -> dict[str, dict]:
     out = {}
     for n, trials, m in ((1000, 2000, 150), (2000, 5000, 300)):
         ranks = tuple(range(1, m + 1))
         clear_caches()
         _arrays_for(Exponential(), n, m, ranks)
-        tracemalloc.start()
-        try:
-            null_statistics(Exponential(), n, m, ranks, 1.0, trials, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        out[f"null_statistics_cold n={n} trials={trials} m={m}"] = {"peak_mib": peak / 2**20}
+        out[f"null_statistics_cold n={n} trials={trials} m={m}"] = _peak(
+            lambda: null_statistics(Exponential(), n, m, ranks, 1.0, trials, 3))
+    clear_caches()
+    out["pp_table_cold n=500 rows=5000"] = _peak(lambda: _pp_null(500, 5000, 3))
     return out
 
 
