@@ -42,7 +42,7 @@ from .order_stats import (
     pi_bound,
 )
 from .simulation import PowerGrid, PowerRow, PowerTable, estimate_power, pp_power, reproduce
-from .special import QuadResult, integrate_01, ln_beta, partial_harmonic, reg_inc_beta
+from .special import QuadResult, integrate_01, ln_beta, reg_inc_beta
 from .testing import (
     IndexDiagnostic,
     InfeasibleSpecError,
@@ -97,7 +97,6 @@ __all__ = [
     "normalized_spacings",
     "os_weights",
     "p_value",
-    "partial_harmonic",
     "pi_bound",
     "pp_power",
     "pp_statistic",

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from . import _blas, _cache
 from ._seeds import _BLOCK_ROWS, _chunk_rows
 from .distributions import (
     Exponential,
+    Frozen,
     Logistic,
     LogLogistic,
     NegExponential,
@@ -61,12 +61,15 @@ class TiesWarning(UserWarning):
     """The ingested sample contains exactly equal values."""
 
 
-@dataclass(frozen=True, eq=False)
-class Sample:
+class Sample(Frozen):
     """Sorted sample with a flag recording whether ties were present."""
 
-    values: np.ndarray
-    tie_flag: bool
+    __slots__ = ("values", "tie_flag")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, values: np.ndarray, tie_flag: bool) -> None:
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "tie_flag", tie_flag)
 
     @property
     def n(self) -> int:
@@ -143,8 +146,7 @@ def l_estimate(s: Sample, j: int, m: int) -> float:
     return float(mus[0, 0])
 
 
-@dataclass(frozen=True, eq=False)
-class InterpolatedEcdf:
+class InterpolatedEcdf(Frozen):
     """Piecewise-linear interpolator of the ECDF jump points.
 
     Knots are (X_{i:n}, i/n) with tied x-values collapsed to the largest
@@ -152,8 +154,12 @@ class InterpolatedEcdf:
     range, which keeps the estimate within 1/n of the step ECDF.
     """
 
-    knots_x: np.ndarray
-    knots_y: np.ndarray
+    __slots__ = ("knots_x", "knots_y")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, knots_x: np.ndarray, knots_y: np.ndarray) -> None:
+        object.__setattr__(self, "knots_x", knots_x)
+        object.__setattr__(self, "knots_y", knots_y)
 
     def evaluate(self, x):
         arr = np.asarray(x, dtype=float)
@@ -260,8 +266,7 @@ class BoundStatus(Enum):
     UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True)
-class PiBound:
+class PiBound(NamedTuple):
     status: BoundStatus
     value: float | None
 
@@ -351,7 +356,7 @@ def _finite_pis(ref: RefFamily, m: int, js: np.ndarray):
         return [j / m for j in ranks]
     if isinstance(ref, (Exponential, NegExponential, Logistic)):
         # inv[k - 1] = 1/k. math.fsum rounds the exact sum once, so the sum of
-        # a slice is partial_harmonic's value over those k, to the bit.
+        # a slice is the correctly rounded partial harmonic sum over those k.
         inv = [1.0 / k for k in range(1, m + 1)]
         if isinstance(ref, Exponential):  # H_m - H_{m-j}
             return [-math.expm1(-math.fsum(inv[m - j : m])) for j in ranks]

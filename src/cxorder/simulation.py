@@ -17,9 +17,10 @@ seed and runs the parts.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from io import StringIO
 from pathlib import Path
+from typing import NamedTuple
 import numpy as np
 
 from . import _cache
@@ -28,6 +29,7 @@ from .baselines import _check_pp_args, _pp_null, _pp_table
 from .distributions import (
     Alternative,
     Exponential,
+    Frozen,
     LogLogistic,
     NegExponential,
     TailInfo,
@@ -55,8 +57,7 @@ __all__ = [
     "reproduce",
 ]
 
-@dataclass(frozen=True)
-class PowerRow:
+class PowerRow(NamedTuple):
     """One cell of a power table. rate is None when the cell was infeasible.
 
     For Proschan-Pyke cells m, ell, and p are None and side is ihr or dhr.
@@ -75,7 +76,7 @@ class PowerRow:
     seed: int
 
 
-CSV_HEADER = tuple(f.name for f in fields(PowerRow))
+CSV_HEADER = PowerRow._fields
 
 
 def _csv(header: tuple[str, ...], rows) -> str:
@@ -90,12 +91,14 @@ def _csv(header: tuple[str, ...], rows) -> str:
     return buf.getvalue()
 
 
-@dataclass
-class PowerTable:
-    rows: list[PowerRow]
+class PowerTable(Frozen):
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[PowerRow]) -> None:
+        object.__setattr__(self, "rows", rows)
 
     def to_csv(self, path: str | Path | None = None) -> str:
-        text = _csv(CSV_HEADER, map(astuple, self.rows))
+        text = _csv(CSV_HEADER, self.rows)
         if path is not None:
             Path(path).write_text(text)
         return text
@@ -264,7 +267,8 @@ EXHIBITS = {
         PowerGrid("student-t", (1.1,), _N5, _STD_M, TestSpec(Exponential())),
         PowerGrid("student-t", (1.1,), _N5, _STD_M, TestSpec(Exponential(), side=Side.LOWER)),
     ),
-    "fig_drhr": (PowerGrid("neg-weibull", _SHAPES, _N4, _STD_M, TestSpec(NegExponential())),),
+    "fig_drhr": (PowerGrid("neg-weibull", _SHAPES, _N4, _STD_M,
+                           TestSpec(NegExponential(), side=Side.LOWER)),),
     "fig_ior": (
         PowerGrid("log-logistic", _SHAPES, _N4, ((3, 1), (5, 3), (10, 8), (20, 18)),
                   TestSpec(LogLogistic(1.0))),
@@ -281,7 +285,7 @@ EXHIBITS = {
     ),
     "fig_3d": (
         PowerGrid("neg-weibull", (1.5,), _N4, tuple((m, None) for m in _M_3D),
-                  TestSpec(NegExponential())),
+                  TestSpec(NegExponential(), side=Side.LOWER)),
         PowerGrid("log-logistic", (1.5,), _N4, tuple((m, m - 2) for m in _M_3D if m >= 3),
                   TestSpec(LogLogistic(1.0))),
         PowerGrid("weibull", (1.5,), _N4, tuple((m, None) for m in _M_3D),

@@ -2,15 +2,13 @@
 
 Everything here is pure and stateless: log-beta, the regularized incomplete
 beta function evaluated by continued fraction, densities of uniform order
-statistics, partial harmonic sums, and a fixed tanh-sinh quadrature over the
-open interval (0, 1).
+statistics, and a fixed tanh-sinh quadrature over the open interval (0, 1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,7 +17,6 @@ __all__ = [
     "QuadResult",
     "integrate_01",
     "ln_beta",
-    "partial_harmonic",
     "reg_inc_beta",
 ]
 
@@ -120,19 +117,6 @@ def _beta_pdf_interior(p, j, m: int) -> np.ndarray:
     return np.exp(log_pdf, out=np.zeros_like(log_pdf), where=log_pdf > -746.0)
 
 
-def partial_harmonic(lo: int, hi: int) -> float:
-    """Sum of 1/k for integer k from lo through hi.
-
-    Accumulated with exact (compensated) summation so the result does not
-    depend on term order.
-    """
-    if lo < 1 or hi < 1:
-        raise ValueError(f"bounds must be positive, got ({lo}, {hi})")
-    if lo > hi:
-        raise ValueError(f"need lo <= hi, got ({lo}, {hi})")
-    return math.fsum(1.0 / k for k in range(hi, lo - 1, -1))
-
-
 # Tanh-sinh rule on (0, 1) (Takahasi & Mori, Publ. RIMS 9, 1974): nodes
 # x = 1 / (1 + exp(-pi sinh t)) at t = k / 256, |k| <= 1560, reach within 1e-302
 # of both ends. 1 - x has its own formula, which keeps the weights exact where x
@@ -144,8 +128,7 @@ _WEIGHTS = math.pi / 256.0 * np.cosh(_T) * _NODES / (1.0 + np.exp(math.pi * np.s
 _LEVELS = ((4, slice(0, None, 4)), (2, slice(2, None, 4)), (1, slice(1, None, 2)))
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """Quadrature estimate, its error bound, and whether that met the tolerance."""
 
     value: float

@@ -23,7 +23,7 @@ import numpy as np
 from . import _cache
 from ._cache import CACHE_DIR_ENV, clear_caches
 from ._seeds import DrawTable
-from .distributions import RefFamily, TailInfo
+from .distributions import Frozen, RefFamily, TailInfo
 from .order_stats import Sample, _divergent_ranks, _pi_values, _score, _weights_readonly
 from .order_stats import pi_bound  # noqa: F401  (perfbench traces this binding)
 
@@ -211,16 +211,20 @@ class IndexDiagnostic(NamedTuple):
     gap: float
 
 
-@dataclass(frozen=True)
-class TestResult:
-    side: str
-    statistic: float
-    critical_value: float
-    p_value: float
-    reject: bool
-    n: int
-    per_index: tuple[IndexDiagnostic, ...]
-    config: dict
+class TestResult(Frozen):
+    __slots__ = ("side", "statistic", "critical_value", "p_value", "reject", "n", "per_index",
+                 "config")
+
+    def __init__(self, side: str, statistic: float, critical_value: float, p_value: float,
+                 reject: bool, n: int, per_index: tuple, config: dict) -> None:
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "statistic", statistic)
+        object.__setattr__(self, "critical_value", critical_value)
+        object.__setattr__(self, "p_value", p_value)
+        object.__setattr__(self, "reject", reject)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "per_index", per_index)
+        object.__setattr__(self, "config", config)
 
 
 def _require_bounds(ref: RefFamily, m: int, ranks: Sequence[int], hint: str = "") -> None:

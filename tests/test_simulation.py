@@ -253,11 +253,11 @@ def test_exhibit_registry_names():
 EXHIBIT_LAYOUTS = {
     "table1": (48, "7dda9b630f50d95a04bfde0e242be3cb48602f12513ba4c8cc93f1d83b4200f7"),
     "table2": (50, "36c0f21e4a08304011404c1691c70c891bfdca9b5073135b5837f7b83ed932a8"),
-    "fig_drhr": (176, "f1144dbe214c3515e6a88d898113789084f76398a220d4ad9836b2d84b0f81df"),
+    "fig_drhr": (176, "77951d6111e909c0f1642ce3e272e28354818fa3369e3edada0110e217b14e6a"),
     "fig_ior": (176, "d011ccf6b75826a4d0967229aa2c65eca01fbf939ef454aabc13ab8e4ebe8257"),
     "fig_dor": (160, "9106abfe20eea9c468e12598f561e7bf17f9a4d1d8c37acfb8ce53a47a735ec3"),
     "fig_pp": (220, "a9d305963bb1551c5f82719fb6522f239b8e4e14ccf7dee5bc950f1312d5678b"),
-    "fig_3d": (124, "5d68b1542a03273bd4042c0f2cbe352d9b7b50d45d944f4709e4750aa6c8eb12"),
+    "fig_3d": (124, "f411c5d330067f28ea44adfc044017225da69a0afc63aa9ad372f161b75765f6"),
 }
 
 
@@ -278,6 +278,32 @@ def test_reproduce_writes_named_csv(tmp_path, target):
         assert len(rows) == 1 + 160
         sides = {r[6] for r in rows[1:]}
         assert sides == {"lower"}
+
+
+# Every exhibit grid whose alternative is ordered against its reference:
+# weibull against the exponential and log-logistic(a > 1) against
+# LogLogistic(1) on the upper side, neg-weibull against the negative
+# exponential and log-logistic(a < 1) on the lower. Student's t is not
+# ordered against the exponential, and table2 runs both sides on purpose.
+ORDERED_GRIDS = [(target, i) for target, parts in sorted(EXHIBITS.items())
+                 for i, part in enumerate(parts)
+                 if isinstance(part, PowerGrid) and part.alternative != "student-t"]
+
+
+@pytest.mark.parametrize("target, part", ORDERED_GRIDS,
+                         ids=[f"{target}-{i}" for target, i in ORDERED_GRIDS])
+def test_ordered_exhibit_grids_test_the_side_with_power(target, part):
+    # At the grid's largest departure from the null (shape 1) and its largest
+    # n, every cell rejects more often than alpha by at least 3 standard errors.
+    grid = EXHIBITS[target][part]
+    budget = 200
+    cell = replace(grid, params=(max(grid.params, key=lambda a: abs(math.log(a))),),
+                   n_grid=(max(grid.n_grid),), replications=budget,
+                   spec=replace(grid.spec, mc_trials=budget, seed=1))
+    alpha = grid.spec.sig_level
+    floor = alpha + 3 * math.sqrt(alpha * (1 - alpha) / budget)
+    rates = [(row.m, row.ell, row.rate) for row in estimate_power(cell).rows]
+    assert all(rate > floor for _, _, rate in rates), (grid.spec.side, floor, rates)
 
 
 def test_reproduce_rejects_unknown_target(tmp_path):

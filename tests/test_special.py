@@ -6,7 +6,6 @@ for the grid comparisons.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from scipy.stats import beta as beta_dist
 from cxorder import (
     integrate_01,
     ln_beta,
-    partial_harmonic,
     reg_inc_beta,
 )
 from cxorder.special import _NODES, _beta_pdf_interior, _integrate_01_rows
@@ -132,30 +130,6 @@ def test_beta_pdf_bounded_and_matches_scipy():
         assert np.all((val >= 0.0) & (val <= m + 1e-12))
         ref = beta_dist.pdf(p, j, m - j + 1)
         np.testing.assert_allclose(val, ref, rtol=1e-11, atol=1e-12)
-
-
-def test_partial_harmonic_exact_fractions():
-    assert partial_harmonic(1, 1) == 1.0
-    assert partial_harmonic(2, 3) == pytest.approx(5.0 / 6.0, abs=1e-15)
-    assert partial_harmonic(1, 4) == pytest.approx(25.0 / 12.0, abs=1e-15)
-    exact = Fraction(3601, 2520)
-    assert partial_harmonic(3, 10) == pytest.approx(float(exact), abs=1e-15)
-
-
-def test_partial_harmonic_random_ranges_vs_fractions():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        lo = int(rng.integers(1, 200))
-        hi = lo + int(rng.integers(0, 300))
-        exact = sum(Fraction(1, k) for k in range(lo, hi + 1))
-        assert partial_harmonic(lo, hi) == pytest.approx(float(exact), rel=1e-15)
-
-
-def test_partial_harmonic_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        partial_harmonic(0, 3)
-    with pytest.raises(ValueError):
-        partial_harmonic(5, 4)
 
 
 def test_integrate_01_smooth_integrands():

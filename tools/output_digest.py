@@ -7,8 +7,12 @@ comparing this script's listing with the committed one:
 
 A change that alters outputs regenerates tools/output_digest.txt and says
 which lines changed. The committed listing holds for numpy 2.4.6 with
-OpenBLAS 0.3.31 (scipy-openblas, Haswell kernels) on x86-64; another
-numpy or BLAS may round differently, so compare two checkouts there.
+OpenBLAS 0.3.31 (scipy-openblas) on its SkylakeX (AVX-512) kernel, the one
+scipy_openblas_get_corename64_ names on x86-64 machines with AVX-512. The
+kernel changes bytes: under OPENBLAS_CORETYPE=Haswell (AVX2) 8 of the 38
+lines differ, the five `cli test-*` and `critical-value` lines and the
+three `null_statistics` lines at n = 200. On another kernel, numpy or BLAS,
+compare two checkouts instead.
 
 It covers the seven exhibit CSVs at R = T = 300, each built with every
 cache cleared first and again in one pass over all seven that shares the

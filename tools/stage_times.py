@@ -48,6 +48,13 @@ per call (the caches they read stay warm). The stages are the ones the north sta
   own threads and through `cxorder._blas.matmul` on one thread (checkouts
   without that module get no pinned stage).
 
+It also times `import cxorder` in IMPORTS fresh interpreters, each timing
+the import with time.perf_counter after importing numpy, as the
+benchmark's set-up does, and records the median: once with
+PYTHONDONTWRITEBYTECODE=1, so every module compiles from source, and once
+with bytecode, after an untimed import has written it (when the checkout's
+src/ is writable).
+
 Apart from the timings, it records the tracemalloc peak, in MiB, of one
 cold exponential null table (`null_statistics`, p = 1, every rank, weights
 and bounds warm, no disk cache) at (n, T, m) = (1000, 2000, 150) and
@@ -67,6 +74,9 @@ import argparse
 import json
 import os
 import platform
+import statistics
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -84,6 +94,7 @@ from cxorder.testing import Side, _arrays_for, _observed, batch_statistics, null
 
 REPEATS = 5
 CALLS = 2000
+IMPORTS = 11
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -189,6 +200,24 @@ def stages() -> dict[str, dict]:
     return out
 
 
+def imports() -> dict[str, dict]:
+    import cxorder
+
+    code = ("import time, numpy; t = time.perf_counter(); import cxorder; "
+            "print(time.perf_counter() - t)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cxorder.__file__).resolve().parents[1]))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    out = {}
+    for label, extra in (("no_bytecode", {"PYTHONDONTWRITEBYTECODE": "1"}), ("bytecode", {})):
+        def run() -> float:
+            return float(subprocess.run([sys.executable, "-c", code], env={**env, **extra},
+                                        capture_output=True, text=True, check=True).stdout)
+        run()  # untimed: warms the file cache, and writes the bytecode for "bytecode"
+        times = [run() for _ in range(IMPORTS)]
+        out[f"import cxorder {label}"] = {"median_s": statistics.median(times), "times_s": times}
+    return out
+
+
 def _peak(run: Callable[[], object]) -> dict:
     tracemalloc.start()
     try:
@@ -236,10 +265,12 @@ def main() -> None:
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     args = parser.parse_args()
     os.environ.pop(CACHE_DIR_ENV, None)  # a disk entry would serve the cold tables
-    record = {"label": args.label, "repeats": REPEATS, "machine": machine(), "stages": stages(),
-              "tracemalloc_peak": memory()}
+    record = {"label": args.label, "repeats": REPEATS, "machine": machine(),
+              "imports": imports(), "stages": stages(), "tracemalloc_peak": memory()}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
+    for name, stage in record["imports"].items():
+        print(f"{name:45s} {stage['median_s'] * 1e3:10.4f} ms median")
     for name, stage in record["stages"].items():
         print(f"{name:45s} {stage['best_s'] * 1e3:10.4f} ms")
     for name, peak in record["tracemalloc_peak"].items():
