@@ -48,12 +48,12 @@ per call (the caches they read stay warm). The stages are the ones the north sta
   own threads and through `cxorder._blas.matmul` on one thread (checkouts
   without that module get no pinned stage).
 
-It also times `import cxorder` in IMPORTS fresh interpreters, each timing
-the import with time.perf_counter after importing numpy, as the
-benchmark's set-up does, and records the median: once with
-PYTHONDONTWRITEBYTECODE=1, so every module compiles from source, and once
-with bytecode, after an untimed import has written it (when the checkout's
-src/ is writable).
+It also times `import cxorder` in IMPORTS pairs of fresh interpreters,
+each timing the import with time.perf_counter after importing numpy, as
+the benchmark's set-up does, and records the medians. Each pair imports
+two copies of the package made in a temporary directory: one without
+bytecode, under PYTHONDONTWRITEBYTECODE=1, so that every module compiles
+from source, and one whose bytecode an untimed import wrote first.
 
 Apart from the timings, it records the tracemalloc peak, in MiB, of one
 cold exponential null table (`null_statistics`, p = 1, every rank, weights
@@ -74,9 +74,11 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -205,17 +207,28 @@ def imports() -> dict[str, dict]:
 
     code = ("import time, numpy; t = time.perf_counter(); import cxorder; "
             "print(time.perf_counter() - t)")
-    env = dict(os.environ, PYTHONPATH=str(Path(cxorder.__file__).resolve().parents[1]))
+    package = Path(cxorder.__file__).resolve().parent
+    env = dict(os.environ)
     env.pop("PYTHONDONTWRITEBYTECODE", None)
-    out = {}
-    for label, extra in (("no_bytecode", {"PYTHONDONTWRITEBYTECODE": "1"}), ("bytecode", {})):
-        def run() -> float:
-            return float(subprocess.run([sys.executable, "-c", code], env={**env, **extra},
+    times: dict[str, list[float]] = {"no_bytecode": [], "bytecode": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        envs = {}
+        for label in times:
+            shutil.copytree(package, Path(tmp, label, "cxorder"),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            envs[label] = dict(env, PYTHONPATH=str(Path(tmp, label)))
+        envs["no_bytecode"]["PYTHONDONTWRITEBYTECODE"] = "1"
+
+        def run(label: str) -> float:
+            return float(subprocess.run([sys.executable, "-c", code], env=envs[label],
                                         capture_output=True, text=True, check=True).stdout)
-        run()  # untimed: warms the file cache, and writes the bytecode for "bytecode"
-        times = [run() for _ in range(IMPORTS)]
-        out[f"import cxorder {label}"] = {"median_s": statistics.median(times), "times_s": times}
-    return out
+
+        run("bytecode")  # untimed: writes the copy's bytecode
+        for _ in range(IMPORTS):
+            for label in times:
+                times[label].append(run(label))
+    return {f"import cxorder {label}": {"median_s": statistics.median(t), "times_s": t}
+            for label, t in times.items()}
 
 
 def _peak(run: Callable[[], object]) -> dict:
