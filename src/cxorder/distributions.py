@@ -37,9 +37,9 @@ _PROBES = np.array([1e-6, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1
 
 
 class Frozen:
-    """Immutable value type without a dataclass's code generation (0.8 ms a class
-    at import): fields are __slots__, set in order by __init__ through
-    object.__setattr__, and eq, hash, repr, copy and pickle follow from them."""
+    """Immutable value type that, unlike a dataclass, compiles no code when its
+    class is created. Fields are __slots__, set in order by __init__ through
+    object.__setattr__; eq, hash, repr, copy and pickle follow from them."""
 
     __slots__ = ()
 

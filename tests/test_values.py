@@ -88,7 +88,7 @@ def test_equal_fields_give_equal_frozen_values(name):
     assert a == b
 
 
-def test_families_of_one_field_set_compare_by_class():
+def test_families_compare_by_class_and_fields():
     families = [Uniform(), Exponential(), NegExponential(), Logistic(), Cauchy()]
     for i, f in enumerate(families):
         assert [f == g for g in families] == [j == i for j in range(len(families))]

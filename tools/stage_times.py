@@ -86,6 +86,7 @@ from typing import Callable
 
 import numpy as np
 
+import cxorder
 from cxorder import (Alternative, Cauchy, Exponential, Logistic, TestSpec, ingest, run_test,
                      statistic)
 from cxorder._cache import CACHE_DIR_ENV, clear_caches
@@ -203,8 +204,6 @@ def stages() -> dict[str, dict]:
 
 
 def imports() -> dict[str, dict]:
-    import cxorder
-
     code = ("import time, numpy; t = time.perf_counter(); import cxorder; "
             "print(time.perf_counter() - t)")
     package = Path(cxorder.__file__).resolve().parent
