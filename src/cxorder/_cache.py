@@ -9,8 +9,10 @@ Proschan-Pyke pair counts), both naming the table by `DrawTable.key()`,
 stored. Values are arrays, or tuples of arrays, stored read-only, in one
 least-recently-used store bounded to BUDGET_BYTES of array data. Entries
 asked for with a disk length, the "null" ones, are also kept on disk when
-the CXORDER_CACHE_DIR environment variable is set; their file name hashes
-the key together with CACHE_VERSION.
+the CXORDER_CACHE_DIR environment variable is set. A disk entry is named by
+the key together with CACHE_VERSION, the OpenBLAS kernel and numpy's
+version, which also decide its bytes: its file name hashes them, and the
+archive stores them, so an entry that names anything else is not read.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+
+from . import _blas
 
 __all__ = ["BUDGET_BYTES", "CACHE_DIR_ENV", "CACHE_VERSION", "clear_caches", "get", "keep",
            "lookup"]
@@ -87,8 +91,8 @@ def get(key: tuple, disk_length: int | None = None) -> Value | None:
         if value is not None:
             _entries.move_to_end(key)
             return value
-    path = _disk_path(key) if disk_length is not None else None
-    value = _load_pair(path, disk_length) if path is not None else None
+    entry = _disk_entry(key) if disk_length is not None else None
+    value = _load_pair(*entry, disk_length) if entry is not None else None
     return None if value is None else keep(key, value)
 
 
@@ -107,35 +111,42 @@ def lookup(key: tuple, compute: Callable[[], Value], disk_length: int | None = N
     With disk_length set, the value is a pair of sorted arrays of that
     length, and the disk tier is read before computing and written after.
     A disk entry is written to a temporary file and renamed into place; one
-    that does not load as two finite, sorted arrays of that length is
-    recomputed and rewritten.
+    that does not load as two finite, sorted arrays of that length under
+    its own disk key is recomputed and rewritten.
     """
     value = get(key, disk_length)
     if value is None:
         value = compute()
-        path = _disk_path(key) if disk_length is not None else None
-        if path is not None:
-            _store_pair(path, value)
+        entry = _disk_entry(key) if disk_length is not None else None
+        if entry is not None:
+            _store_pair(*entry, value)
         keep(key, value)
     return value
 
 
-def _disk_path(key: tuple) -> Path | None:
+def _disk_entry(key: tuple) -> tuple[Path, str] | None:
+    """(path, disk key) of key's disk entry, or None without a cache
+    directory. The disk key is the repr of CACHE_VERSION, the OpenBLAS
+    kernel, numpy's version and key; the file name hashes it."""
     root = os.environ.get(CACHE_DIR_ENV)
     if not root:
         return None
     import hashlib  # loaded on the first disk lookup, not by importing the package
 
-    digest = hashlib.sha256(repr((CACHE_VERSION, key)).encode()).hexdigest()
-    return Path(root) / f"{key[0]}-{digest}.npz"
+    name = repr((CACHE_VERSION, _blas.core(), np.__version__, key))
+    return Path(root) / f"{key[0]}-{hashlib.sha256(name.encode()).hexdigest()}.npz", name
 
 
-def _load_pair(path: Path, length: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The pair stored at path, or None when it is missing or unusable."""
+def _load_pair(path: Path, name: str, length: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The pair stored at path under disk key name, or None when it is
+    missing, unusable or stored under another key."""
     try:
         with np.load(path) as archive:
+            stored = str(archive["key"][()])
             pair = (archive["tplus"], archive["tminus"])
     except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    if stored != name:
         return None
     for arr in pair:
         if arr.shape != (length,) or not np.all(np.isfinite(arr)) or np.any(np.diff(arr) < 0):
@@ -143,12 +154,12 @@ def _load_pair(path: Path, length: int) -> tuple[np.ndarray, np.ndarray] | None:
     return pair
 
 
-def _store_pair(path: Path, pair: tuple[np.ndarray, np.ndarray]) -> None:
+def _store_pair(path: Path, name: str, pair: tuple[np.ndarray, np.ndarray]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, tplus=pair[0], tminus=pair[1])
+            np.savez(fh, tplus=pair[0], tminus=pair[1], key=np.array(name))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -10,13 +10,17 @@ family.sample(_BLOCK_ROWS * n, rng) call read row after row. A short last
 block is drawn whole and cut, so the first k rows of a table are the k-row
 table. Every Monte Carlo table is a `DrawTable`, and `DrawTable.chunks()`
 is the only code that draws one: a chunk of whole blocks at a time, so no
-table is ever held whole.
+table is ever held whole. A chunk is drawn into per-thread scratch
+(`_scratch`), which also holds the chunk temporaries of the scoring kernel
+and of the Proschan-Pyke counts: buffers that only grow, so a streamed
+table faults no fresh pages in per chunk.
 numpy.random and hashlib are loaded on the first draw, not by importing the
 package.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Iterator
 
 import numpy as np
@@ -35,6 +39,22 @@ _CHUNK_VALUES = 1 << 16
 def _chunk_rows(n: int) -> int:
     """Rows per chunk of a table whose rows hold n values."""
     return max(1, _CHUNK_VALUES // (n * _BLOCK_ROWS)) * _BLOCK_ROWS
+
+
+_local = threading.local()
+
+
+def _scratch(slot: str, rows: int, cols: int) -> np.ndarray:
+    """An uninitialized rows x cols float array in this thread's buffer for
+    slot, which only grows, so a chunk's temporaries reuse pages that are
+    already mapped instead of faulting fresh ones in (a chunk is at most
+    max(2^16, 64 n) values). It holds until the next call for slot on the
+    same thread."""
+    buf = getattr(_local, slot, None)
+    if buf is None or buf.size < rows * cols:
+        buf = np.empty(max(rows * cols, _CHUNK_VALUES))
+        setattr(_local, slot, buf)
+    return buf[: rows * cols].reshape(rows, cols)
 
 
 def derive_rng(seed: int, *path: object) -> np.random.Generator:
@@ -66,12 +86,14 @@ class DrawTable:
 
     def chunks(self) -> Iterator[tuple[int, np.ndarray]]:
         """(first, rows): table rows first, first + 1, ..., _chunk_rows(n) at a
-        time, each chunk a fresh array. Block b (rows b * _BLOCK_ROWS onward)
-        is family.sample(_BLOCK_ROWS * n, derive_rng(seed, label,
-        family.cache_key(), n, b)) cut to its rows."""
+        time. Each chunk is drawn into this thread's "rows" scratch
+        (`_scratch`), so it holds only until the next chunk is drawn on the
+        thread: a caller that keeps a chunk copies it. Block b (rows
+        b * _BLOCK_ROWS onward) is family.sample(_BLOCK_ROWS * n,
+        derive_rng(seed, label, family.cache_key(), n, b)) cut to its rows."""
         n, key, step = self.n, self.family.cache_key(), _chunk_rows(self.n)
         for first in range(0, self.count, step):
-            rows = np.empty((min(step, self.count - first), n))
+            rows = _scratch("rows", min(step, self.count - first), n)
             for lo in range(0, len(rows), _BLOCK_ROWS):
                 block = rows[lo : lo + _BLOCK_ROWS]
                 rng = derive_rng(self.seed, self.label, key, n, (first + lo) // _BLOCK_ROWS)

@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _cache
-from ._seeds import DrawTable
+from ._seeds import DrawTable, _scratch
 from .distributions import Exponential
 from .order_stats import Sample
 from .testing import TestResult, _check_mc, _integer, _result
@@ -42,9 +42,9 @@ def normalized_spacings(s: Sample) -> np.ndarray:
     return _spacings(s.values)
 
 
-def _spacings(x: np.ndarray) -> np.ndarray:
-    """Normalized spacings along the last axis of presorted x."""
-    d = np.diff(x, axis=-1)
+def _spacings(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Normalized spacings along the last axis of presorted x, in out if given."""
+    d = np.subtract(x[..., 1:], x[..., :-1], out=out)
     d *= np.arange(x.shape[-1] - 1, 0, -1, dtype=float)
     return d
 
@@ -92,10 +92,12 @@ def pp_statistic(d: np.ndarray) -> int:
 def _pp_table(table: DrawTable) -> tuple[np.ndarray, np.ndarray]:
     """Sorted, read-only pair counts (ihr, dhr) of the normalized spacings of
     each row of an engine table, held by the cache layer under ("pairs",
-    table.key()). Each chunk's spacings are ranked as the chunk is drawn."""
+    table.key()). Each chunk's spacings are ranked as the chunk is drawn, in
+    this thread's scratch (`_seeds._scratch`)."""
 
     def compute() -> tuple[np.ndarray, np.ndarray]:
-        parts = ((first, _spacings(rows)) for first, rows in table.chunks())
+        parts = ((first, _spacings(rows, _scratch("spacings", len(rows), table.n - 1)))
+                 for first, rows in table.chunks())
         return tuple(map(np.sort, _counts(parts, table.n - 1, table.count)))
 
     return _cache.lookup(("pairs", table.key()), compute)

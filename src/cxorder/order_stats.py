@@ -10,7 +10,8 @@ it is what the empirical counterpart is compared against.
 One kernel, `_score`, scores the observed sample and every drawn table, so
 a simulated replicate is scored exactly the way the data are. It evaluates
 the ECDF of a table of many rows and few ranks in one vectorized pass, and
-any other with one np.interp per row, to the same bytes.
+any other with one np.interp per row, to the same bytes. It scores a chunk
+of a table for every rank set at once, from one scaled copy of the chunk.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _blas, _cache
-from ._seeds import _BLOCK_ROWS, _chunk_rows
+from ._seeds import _BLOCK_ROWS, _chunk_rows, _scratch
 from .distributions import (
     Exponential,
     Frozen,
@@ -142,7 +143,7 @@ def os_weights(n: int, j: int, m: int) -> np.ndarray:
 
 def l_estimate(s: Sample, j: int, m: int) -> float:
     """L-estimate of the expected j-th of m order statistics."""
-    mus, _ = _score(s.values[np.newaxis], _weights_readonly(s.n, m, (j,)))
+    ((mus, _),) = _score(s.values[np.newaxis], _weights_readonly(s.n, m, (j,)))
     return float(mus[0, 0])
 
 
@@ -184,58 +185,83 @@ def interp_ecdf(s: Sample) -> InterpolatedEcdf:
 _BATCH_RANKS = 32
 
 
-def _score(sorted_rows: np.ndarray, weight_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mus, fts), both rows x ranks: the L-estimates of each presorted, finite
-    row under each row of weight_mat (ranks x n), and the row's interpolated
-    ECDF at them. Rows are scaled, row by row, by the power of two that brings
-    max |x| into [1, 2): exact for normal floats, and no underflow for a
-    subnormal row. The product runs in _BLOCK_ROWS blocks, the ECDF in the
-    draw engine's chunks (`_seeds._chunk_rows`), so a table scored chunk by
-    chunk gets the bytes of the whole: one _interp_rows pass if there are at
-    most _BATCH_RANKS ranks, n <= 512 (chunks of two blocks or more) and the
-    chunk has a whole block, else one np.interp per row; both give the same
-    bytes.
+def _score(sorted_rows: np.ndarray,
+           *weight_mats: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """[(mus, fts), ...], one pair per matrix of weight_mats (each ranks x n),
+    both rows x ranks: the L-estimates of each presorted, finite row under
+    each row of the matrix, and the row's interpolated ECDF at them. Rows are
+    scaled, row by row, by the power of two that brings max |x| into [1, 2):
+    exact for normal floats, and no underflow for a subnormal row. The
+    product runs in _BLOCK_ROWS blocks, the ECDF in the draw engine's chunks
+    (`_seeds._chunk_rows`), so a table scored chunk by chunk gets the bytes
+    of the whole, and each matrix the bytes it gets alone: one _interp_rows
+    pass if it has at most _BATCH_RANKS ranks, n <= 512 (chunks of two
+    blocks or more) and the chunk has a whole block, else one np.interp per
+    row; both give the same bytes.
     A row with a tie, found by one compare along the chunk, is interpolated
     again on collapsed knots (a pair spanning two rows rescores a row to the
-    same bytes)."""
+    same bytes). A chunk's scaled rows, tied rows' knots and search keys are
+    made once for every matrix, the rows and keys in this thread's scratch
+    (`_seeds._scratch`); the observed sample, one row, allocates its own."""
     rows, n = sorted_rows.shape
-    mus = np.empty((rows, len(weight_mat)))
-    fts = np.empty_like(mus)
+    out = [(np.empty((rows, len(w))), np.empty((rows, len(w)))) for w in weight_mats]
     grid = np.arange(1, n + 1) / n
     shift = 1 - np.frexp(np.maximum(-sorted_rows[:, :1], sorted_rows[:, -1:]))[1]
     step = _chunk_rows(n)
-    batch = step > _BLOCK_ROWS and len(weight_mat) <= _BATCH_RANKS
     for lo in range(0, rows, step):
-        scaled = np.ldexp(sorted_rows[lo : lo + step], shift[lo : lo + step])
-        mu, ft = mus[lo : lo + step], fts[lo : lo + step]
-        for b in range(0, len(scaled), _BLOCK_ROWS):
-            mu[b : b + _BLOCK_ROWS] = _blas.matmul(scaled[b : b + _BLOCK_ROWS], weight_mat.T)
-        redo = range(len(scaled))
-        if batch and len(scaled) >= _BLOCK_ROWS:
-            redo = _interp_rows(mu, scaled, grid, ft)
-        for r in redo:
-            ft[r] = np.interp(mu[r], scaled[r], grid)
+        hi = lo + step
+        if rows == 1:
+            scaled = np.ldexp(sorted_rows, shift)
+        else:
+            scaled = np.ldexp(sorted_rows[lo:hi], shift[lo:hi],
+                              out=_scratch("scaled", min(step, rows - lo), n))
         tied = scaled.ravel()[1:] == scaled.ravel()[:-1]
-        for r in np.flatnonzero(np.bincount(np.flatnonzero(tied) // n)) if tied.any() else ():
-            ft[r] = np.interp(mu[r], *_ecdf_knots(scaled[r]))
-    np.ldexp(mus, -shift, out=mus)
-    return mus, fts
+        knots = [(r, *_ecdf_knots(scaled[r]))
+                 for r in np.flatnonzero(np.bincount(np.flatnonzero(tied) // n))
+                 ] if tied.any() else ()
+        keys = None
+        for w, (mus, fts) in zip(weight_mats, out):
+            mu, ft = mus[lo:hi], fts[lo:hi]
+            for b in range(0, len(scaled), _BLOCK_ROWS):
+                mu[b : b + _BLOCK_ROWS] = _blas.matmul(scaled[b : b + _BLOCK_ROWS], w.T)
+            redo = range(len(scaled))
+            if len(scaled) >= _BLOCK_ROWS and step > _BLOCK_ROWS and len(w) <= _BATCH_RANKS:
+                if keys is None:
+                    keys = _search_keys(scaled)
+                redo = _interp_rows(mu, scaled, grid, ft, keys)
+            for r in redo:
+                ft[r] = np.interp(mu[r], scaled[r], grid)
+            for r, knots_x, knots_y in knots:
+                ft[r] = np.interp(mu[r], knots_x, knots_y)
+    for mus, _ in out:
+        np.ldexp(mus, -shift, out=mus)
+    return out
 
 
-def _interp_rows(mus: np.ndarray, x: np.ndarray, grid: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _search_keys(x: np.ndarray) -> np.ndarray:
+    """The flat keys _interp_rows searches: row r of x (rows in (-2, 2))
+    shifted by 8r, in this thread's scratch."""
+    keys = _scratch("keys", *x.shape)
+    np.add(x, 8.0 * np.arange(len(x))[:, np.newaxis], out=keys)
+    return keys.ravel()
+
+
+def _interp_rows(mus: np.ndarray, x: np.ndarray, grid: np.ndarray, out: np.ndarray,
+                 keys: np.ndarray) -> np.ndarray:
     """Write np.interp(mus[r], x[r], grid) into out[r] for every row r of x
-    (sorted, in (-2, 2)) with one searchsorted, and return the rows it could
-    not place, for the caller's np.interp. Row r is shifted by 8r, so rows
-    cannot overlap. Rounding is monotone, so the search counts every knot at
-    or below mu and, past them, only knots whose shifted value collapsed onto
-    mu's: the count is right exactly when its last knot, unshifted, is at
-    most mu. The rest is numpy's formula: slope * (mu - x[j]) + grid[j], and
-    grid values at the two ends, the last knot and an exact knot hit. Its NaN
-    retry cannot change a result: with x in (-2, 2) and a strictly increasing
-    grid the formula is NaN only for an infinite slope at an exact hit."""
+    (sorted, in (-2, 2)) with one searchsorted of keys (`_search_keys(x)`),
+    and return the rows it could not place, for the caller's np.interp. Row r
+    is shifted by 8r, so rows cannot overlap. Rounding is monotone, so the
+    search counts every knot at or below mu and, past them, only knots whose
+    shifted value collapsed onto mu's: the count is right exactly when its
+    last knot, unshifted, is at most mu. The rest is numpy's formula:
+    slope * (mu - x[j]) + grid[j], and grid values at the two ends, the last
+    knot and an exact knot hit. Its NaN retry cannot change a result: with x
+    in (-2, 2) and a strictly increasing grid the formula is NaN only for an
+    infinite slope at an exact hit."""
     n = x.shape[1]
     row = np.arange(len(x))[:, np.newaxis]
-    found = np.searchsorted((x + 8.0 * row).ravel(), mus + 8.0 * row, "right")
+    found = np.searchsorted(keys, mus + 8.0 * row, "right")
     count = found - n * row
     flat = x.ravel()
     x0, x1 = flat[found - 1], flat[np.minimum(found, flat.size - 1)]

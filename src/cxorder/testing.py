@@ -307,7 +307,7 @@ def _gap_matrix(
 ) -> np.ndarray:
     """Rows x ranks gaps pi_j - F_hat(mu_hat_j); T+ and T- reduce them."""
     weight_mat, pis = _arrays_for(ref, sorted_rows.shape[1], m, indices)
-    return pis - _score(sorted_rows, weight_mat)[1]
+    return pis - _score(sorted_rows, weight_mat)[0][1]
 
 
 def _table_gaps(table: DrawTable, ref: RefFamily,
@@ -316,8 +316,8 @@ def _table_gaps(table: DrawTable, ref: RefFamily,
     the cache layer's ("gaps", table.key(), ref.identity(), m, indices) entry.
 
     Every entry missing from the layer comes from one pass over the table,
-    which is drawn, scored for each missing rank set and dropped one chunk
-    at a time, so the table is never held whole. A chunk is scored as
+    which is drawn, scored for every missing rank set at once and dropped
+    one chunk at a time, so the table is never held whole. A chunk is scored as
     `_score` scores those rows of the whole table, to the same bytes.
     """
     sets = [(m, tuple(map(int, idx))) for m, idx in rank_sets]
@@ -326,10 +326,11 @@ def _table_gaps(table: DrawTable, ref: RefFamily,
     missing = {key: ranks for key, ranks in zip(keys, sets) if found[key] is None}
     if missing:
         arrays = [_arrays_for(ref, table.n, m, idx) for m, idx in missing.values()]
+        weight_mats = [weight_mat for weight_mat, _ in arrays]
         gaps = [np.empty((table.count, len(pis))) for _, pis in arrays]
         for first, rows in table.chunks():
-            for (weight_mat, pis), out in zip(arrays, gaps):
-                np.subtract(pis, _score(rows, weight_mat)[1], out=out[first : first + len(rows)])
+            for (_, pis), out, (_, fts) in zip(arrays, gaps, _score(rows, *weight_mats)):
+                np.subtract(pis, fts, out=out[first : first + len(rows)])
         for key, value in zip(missing, gaps):
             found[key] = _cache.keep(key, value)
     return [found[key] for key in keys]
@@ -456,7 +457,7 @@ def _observed(
     """The pinned spec, per-rank diagnostics and (upper, lower) statistics of s."""
     rs = spec.resolve(s.n)
     weight_mat, pis = _arrays_for(rs.ref, s.n, rs.m, rs.indices)
-    (mus,), (fts,) = _score(s.values[np.newaxis], weight_mat)
+    (((mus,), (fts,)),) = _score(s.values[np.newaxis], weight_mat)
     gaps = pis - fts
     # tuple.__new__ is what IndexDiagnostic._make calls, without its frame.
     diags = tuple(map(tuple.__new__, repeat(IndexDiagnostic), zip(

@@ -9,8 +9,10 @@ from cxorder._seeds import DrawTable
 
 def stacked(family, n: int, count: int, seed: int, label: str) -> np.ndarray:
     """DrawTable(family, n, count, seed, label) as one count x n matrix. Each
-    chunk must start at the row where the one before it ends."""
-    chunks = list(DrawTable(family, n, count, seed, label).chunks())
+    chunk must start at the row where the one before it ends. A chunk holds
+    only until the next is drawn, so each is copied."""
+    chunks = [(first, rows.copy()) for first, rows in
+              DrawTable(family, n, count, seed, label).chunks()]
     ends = np.cumsum([len(rows) for _, rows in chunks]).tolist()
     assert [first for first, _ in chunks] == [0, *ends[:-1]]
     out = np.vstack([rows for _, rows in chunks])

@@ -3,9 +3,13 @@ the byte budget, the disk version and clearing."""
 
 import importlib
 import math
+import os
 import pkgutil
+import subprocess
 import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,7 +126,9 @@ def test_disk_entry_of_another_version_is_recomputed(tmp_path, monkeypatch):
         patched.setattr(_cache, "CACHE_VERSION", ("npz-pair-0", 0))
         null_statistics(*args)
     (old,) = tmp_path.glob("null-*.npz")
-    np.savez(old, tplus=np.full(300, 42.0), tminus=np.full(300, 42.0))
+    with np.load(old) as archive:
+        key = archive["key"]
+    np.savez(old, tplus=np.full(300, 42.0), tminus=np.full(300, 42.0), key=key)
     _cache.clear_caches()
     got = [a.tobytes() for a in null_statistics(*args)]
     assert len(list(tmp_path.glob("null-*.npz"))) == 2
@@ -435,3 +441,136 @@ def test_a_cold_proschan_pyke_table_holds_its_ranks_and_one_chunk_of_draws():
     finally:
         tracemalloc.stop()
     assert peak < 6 << 20
+
+
+FAULTS = """
+import resource, sys
+from cxorder._cache import clear_caches
+from cxorder.simulation import pp_power, reproduce
+
+def request(seed):
+    clear_caches()
+    reproduce("table1", out_dir=sys.argv[1], replications=300, mc_trials=300, seed=seed)
+    for n in (25, 50, 100, 200):
+        pp_power("weibull", 1.5, n, replications=300, mc_trials=300, base_seed=seed)
+
+request(0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+request(1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_a_cold_power_study_faults_no_fresh_pages_in_per_chunk(tmp_path):
+    # A power-study request, every cache cleared, in a fresh process: table1
+    # and four Proschan-Pyke rows at R = T = 300. When every chunk made its
+    # own chunk-sized temporaries, glibc trimmed or unmapped them after each
+    # chunk and the next faulted them in again: 2,624 minor faults for this
+    # request, against 395 with the chunks drawn and scored in per-thread
+    # scratch.
+    env = {key: value for key, value in os.environ.items() if key != _cache.CACHE_DIR_ENV}
+    env["PYTHONPATH"] = str(Path(cxorder.__file__).resolve().parents[1])
+    faults = int(subprocess.run([sys.executable, "-c", FAULTS, str(tmp_path)], env=env,
+                                capture_output=True, text=True, check=True,
+                                timeout=120).stdout)
+    assert faults < 1000
+
+
+# ------------------------------------------------- the disk tier across processes
+
+NULL_ARGS = (Exponential(), 200, 5, (1, 2, 3, 4, 5), 1.0, 300, 7)
+
+WRITER = """
+import sys, time
+from cxorder import Exponential, _blas
+from cxorder.testing import null_statistics
+time.sleep(max(0.0, float(sys.argv[1]) - time.time()))
+null_statistics(Exponential(), 200, 5, (1, 2, 3, 4, 5), 1.0, 300, 7)
+print(_blas.core())
+"""
+
+
+def _writer(tmp_path, start: float = 0.0, **env) -> subprocess.Popen:
+    """A process that computes NULL_ARGS' null table into the disk tier at
+    tmp_path once the clock reaches start, then prints its BLAS kernel."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cxorder.__file__).resolve().parents[1]),
+               **{_cache.CACHE_DIR_ENV: str(tmp_path)}, **env)
+    return subprocess.Popen([sys.executable, "-c", WRITER, repr(start)], env=env,
+                            stdout=subprocess.PIPE, text=True)
+
+
+def _computed(monkeypatch) -> list:
+    """Records each null table null_statistics computes rather than reads."""
+    calls = []
+    batch = testing.batch_statistics
+    monkeypatch.setattr(testing, "batch_statistics",
+                        lambda *args: calls.append(args) or batch(*args))
+    return calls
+
+
+def test_the_disk_key_names_the_blas_kernel_and_numpy(tmp_path, monkeypatch):
+    monkeypatch.setenv(_cache.CACHE_DIR_ENV, str(tmp_path))
+    null_statistics(*NULL_ARGS)
+    (path,) = tmp_path.glob("null-*.npz")
+    key = testing._null_key(*NULL_ARGS)
+    with np.load(path) as archive:
+        tplus, tminus, stored = archive["tplus"], archive["tminus"], str(archive["key"])
+    assert _cache._disk_entry(key) == (path, stored)
+    assert repr(cxorder._blas.core()) in stored and repr(np.__version__) in stored
+    assert repr(_cache.CACHE_VERSION) in stored and repr(key) in stored
+    # Another kernel is another file, and an entry stored under another key
+    # at this entry's path is not read.
+    with monkeypatch.context() as patched:
+        patched.setattr(cxorder._blas, "_core", "Other")
+        assert _cache._disk_entry(key)[0] != path
+    np.savez(path, tplus=tplus, tminus=tminus, key="another key")
+    _cache.clear_caches()
+    calls = _computed(monkeypatch)
+    null_statistics(*NULL_ARGS)
+    assert len(calls) == 1
+
+
+@pytest.mark.skipif(cxorder._blas.core() is None, reason="no OpenBLAS kernel name to force")
+def test_an_entry_written_under_another_blas_kernel_is_recomputed(tmp_path, monkeypatch):
+    other = "Sandybridge" if cxorder._blas.core() == "Haswell" else "Haswell"
+    writer = _writer(tmp_path, OPENBLAS_CORETYPE=other)
+    assert writer.communicate(timeout=120)[0].split() == [other] and writer.returncode == 0
+    (theirs,) = tmp_path.glob("null-*.npz")
+    with np.load(theirs) as archive:
+        assert repr(other) in str(archive["key"])
+    monkeypatch.setenv(_cache.CACHE_DIR_ENV, str(tmp_path))
+    calls = _computed(monkeypatch)
+    null_statistics(*NULL_ARGS)
+    assert len(calls) == 1
+    assert len(list(tmp_path.glob("null-*.npz"))) == 2
+
+
+def test_two_writer_processes_on_one_key_leave_one_loadable_entry(tmp_path, monkeypatch):
+    start = time.time() + 2.0  # both past their imports, so their writes race
+    writers = [_writer(tmp_path, start) for _ in range(2)]
+    for writer in writers:
+        writer.communicate(timeout=120)
+        assert writer.returncode == 0
+    assert [p.suffix for p in tmp_path.iterdir()] == [".npz"]
+    want = [a.tobytes() for a in null_statistics(*NULL_ARGS)]  # no disk tier here
+    _cache.clear_caches()
+    monkeypatch.setenv(_cache.CACHE_DIR_ENV, str(tmp_path))
+    calls = _computed(monkeypatch)
+    assert [a.tobytes() for a in null_statistics(*NULL_ARGS)] == want
+    assert calls == []
+
+
+def test_a_stale_temporary_file_changes_no_result(tmp_path, monkeypatch):
+    # What a writer killed between mkstemp and os.replace leaves behind: a
+    # .tmp file beside the entry, here holding another table.
+    want = [a.tobytes() for a in null_statistics(*NULL_ARGS)]
+    monkeypatch.setenv(_cache.CACHE_DIR_ENV, str(tmp_path))
+    key = testing._null_key(*NULL_ARGS)
+    path, name = _cache._disk_entry(key)
+    stale = tmp_path / f"{path.stem}killed.tmp"
+    with open(stale, "wb") as fh:
+        np.savez(fh, tplus=np.zeros(300), tminus=np.zeros(300), key=np.array(name))
+    for _ in range(2):  # computed and written, then read from disk
+        _cache.clear_caches()
+        assert [a.tobytes() for a in null_statistics(*NULL_ARGS)] == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, stale.name])

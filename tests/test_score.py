@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -28,10 +29,10 @@ from cxorder import (
     ingest,
     statistic,
 )
-from cxorder import _cache, order_stats
+from cxorder import _cache, baselines, order_stats
 from cxorder._seeds import _BLOCK_ROWS, DrawTable, _chunk_rows, derive_rng
 from cxorder.distributions import Alternative
-from cxorder.order_stats import _interp_rows, _score, _weights_readonly
+from cxorder.order_stats import _interp_rows, _score, _search_keys, _weights_readonly
 from cxorder.testing import Side, _gap_matrix, _table_gaps, null_statistics
 from _tables import stacked
 
@@ -79,11 +80,11 @@ def _per_row_score(monkeypatch, rows, weight_mat):
     """`_score` with the batched pass switched off: one np.interp per row."""
     with monkeypatch.context() as patch:
         patch.setattr(order_stats, "_BATCH_RANKS", -1)
-        return _score(rows, weight_mat)
+        return _score(rows, weight_mat)[0]
 
 
 def _assert_score_matches_per_row(monkeypatch, rows, weight_mat):
-    got = _score(rows, weight_mat)
+    (got,) = _score(rows, weight_mat)
     want = _per_row_score(monkeypatch, rows, weight_mat)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
@@ -94,7 +95,7 @@ def _assert_interp_rows_exact(mus, x):
     return; returns the rows it handed back."""
     grid = np.arange(1, x.shape[1] + 1) / x.shape[1]
     out = np.full_like(mus, np.nan)
-    redo = _interp_rows(mus, x, grid, out)
+    redo = _interp_rows(mus, x, grid, out, _search_keys(x))
     want = np.array([np.interp(mu, row, grid) for mu, row in zip(mus, x)])
     placed = np.setdiff1d(np.arange(len(x)), redo)
     assert out[placed].tobytes() == want[placed].tobytes()
@@ -149,7 +150,7 @@ def test_exact_knot_hits_take_the_knot_value():
     mus = x @ _weights(n, 1).T
     assert np.all(mus[:, 0] == x[:, n // 2])
     _assert_interp_rows_exact(mus, x)
-    fts = _score(np.tile(np.arange(n, dtype=float), (200, 1)), _weights(n, 1))[1]
+    ((_, fts),) = _score(np.tile(np.arange(n, dtype=float), (200, 1)), _weights(n, 1))
     assert np.all(fts == (n // 2 + 1) / n)
 
 
@@ -262,7 +263,8 @@ def test_streamed_tables_score_to_the_whole_tables_bytes(n, count):
 
 
 def test_an_engine_table_is_drawn_one_chunk_at_a_time():
-    chunks = list(DrawTable(Exponential(), 200, 1000, 3, "null").chunks())
+    chunks = [(first, rows.copy())
+              for first, rows in DrawTable(Exponential(), 200, 1000, 3, "null").chunks()]
     assert [(first, len(rows)) for first, rows in chunks] == [
         (0, 320), (320, 320), (640, 320), (960, 40)]
     # Each chunk is its rows of the table drawn block by block.
@@ -274,6 +276,97 @@ def test_an_engine_table_is_drawn_one_chunk_at_a_time():
             want = np.sort(Exponential().sample(_BLOCK_ROWS * 200, rng).reshape(
                 _BLOCK_ROWS, 200)[: len(block)], axis=1)
             assert block.tobytes() == want.tobytes()
+
+
+def test_an_engine_tables_chunks_are_drawn_into_one_reused_buffer():
+    # The contract a caller that keeps chunks relies on: each chunk holds
+    # only until the next is drawn on the thread, so keeping one means a copy.
+    chunks = DrawTable(Exponential(), 200, 1000, 3, "null").chunks()
+    _, first = next(chunks)
+    kept = first.copy()
+    _, second = next(chunks)
+    assert np.shares_memory(first, second)
+    assert first.tobytes() != kept.tobytes()
+
+
+# ------------------------------------------------- one pass for every rank set
+
+class _Rounded:
+    """A draw family whose values are rounded to 0.1, so nearly every row of
+    its tables has a tie."""
+
+    def cache_key(self):
+        return "rounded-exponential"
+
+    identity = cache_key
+
+    def sample(self, size, rng):
+        return np.round(rng.standard_exponential(size), 1)
+
+
+# Both sides of the batched pass's cut-off, and two sets of one m.
+SETS = [(5, (1, 2, 3, 4, 5)), (20, (2, 7, 19)), (20, tuple(range(1, 21))),
+        (40, tuple(range(1, 41)))]
+
+
+@pytest.mark.parametrize("family", [Exponential(), _Rounded()], ids=["untied", "tied"])
+@pytest.mark.parametrize("n, count", [(25, 1000), (200, 1000), (1000, 130)])
+def test_rank_sets_scored_in_one_pass_get_the_bytes_of_one_set_passes(family, n, count):
+    # n = 25 is one 1000-row chunk, n = 200 four chunks with a short last
+    # block, n = 1000 three 64-row chunks (one np.interp per row).
+    ref = Exponential()
+    table = DrawTable(family, n, count, 53, "null")
+    rows = stacked(family, n, count, 53, "null")
+    if isinstance(family, _Rounded):
+        assert (rows[:, 1:] == rows[:, :-1]).any(axis=1).mean() > 0.9
+    _cache.clear_caches()
+    shared = _table_gaps(table, ref, SETS)
+    weight_mats = [_weights_readonly(n, m, ranks) for m, ranks in SETS]
+    together = _score(rows, *weight_mats)
+    for (m, ranks), gaps, weight_mat, pair in zip(SETS, shared, weight_mats, together):
+        _cache.clear_caches()
+        (alone,) = _table_gaps(table, ref, [(m, ranks)])
+        assert gaps.tobytes() == alone.tobytes()
+        ((mus, fts),) = _score(rows, weight_mat)
+        assert pair[0].tobytes() == mus.tobytes() and pair[1].tobytes() == fts.tobytes()
+
+
+def test_threads_scoring_different_tables_at_once_get_the_serial_bytes():
+    # Each thread scores in its own scratch: gap matrices of a multi-chunk
+    # null or alternative table, then Proschan-Pyke counts of another table.
+    # More threads than cores, switching every microsecond.
+    ref = Exponential()
+    jobs = [(DrawTable(family, n, 2000, seed, label),
+             DrawTable(family, k, 3000, seed, "pp-" + label))
+            for family, label in ((ref, "null"), (Alternative("weibull", 1.5), "alt"))
+            for n, k, seed in ((200, 100, 59), (25, 50, 61))]
+
+    def run(job):
+        table, pp_table = job
+        return [*_table_gaps(table, ref, SETS), *baselines._pp_table(pp_table)]
+
+    serial = [run(job) for job in jobs]
+    _cache.clear_caches()
+    barrier = threading.Barrier(len(jobs), timeout=120)
+    got = [None] * len(jobs)
+
+    def worker(i):
+        barrier.wait()
+        got[i] = run(jobs[i])
+
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for want, have in zip(serial, got):
+        assert [a.tobytes() for a in have] == [a.tobytes() for a in want]
 
 
 # ------------------------------------------------- exact oracle, n = 1000

@@ -678,10 +678,11 @@ def test_disk_cache_roundtrip_and_load_path(tmp_path, monkeypatch):
     testing_mod.clear_caches()
     assert critical_value(spec, 20) == c1
 
-    # prove the value really comes from disk: plant a sentinel archive
+    # prove the value really comes from disk: plant a sentinel archive under
+    # the entry's own disk key
     with np.load(files[0]) as archive:
-        size = archive["tplus"].size
-    np.savez(files[0], tplus=np.full(size, 42.0), tminus=np.full(size, 42.0))
+        size, key = archive["tplus"].size, archive["key"]
+    np.savez(files[0], tplus=np.full(size, 42.0), tminus=np.full(size, 42.0), key=key)
     testing_mod.clear_caches()
     assert critical_value(spec, 20) == 42.0
 
@@ -758,7 +759,9 @@ def test_truncated_disk_entry_is_recomputed(tmp_path, monkeypatch):
 
 def test_wrong_shape_disk_entry_is_recomputed(tmp_path, monkeypatch):
     def reshape(path):
-        np.savez(path, tplus=np.zeros(7), tminus=np.zeros(7))
+        with np.load(path) as archive:
+            key = archive["key"]
+        np.savez(path, tplus=np.zeros(7), tminus=np.zeros(7), key=key)
 
     _spoil_and_reload(tmp_path, monkeypatch, reshape)
 
@@ -767,8 +770,8 @@ def test_wrong_shape_disk_entry_is_recomputed(tmp_path, monkeypatch):
 def test_non_finite_or_unsorted_disk_entry_is_recomputed(tmp_path, monkeypatch, bad):
     def plant(path):
         with np.load(path) as archive:
-            tplus, tminus = archive["tplus"].copy(), archive["tminus"].copy()
+            tplus, tminus, key = archive["tplus"].copy(), archive["tminus"].copy(), archive["key"]
         tplus[-1] = bad
-        np.savez(path, tplus=tplus, tminus=tminus)
+        np.savez(path, tplus=tplus, tminus=tminus, key=key)
 
     _spoil_and_reload(tmp_path, monkeypatch, plant)
