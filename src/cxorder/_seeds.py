@@ -12,8 +12,9 @@ table. Every Monte Carlo table is a `DrawTable`, and `DrawTable.chunks()`
 is the only code that draws one: a chunk of whole blocks at a time, so no
 table is ever held whole. A chunk is drawn into per-thread scratch
 (`_scratch`), which also holds the chunk temporaries of the scoring kernel
-and of the Proschan-Pyke counts: buffers that only grow, so a streamed
-table faults no fresh pages in per chunk.
+and of the Proschan-Pyke counts: one 512 KiB buffer per use and thread,
+made once, so a streamed table at n <= 1024 faults no fresh pages in per
+chunk.
 numpy.random and hashlib are loaded on the first draw, not by importing the
 package.
 """
@@ -42,19 +43,24 @@ def _chunk_rows(n: int) -> int:
 
 
 _local = threading.local()
+# The most values a thread keeps in one scratch slot: one chunk up to n = 1024.
+_SCRATCH_VALUES = _CHUNK_VALUES
 
 
 def _scratch(slot: str, rows: int, cols: int) -> np.ndarray:
-    """An uninitialized rows x cols float array in this thread's buffer for
-    slot, which only grows, so a chunk's temporaries reuse pages that are
-    already mapped instead of faulting fresh ones in (a chunk is at most
-    max(2^16, 64 n) values). It holds until the next call for slot on the
-    same thread."""
+    """An uninitialized rows x cols float array that holds until the next call
+    for slot on the same thread. Up to _SCRATCH_VALUES values it is a view of
+    this thread's buffer for slot, made once, so a chunk's temporaries reuse
+    pages that are already mapped instead of faulting fresh ones in; a larger
+    array (a chunk at n > 1024) is made afresh and not kept."""
+    size = rows * cols
+    if size > _SCRATCH_VALUES:
+        return np.empty((rows, cols))
     buf = getattr(_local, slot, None)
-    if buf is None or buf.size < rows * cols:
-        buf = np.empty(max(rows * cols, _CHUNK_VALUES))
+    if buf is None:
+        buf = np.empty(_SCRATCH_VALUES)
         setattr(_local, slot, buf)
-    return buf[: rows * cols].reshape(rows, cols)
+    return buf[:size].reshape(rows, cols)
 
 
 def derive_rng(seed: int, *path: object) -> np.random.Generator:

@@ -7,10 +7,11 @@ i/n. The exceedance bound pi(j, m) is the reference CDF evaluated at the
 expected j-th of m order statistics of the reference distribution itself;
 it is what the empirical counterpart is compared against.
 
-One kernel, `_score`, scores the observed sample and every drawn table, so
-a simulated replicate is scored exactly the way the data are. It evaluates
-the ECDF of a table of many rows and few ranks in one vectorized pass, and
-any other with one np.interp per row, to the same bytes. It scores a chunk
+One kernel, `_score`, scores every drawn table, and `_score_row` the
+observed sample to the bytes `_score` gives it as a one-row table, so a
+simulated replicate is scored exactly the way the data are. `_score`
+evaluates the ECDF of a table of many rows and few ranks in one vectorized
+pass, and any other with one np.interp per row, to the same bytes. It scores a chunk
 of a table for every rank set at once, from one scaled copy of the chunk.
 """
 
@@ -143,8 +144,7 @@ def os_weights(n: int, j: int, m: int) -> np.ndarray:
 
 def l_estimate(s: Sample, j: int, m: int) -> float:
     """L-estimate of the expected j-th of m order statistics."""
-    ((mus, _),) = _score(s.values[np.newaxis], _weights_readonly(s.n, m, (j,)))
-    return float(mus[0, 0])
+    return float(_score_row(s.values, _weights_readonly(s.n, m, (j,)))[0][0])
 
 
 class InterpolatedEcdf(Frozen):
@@ -202,7 +202,7 @@ def _score(sorted_rows: np.ndarray,
     again on collapsed knots (a pair spanning two rows rescores a row to the
     same bytes). A chunk's scaled rows, tied rows' knots and search keys are
     made once for every matrix, the rows and keys in this thread's scratch
-    (`_seeds._scratch`); the observed sample, one row, allocates its own."""
+    (`_seeds._scratch`). `_score_row` scores one row to the same bytes."""
     rows, n = sorted_rows.shape
     out = [(np.empty((rows, len(w))), np.empty((rows, len(w)))) for w in weight_mats]
     grid = np.arange(1, n + 1) / n
@@ -210,11 +210,8 @@ def _score(sorted_rows: np.ndarray,
     step = _chunk_rows(n)
     for lo in range(0, rows, step):
         hi = lo + step
-        if rows == 1:
-            scaled = np.ldexp(sorted_rows, shift)
-        else:
-            scaled = np.ldexp(sorted_rows[lo:hi], shift[lo:hi],
-                              out=_scratch("scaled", min(step, rows - lo), n))
+        scaled = np.ldexp(sorted_rows[lo:hi], shift[lo:hi],
+                          out=_scratch("scaled", min(step, rows - lo), n))
         tied = scaled.ravel()[1:] == scaled.ravel()[:-1]
         knots = [(r, *_ecdf_knots(scaled[r]))
                  for r in np.flatnonzero(np.bincount(np.flatnonzero(tied) // n))
@@ -236,6 +233,21 @@ def _score(sorted_rows: np.ndarray,
     for mus, _ in out:
         np.ldexp(mus, -shift, out=mus)
     return out
+
+
+def _score_row(x: np.ndarray, weight_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mus, fts), both of length ranks: `_score` of the one row x, to its
+    bytes, in arrays of its own. It is the observed sample's path: one
+    product, one np.interp, none of the chunk loop's bookkeeping and no
+    scratch."""
+    shift = 1 - np.frexp(np.maximum(-x[0], x[-1]))[1]
+    scaled = np.ldexp(x, shift)
+    mus = _blas.matmul(scaled[np.newaxis], weight_mat.T)[0]
+    if (scaled[1:] == scaled[:-1]).any():
+        fts = np.interp(mus, *_ecdf_knots(scaled))
+    else:
+        fts = np.interp(mus, scaled, np.arange(1, len(x) + 1) / len(x))
+    return np.ldexp(mus, -shift, out=mus), fts
 
 
 def _search_keys(x: np.ndarray) -> np.ndarray:

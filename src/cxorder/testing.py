@@ -3,10 +3,11 @@
 The statistic measures, in a chosen p-norm, how far the interpolated ECDF
 evaluated at L-estimates of expected order statistics falls short of (or
 overshoots) the null exceedance bounds. One kernel (`order_stats._score`)
-scores the sample and every drawn table, and one rule (`_decide`) makes
-every decision. Critical values and p-values come from Monte Carlo draws
-under the standard reference, one RNG stream per (seed, reference, n,
-block of rows), so results never depend on scheduling.
+scores every drawn table, and the sample to the same bytes as a one-row
+table (`_score_row`); one rule (`_decide`) makes every decision. Critical
+values and p-values come from Monte Carlo draws under the standard
+reference, one RNG stream per (seed, reference, n, block of rows), so
+results never depend on scheduling.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from . import _cache
 from ._cache import CACHE_DIR_ENV, clear_caches
 from ._seeds import DrawTable
 from .distributions import Frozen, RefFamily, TailInfo
-from .order_stats import Sample, _divergent_ranks, _pi_values, _score, _weights_readonly
+from .order_stats import (
+    Sample, _divergent_ranks, _pi_values, _score, _score_row, _weights_readonly,
+)
 from .order_stats import pi_bound  # noqa: F401  (perfbench traces this binding)
 
 __all__ = [
@@ -457,7 +460,7 @@ def _observed(
     """The pinned spec, per-rank diagnostics and (upper, lower) statistics of s."""
     rs = spec.resolve(s.n)
     weight_mat, pis = _arrays_for(rs.ref, s.n, rs.m, rs.indices)
-    (((mus,), (fts,)),) = _score(s.values[np.newaxis], weight_mat)
+    mus, fts = _score_row(s.values, weight_mat)
     gaps = pis - fts
     # tuple.__new__ is what IndexDiagnostic._make calls, without its frame.
     diags = tuple(map(tuple.__new__, repeat(IndexDiagnostic), zip(

@@ -29,10 +29,12 @@ from cxorder import (
     ingest,
     statistic,
 )
-from cxorder import _cache, baselines, order_stats
+from cxorder import _cache, _seeds, baselines, order_stats
 from cxorder._seeds import _BLOCK_ROWS, DrawTable, _chunk_rows, derive_rng
 from cxorder.distributions import Alternative
-from cxorder.order_stats import _interp_rows, _score, _search_keys, _weights_readonly
+from cxorder.order_stats import (
+    _interp_rows, _score, _score_row, _search_keys, _weights_readonly,
+)
 from cxorder.testing import Side, _gap_matrix, _table_gaps, null_statistics
 from _tables import stacked
 
@@ -140,6 +142,22 @@ def test_score_equals_its_per_row_path_on_extreme_rows(monkeypatch, n, m):
     for table in (np.round(rows, 1), rows * 1e-310, rows * 1e300, symmetric,
                   np.tile(np.arange(n, dtype=float), (1000, 1))):
         _assert_score_matches_per_row(monkeypatch, table, _weights(n, m))
+
+
+@pytest.mark.parametrize("n", NS)
+def test_one_row_path_scores_a_row_to_the_bytes_of_a_one_row_table(n):
+    # The observed sample goes through _score_row; a replicate of the same
+    # values through _score. Untied, tied, subnormal, huge and symmetric rows.
+    rows = stacked(Logistic(), n, 64, 37, "null")
+    symmetric = np.arange(n, dtype=float) - n // 2
+    for table in (rows, np.round(rows, 1), rows * 1e-310, rows * 1e300, symmetric[np.newaxis]):
+        for m in MS:
+            weight_mat = _weights(n, m)
+            for row in table:
+                ((mus, fts),) = _score(row[np.newaxis], weight_mat)
+                got = _score_row(row, weight_mat)
+                assert got[0].tobytes() == mus[0].tobytes()
+                assert got[1].tobytes() == fts[0].tobytes()
 
 
 def test_exact_knot_hits_take_the_knot_value():
@@ -287,6 +305,28 @@ def test_an_engine_tables_chunks_are_drawn_into_one_reused_buffer():
     _, second = next(chunks)
     assert np.shares_memory(first, second)
     assert first.tobytes() != kept.tobytes()
+
+
+def test_a_thread_keeps_at_most_one_chunk_of_scratch_per_use_after_a_large_table():
+    # A chunk at n = 2000 is 64 rows of 2000 values, four times the buffer a
+    # thread keeps per use: it is made afresh for the chunk and freed after.
+    ref = Exponential()
+    kept = {}
+
+    def worker():
+        table = DrawTable(ref, 2000, 130, 67, "null")
+        kept["gaps"] = _table_gaps(table, ref, [(5, tuple(range(1, 6)))])[0]
+        baselines._pp_table(DrawTable(ref, 2000, 130, 67, "pp-null"))
+        kept["slots"] = {slot: buf.size for slot, buf in vars(_seeds._local).items()}
+
+    _cache.clear_caches()
+    thread = threading.Thread(target=worker)
+    thread.start()
+    thread.join(timeout=120)
+    assert set(kept["slots"]) <= {"rows", "scaled", "keys", "spacings"}
+    assert all(size <= _seeds._SCRATCH_VALUES for size in kept["slots"].values())
+    want = _gap_matrix(stacked(ref, 2000, 130, 67, "null"), ref, 5, range(1, 6))
+    assert kept["gaps"].tobytes() == want.tobytes()
 
 
 # ------------------------------------------------- one pass for every rank set

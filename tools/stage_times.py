@@ -77,9 +77,10 @@ To compare two checkouts on one machine, time them in pairs:
 Each stage then runs in PAIRS (or --pairs) pairs of fresh interpreters,
 one on this checkout's package and one on the other's, the first of each
 pair alternating, so that both sides see the same mix of machine states.
-The file records, per stage, each side's best time and median faults per
-pair, the median ratio of this side's time to the other's, the pairs this
-side won and each side's quartiles; and the import times of both. This
+The file names the other checkout by its directory and records, per
+stage, each side's best time and median faults per pair, the median ratio
+of this side's time to the other's, the pairs this side won and each
+side's quartiles; and the import times of both. This
 takes about ten minutes on two cores; --only restricts it to the stages
 whose name contains a string.
 """
@@ -378,7 +379,6 @@ def main() -> None:
     parser.add_argument("--label", help="names the output BENCH_<label>.json")
     parser.add_argument("--against", type=Path, metavar="PATH",
                         help="another checkout, whose src/ each stage is paired against")
-    parser.add_argument("--against-label", help="names that checkout in the output")
     parser.add_argument("--pairs", type=int, default=PAIRS,
                         help=f"interpreter pairs per stage with --against (at least {PAIRS})")
     parser.add_argument("--only", default="", help="time only stages whose name contains this")
@@ -399,7 +399,7 @@ def main() -> None:
         record["stages"] = stages(args.only)
     else:
         src = args.against.resolve() / "src"
-        record["against"] = {"label": args.against_label or args.against.resolve().name,
+        record["against"] = {"label": args.against.resolve().name,
                              "imports": imports(src / "cxorder")}
         record["paired_stages"] = paired(src, args.pairs, args.only)
     record["tracemalloc_peak"] = memory()
