@@ -17,6 +17,7 @@ archive stores them, so an entry that names anything else is not read.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 import threading
@@ -155,12 +156,18 @@ def _load_pair(path: Path, name: str, length: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _store_pair(path: Path, name: str, pair: tuple[np.ndarray, np.ndarray]) -> None:
+    """Write pair to a temporary file and rename it to path. A writer killed
+    before its rename leaves its .tmp file behind; the next writer of the
+    entry removes it, and may remove a live writer's file, whose rename then
+    finds nothing. That writer is done: the other stores the same bytes."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    for stale in path.parent.glob(f"{path.stem}*.tmp"):
+        stale.unlink(missing_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             np.savez(fh, tplus=pair[0], tminus=pair[1], key=np.array(name))
-        os.replace(tmp, path)
+        with contextlib.suppress(FileNotFoundError):
+            os.replace(tmp, path)
     finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        Path(tmp).unlink(missing_ok=True)

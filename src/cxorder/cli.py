@@ -44,30 +44,23 @@ class CliError(Exception):
     """User-facing configuration or input problem."""
 
 
-_PLAIN_FAMILIES = {
-    "uniform": Uniform,
-    "exponential": Exponential,
-    "neg-exponential": NegExponential,
-    "logistic": Logistic,
-    "cauchy": Cauchy,
-}
+_FAMILIES = {cls.name: cls for cls in (Uniform, Exponential, NegExponential, LogLogistic,
+                                       Logistic, Frechet, Cauchy)}
 
 
 def parse_family(text: str) -> RefFamily:
     """Parse a --g flag value like exponential, log-logistic:2, frechet:0.5."""
     name, sep, arg = text.partition(":")
-    name = name.strip().lower()
-    if name in _PLAIN_FAMILIES:
-        if sep:
-            raise CliError(f"{name} takes no parameter, got {text!r}")
-        return _PLAIN_FAMILIES[name]()
-    if name == "log-logistic":
-        return LogLogistic(float(arg) if sep else 1.0)
-    if name == "frechet":
-        if not sep:
-            raise CliError("frechet needs a shape, e.g. frechet:0.5")
-        return Frechet(float(arg))
-    raise CliError(f"unknown reference family {text!r}")
+    family = _FAMILIES.get(name.strip().lower())
+    if family is None:
+        raise CliError(f"unknown reference family {text!r}")
+    if sep and family in (LogLogistic, Frechet):
+        return family(float(arg))
+    if sep:
+        raise CliError(f"{family.name} takes no parameter, got {text!r}")
+    if family is Frechet:
+        raise CliError(f"{family.name} needs a shape, e.g. {family.name}:0.5")
+    return family()
 
 
 def read_data_file(path: str) -> list[float]:
@@ -299,10 +292,10 @@ def cmd_hill(args) -> int:
     return 0
 
 
-def _add_common_mc(sub, trials_default=5000) -> None:
+def _add_common_mc(sub) -> None:
     sub.add_argument("--alpha", type=float, default=0.1,
                      help="significance level (default 0.1)")
-    sub.add_argument("--trials", type=int, default=trials_default,
+    sub.add_argument("--trials", type=int, default=5000,
                      help="Monte Carlo trials for critical values")
     sub.add_argument("--seed", type=int, default=None,
                      help="64-bit seed; drawn from entropy when absent")
@@ -310,7 +303,7 @@ def _add_common_mc(sub, trials_default=5000) -> None:
 
 
 def _add_spec_flags(sub, m_list: bool = False) -> None:
-    sub.add_argument("--g", default="exponential",
+    sub.add_argument("--g", default=Exponential.name,
                      help="reference family: uniform | exponential | "
                           "neg-exponential | log-logistic[:a] | logistic | "
                           "frechet:alpha | cauchy")

@@ -83,12 +83,20 @@ class TailInfo(Frozen):
         object.__setattr__(self, "left_index", left_index)
 
 
+def _logistic_cdf(t: np.ndarray) -> np.ndarray:
+    # Formulated so that exp never overflows.
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 class RefFamily:
     """Base class for reference distributions G.
 
     Subclasses provide vectorized `_cdf_arr` and `_quantile_arr` over
     interior probabilities; the public wrappers handle scalars, domain
-    checks, and quantile endpoints.
+    checks, and quantile endpoints. Each states its support and tail
+    indices once, as the attributes `_support` and `_tails` that support()
+    and tail_info() return, or overrides those methods.
     """
 
     __slots__ = ()
@@ -98,10 +106,10 @@ class RefFamily:
         return {}
 
     def support(self) -> tuple[float, float]:
-        raise NotImplementedError
+        return self._support
 
     def tail_info(self) -> TailInfo:
-        raise NotImplementedError
+        return self._tails
 
     def _cdf_arr(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -168,12 +176,8 @@ class RefFamily:
 class Uniform(RefFamily, Frozen):
     __slots__ = ()
     name = "uniform"
-
-    def support(self) -> tuple[float, float]:
-        return (0.0, 1.0)
-
-    def tail_info(self) -> TailInfo:
-        return TailInfo(math.inf, math.inf)
+    _support = (0.0, 1.0)
+    _tails = TailInfo(math.inf, math.inf)
 
     def _cdf_arr(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, 0.0, 1.0)
@@ -185,12 +189,8 @@ class Uniform(RefFamily, Frozen):
 class Exponential(RefFamily, Frozen):
     __slots__ = ()
     name = "exponential"
-
-    def support(self) -> tuple[float, float]:
-        return (0.0, math.inf)
-
-    def tail_info(self) -> TailInfo:
-        return TailInfo(math.inf, math.inf)
+    _support = (0.0, math.inf)
+    _tails = TailInfo(math.inf, math.inf)
 
     def _cdf_arr(self, x: np.ndarray) -> np.ndarray:
         return np.where(x > 0.0, -np.expm1(-np.maximum(x, 0.0)), 0.0)
@@ -207,12 +207,8 @@ class NegExponential(RefFamily, Frozen):
 
     __slots__ = ()
     name = "neg-exponential"
-
-    def support(self) -> tuple[float, float]:
-        return (-math.inf, 0.0)
-
-    def tail_info(self) -> TailInfo:
-        return TailInfo(math.inf, math.inf)
+    _support = (-math.inf, 0.0)
+    _tails = TailInfo(math.inf, math.inf)
 
     def _cdf_arr(self, x: np.ndarray) -> np.ndarray:
         return np.where(x < 0.0, np.exp(np.minimum(x, 0.0)), 1.0)
@@ -229,6 +225,7 @@ class LogLogistic(RefFamily, Frozen):
 
     __slots__ = ("a",)
     name = "log-logistic"
+    _support = (0.0, math.inf)
 
     def __init__(self, a: float = 1.0) -> None:
         if not 0.0 < a < math.inf:
@@ -238,20 +235,13 @@ class LogLogistic(RefFamily, Frozen):
     def params(self) -> dict[str, float]:
         return {"a": self.a}
 
-    def support(self) -> tuple[float, float]:
-        return (0.0, math.inf)
-
     def tail_info(self) -> TailInfo:
         return TailInfo(self.a, math.inf)
 
     def _cdf_arr(self, x: np.ndarray) -> np.ndarray:
-        # Logistic in a*log(x); formulated to avoid overflow for large x.
+        # Logistic in a*log(x).
         pos = x > 0.0
-        safe = np.where(pos, x, 1.0)
-        t = self.a * np.log(safe)
-        e = np.exp(-np.abs(t))
-        val = np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-        return np.where(pos, val, 0.0)
+        return np.where(pos, _logistic_cdf(self.a * np.log(np.where(pos, x, 1.0))), 0.0)
 
     def _quantile_arr(self, p: np.ndarray) -> np.ndarray:
         return np.exp((np.log(p) - np.log1p(-p)) / self.a)
@@ -263,16 +253,11 @@ class LogLogistic(RefFamily, Frozen):
 class Logistic(RefFamily, Frozen):
     __slots__ = ()
     name = "logistic"
-
-    def support(self) -> tuple[float, float]:
-        return (-math.inf, math.inf)
-
-    def tail_info(self) -> TailInfo:
-        return TailInfo(math.inf, math.inf)
+    _support = (-math.inf, math.inf)
+    _tails = TailInfo(math.inf, math.inf)
 
     def _cdf_arr(self, x: np.ndarray) -> np.ndarray:
-        e = np.exp(-np.abs(x))
-        return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return _logistic_cdf(x)
 
     def _quantile_arr(self, p: np.ndarray) -> np.ndarray:
         return np.log(p) - np.log1p(-p)
@@ -286,6 +271,7 @@ class Frechet(RefFamily, Frozen):
 
     __slots__ = ("alpha",)
     name = "frechet"
+    _support = (0.0, math.inf)
 
     def __init__(self, alpha: float) -> None:
         if not 0.0 < alpha < math.inf:
@@ -294,9 +280,6 @@ class Frechet(RefFamily, Frozen):
 
     def params(self) -> dict[str, float]:
         return {"alpha": self.alpha}
-
-    def support(self) -> tuple[float, float]:
-        return (0.0, math.inf)
 
     def tail_info(self) -> TailInfo:
         return TailInfo(self.alpha, math.inf)
@@ -316,12 +299,8 @@ class Frechet(RefFamily, Frozen):
 class Cauchy(RefFamily, Frozen):
     __slots__ = ()
     name = "cauchy"
-
-    def support(self) -> tuple[float, float]:
-        return (-math.inf, math.inf)
-
-    def tail_info(self) -> TailInfo:
-        return TailInfo(1.0, 1.0)
+    _support = (-math.inf, math.inf)
+    _tails = TailInfo(1.0, 1.0)
 
     def _cdf_arr(self, x: np.ndarray) -> np.ndarray:
         return 0.5 + np.arctan(x) / math.pi
@@ -355,17 +334,12 @@ class Custom(RefFamily):
     name = "custom"
 
     def __post_init__(self) -> None:
-        if not (self.right_index > 0.0 and self.left_index > 0.0):
-            raise ValueError("declared tail indices must be positive")
+        # What support() and tail_info() return; TailInfo checks the indices.
+        object.__setattr__(self, "_tails", TailInfo(self.right_index, self.left_index))
+        object.__setattr__(self, "_support", (self.support_lo, self.support_hi))
 
     def params(self) -> dict[str, float]:
         return {"right_index": self.right_index, "left_index": self.left_index}
-
-    def support(self) -> tuple[float, float]:
-        return (self.support_lo, self.support_hi)
-
-    def tail_info(self) -> TailInfo:
-        return TailInfo(self.right_index, self.left_index)
 
     def _cdf_arr(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.cdf_fn(x), dtype=float)

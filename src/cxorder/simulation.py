@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _cache
 from ._seeds import DrawTable
-from .baselines import _check_pp_args, _pp_null, _pp_table
+from .baselines import _SIDES, _check_pp_args, _pp_null, _pp_table
 from .distributions import (
     Alternative,
     Exponential,
@@ -221,7 +221,7 @@ def pp_power(
     mc_trials = _check_pp_args(side, sig_level, mc_trials, n)
     replications = _integer("replications", replications, 1)
     base_seed = _integer("base_seed", base_seed)
-    k = 0 if side == "ihr" else 1
+    k = _SIDES.index(side)
     null = _pp_null(n, mc_trials, base_seed)[k]
     v = _pp_table(DrawTable(Alternative(alternative, param), n, replications, base_seed,
                             "pp-alt"))[k]

@@ -37,7 +37,10 @@ def ln_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def _beta_cont_frac(a: float, b: float, x: float, max_iter: int = 500) -> float:
+_CF_MAX_ITER = 500
+
+
+def _beta_cont_frac(a: float, b: float, x: float) -> float:
     # Modified Lentz evaluation of the continued fraction for I_x(a, b).
     tiny = 1e-300
     qab = a + b
@@ -49,7 +52,7 @@ def _beta_cont_frac(a: float, b: float, x: float, max_iter: int = 500) -> float:
         d = tiny
     d = 1.0 / d
     h = d
-    for i in range(1, max_iter + 1):
+    for i in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * i
         aa = i * (b - i) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d

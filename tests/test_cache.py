@@ -585,4 +585,28 @@ def test_a_stale_temporary_file_changes_no_result(tmp_path, monkeypatch):
     for _ in range(2):  # computed and written, then read from disk
         _cache.clear_caches()
         assert [a.tobytes() for a in null_statistics(*NULL_ARGS)] == want
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, stale.name])
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # the writer removed it
+
+
+def test_a_writer_whose_temporary_file_vanishes_leaves_one_loadable_entry(tmp_path, monkeypatch):
+    # Another writer of the key removes this writer's .tmp file as stale, and
+    # stores the same bytes, before this writer renames its file.
+    pair = null_statistics(*NULL_ARGS)  # no disk tier here
+    monkeypatch.setenv(_cache.CACHE_DIR_ENV, str(tmp_path))
+    path, name = _cache._disk_entry(testing._null_key(*NULL_ARGS))
+    replace = os.replace
+
+    def other_writer_first(src, dst):
+        monkeypatch.setattr(os, "replace", replace)
+        Path(src).unlink()
+        _cache._store_pair(path, name, pair)
+        replace(src, dst)  # raises FileNotFoundError
+
+    monkeypatch.setattr(os, "replace", other_writer_first)
+    _cache._store_pair(path, name, pair)
+    assert os.replace is replace  # the other writer ran
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    _cache.clear_caches()
+    calls = _computed(monkeypatch)
+    assert [a.tobytes() for a in null_statistics(*NULL_ARGS)] == [a.tobytes() for a in pair]
+    assert calls == []

@@ -12,7 +12,8 @@ import pytest
 
 from cxorder import cli
 from cxorder.cli import CliError, main, parse_family, read_data_file
-from cxorder.distributions import Exponential, Frechet, LogLogistic, TailInfo
+from cxorder.distributions import (Cauchy, Exponential, Frechet, Logistic, LogLogistic,
+                                   NegExponential, TailInfo, Uniform)
 from cxorder.simulation import CSV_HEADER, PowerGrid, estimate_power
 from cxorder.testing import Side, TestSpec, critical_value
 
@@ -46,13 +47,16 @@ class TestParsing:
         assert parse_family("log-logistic").params() == {"a": 1.0}
         assert isinstance(parse_family("frechet:0.5"), Frechet)
         assert parse_family("EXPONENTIAL").name == "exponential"
+        for ref in (Uniform(), Exponential(), NegExponential(), LogLogistic(2.0), Logistic(),
+                    Frechet(2.0), Cauchy()):
+            assert parse_family(ref.name + (":2" if ref.params() else "")) == ref
 
     def test_parse_family_rejects_bad_values(self):
-        with pytest.raises(CliError):
+        with pytest.raises(CliError, match="^unknown reference family 'gaussian'$"):
             parse_family("gaussian")
-        with pytest.raises(CliError):
+        with pytest.raises(CliError, match="^exponential takes no parameter, got 'exponential:2'$"):
             parse_family("exponential:2")
-        with pytest.raises(CliError):
+        with pytest.raises(CliError, match=r"^frechet needs a shape, e\.g\. frechet:0\.5$"):
             parse_family("frechet")
 
     def test_read_data_file_skips_comments_and_blanks(self, tmp_path):
@@ -167,6 +171,11 @@ class TestTestCommand:
             capsys, "test", data_file, "--g", "gaussian", "--seed", "1"
         )
         assert code == 2 and err.startswith("error:")
+
+    def test_nonpositive_assumed_alpha_exits_2(self, capsys, data_file):
+        code, out, err = run_cli(capsys, "test", data_file, "--assumed-alpha", "0",
+                                 "--seed", "1")
+        assert (code, out, err) == (2, "", "error: tail indices must be positive\n")
 
     @pytest.mark.parametrize("g", ["frechet:inf", "log-logistic:inf", "log-logistic:nan"])
     def test_non_finite_shape_exits_2(self, capsys, data_file, g):

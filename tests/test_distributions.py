@@ -20,6 +20,7 @@ from cxorder import (
     Logistic,
     LogLogistic,
     NegExponential,
+    RefFamily,
     TailInfo,
     Uniform,
 )
@@ -148,6 +149,36 @@ def test_tail_info_values():
     assert Cauchy().tail_info() == TailInfo(1.0, 1.0)
 
 
+def test_tail_indices_must_be_positive():
+    with pytest.raises(ValueError) as info:
+        TailInfo(0.0, math.inf)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "tail indices must be positive"
+
+
+@pytest.mark.parametrize("cls", [Uniform, Exponential, NegExponential, Logistic, Cauchy])
+def test_a_family_without_a_shape_states_support_and_tails_once(cls):
+    assert "support" not in vars(cls) and "tail_info" not in vars(cls)
+    assert cls().tail_info() is cls().tail_info()
+    assert cls().support() is cls._support
+
+
+@pytest.mark.parametrize("cls", [LogLogistic, Frechet])
+def test_a_shaped_family_states_its_support_once(cls):
+    assert "support" not in vars(cls)
+    assert cls(2.0).support() == (0.0, math.inf)
+
+
+def test_a_family_that_states_no_support_or_tails_raises_attribute_error():
+    class Bare(RefFamily):
+        __slots__ = ()
+
+    with pytest.raises(AttributeError):
+        Bare().support()
+    with pytest.raises(AttributeError):
+        Bare().tail_info()
+
+
 def test_shape_parameters_validated():
     with pytest.raises(ValueError):
         LogLogistic(0.0)
@@ -194,7 +225,8 @@ def test_custom_family_delegates_to_handles():
     assert cus.quantile(0.5) == pytest.approx(math.log(2.0), rel=1e-14)
     assert cus.cache_key() == "custom(exp-copy)"
     assert cus.tail_info() == TailInfo(math.inf, math.inf)
-    with pytest.raises(ValueError):
+    assert cus.support() == (0.0, math.inf)
+    with pytest.raises(ValueError, match="^tail indices must be positive$"):
         Custom(
             cdf_fn=lambda x: x,
             quantile_fn=lambda p: p,
@@ -210,6 +242,13 @@ def test_alternative_validation():
         Alternative("weibull", 0.0)
     # shift parameter may be any real number
     Alternative("shifted-exponential", -2.0)
+
+
+def test_alternative_sample_needs_a_positive_size():
+    with pytest.raises(ValueError) as info:
+        Alternative("weibull", 1.5).sample(0, np.random.default_rng(0))
+    assert type(info.value) is ValueError
+    assert str(info.value) == "n must be positive"
 
 
 def test_weibull_shape_one_is_exponential():

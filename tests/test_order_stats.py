@@ -505,6 +505,15 @@ def test_hill_input_validation():
     hill_estimate(bad, 2)  # nonpositive point outside the top window is fine
 
 
+def test_hill_of_equal_top_values_is_undefined():
+    with pytest.warns(TiesWarning):
+        s = ingest([1.0, 2.0, 3.0, 3.0, 3.0])
+    with pytest.raises(ValueError) as info:
+        hill_estimate(s, 2)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "degenerate top order statistics; tail index undefined"
+
+
 def test_ingest_returns_a_sample_of_float64_values():
     s = ingest([2.0, 1.0])
     assert isinstance(s, Sample)

@@ -501,6 +501,14 @@ def test_p_value_edge_cases():
         p_value(spec, -0.5, 25)
 
 
+def test_p_value_needs_one_side():
+    spec = TestSpec(ref=Exponential(), m=3, side=Side.BOTH, mc_trials=500, seed=1)
+    with pytest.raises(ValueError) as info:
+        p_value(spec, 0.5, 25)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "p_value needs side upper or lower"
+
+
 def test_p_value_by_search_counts_as_the_full_compare():
     rng = np.random.default_rng(12)
     atom = np.sort(np.concatenate([np.zeros(40), rng.exponential(size=60)]))
@@ -649,6 +657,13 @@ def test_batch_statistics_rejects_a_reversed_row():
     rows[1] = rows[1, ::-1]
     with pytest.raises(ValueError, match="sorted"):
         batch_statistics(rows, Exponential(), 5, range(1, 6), 1.0)
+
+
+def test_batch_statistics_rejects_a_single_row_as_a_1d_array():
+    with pytest.raises(ValueError) as info:
+        batch_statistics(_caller_rows()[0], Exponential(), 5, range(1, 6), 1.0)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "sorted_rows must be a 2-D array"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -1,18 +1,24 @@
 """Print a SHA-256 digest of each output covered by the determinism contract.
 
-A change that claims to leave every output byte alone is checked by
-comparing this script's listing with the committed one:
+The first line names the OpenBLAS kernel that numpy runs (`_blas.core()`),
+because the kernel changes bytes. A change that claims to leave every output
+byte alone is checked by comparing this script's listing with the committed
+listing of the machine's kernel, tools/output_digest.<kernel>.txt:
 
-    diff <(PYTHONPATH=src python3 tools/output_digest.py) tools/output_digest.txt
+    kernel=$(PYTHONPATH=src python3 -c 'from cxorder._blas import core; print(core())')
+    listing=tools/output_digest.$kernel.txt
+    [ -e "$listing" ] || listing=tools/output_digest.SkylakeX.txt
+    diff <(PYTHONPATH=src python3 tools/output_digest.py) "$listing"
 
-A change that alters outputs regenerates tools/output_digest.txt and says
-which lines changed. The committed listing holds for numpy 2.4.6 with
-OpenBLAS 0.3.31 (scipy-openblas) on its SkylakeX (AVX-512) kernel, the one
-scipy_openblas_get_corename64_ names on x86-64 machines with AVX-512. The
-kernel changes bytes: under OPENBLAS_CORETYPE=Haswell (AVX2) 8 of the 38
-lines differ, the five `cli test-*` and `critical-value` lines and the
-three `null_statistics` lines at n = 200. On another kernel, numpy or BLAS,
-compare two checkouts instead.
+On a kernel with no listing the diff fails on the first line, which names
+the kernel; compare two checkouts there instead. A change that alters
+outputs regenerates every listing, each under OPENBLAS_CORETYPE set to its
+kernel for this script's process, and says which lines changed. The
+listings hold for numpy 2.4.6 with OpenBLAS 0.3.31 (scipy-openblas). Against
+SkylakeX (AVX-512), Haswell (AVX2) differs on 8 of the 38 digest lines, the
+five `cli test-*` and `critical-value` lines and the three `null_statistics`
+lines at n = 200, and Sandybridge on 14, which add the null tables at n = 2
+and n = 5.
 
 It covers the seven exhibit CSVs at R = T = 300, each built with every
 cache cleared first and again in one pass over all seven that shares the
@@ -20,7 +26,7 @@ caches (the script exits 1 if a shared-cache digest differs from its cold
 one), `cxorder test` JSON records for several references and rank-selection
 modes, `pp-test`, `critical-value` and `power` output (one power grid
 with an infeasible cell, one with every test-spec flag set), and raw
-null-statistic tables for small and medium n. Takes about 8 s on two cores.
+null-statistic tables for small and medium n. Takes about 3.5 s on two cores.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cxorder import Cauchy, Exponential, Logistic
+from cxorder import Cauchy, Exponential, Logistic, _blas
 from cxorder._cache import clear_caches
 from cxorder.cli import main
 from cxorder.simulation import EXHIBITS, reproduce
@@ -84,6 +90,7 @@ def _cli(argv: list[str]) -> bytes:
 
 
 def main_digest() -> None:
+    print(f"kernel {_blas.core()}")
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         # The cold lines keep their threads=1 label, so listings from before
