@@ -26,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .distributions import Alternative, RefFamily
+from .distributions import Alternative, RefFamily, _integer
 
 __all__ = ["derive_rng"]
 
@@ -67,7 +67,7 @@ def derive_rng(seed: int, *path: object) -> np.random.Generator:
     """Child generator fully determined by (seed, path)."""
     import hashlib  # loaded on the first draw, like numpy.random
 
-    h = hashlib.sha256(repr(int(seed)).encode())
+    h = hashlib.sha256(repr(_integer("seed", seed)).encode())
     for part in path:
         h.update(b"\x1f" + repr(part).encode())
     entropy = int.from_bytes(h.digest(), "little")

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import _cache
 from ._seeds import DrawTable, _scratch
-from .distributions import Exponential
+from .distributions import Exponential, _integer
 from .order_stats import Sample
-from .testing import TestResult, _check_mc, _integer, _result
+from .testing import TestResult, _check_mc, _result
 
 __all__ = ["normalized_spacings", "pp_statistic", "pp_test"]
 
@@ -108,14 +108,11 @@ def _pp_null(n: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return _pp_table(DrawTable(Exponential(), n, trials, seed, "pp-null"))
 
 
-def _check_pp_args(side: str, sig_level: float, mc_trials: int, n: int) -> int:
-    """The checks pp_test and pp_power share; returns mc_trials as an int."""
+def _check_pp_args(side: str, sig_level: float, mc_trials: int, n: int) -> tuple[int, int]:
+    """The checks pp_test and pp_power share; returns mc_trials and n (at least 3) as ints."""
     if side not in _SIDES:
         raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
-    mc_trials = _check_mc(sig_level, mc_trials)
-    if n < 3:
-        raise ValueError("need at least three observations")
-    return mc_trials
+    return _check_mc(sig_level, mc_trials), _integer("n", n, 3)
 
 
 def pp_test(
@@ -131,7 +128,7 @@ def pp_test(
     "dhr" counts the reversed inequality and again rejects for large
     values. Needs at least three observations so that spacing pairs exist.
     """
-    mc_trials = _check_pp_args(side, sig_level, mc_trials, s.n)
+    mc_trials, _ = _check_pp_args(side, sig_level, mc_trials, s.n)
     seed = _integer("seed", seed)
     k = _SIDES.index(side)
     v_obs = float(_pair_counts(normalized_spacings(s))[k])

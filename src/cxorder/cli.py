@@ -279,7 +279,7 @@ def cmd_reproduce(args) -> int:
 
 def cmd_hill(args) -> int:
     sample, warn_list = _load_sample(args.input)
-    k = args.k if args.k is not None else int(math.isqrt(sample.n))
+    k = args.k if args.k is not None else math.isqrt(sample.n)
     alpha_hat = hill_estimate(sample, k)
     record = {
         "n": sample.n,

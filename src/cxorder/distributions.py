@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,6 +65,18 @@ class Frozen:
 
     def __reduce__(self) -> tuple:
         return type(self), self._values()
+
+
+def _integer(name: str, value: object, least: int | None = None) -> int:
+    """value as an int (operator.index) of at least `least`, or ValueError naming the
+    field: the one check of every rank, count and seed a caller passes. No float passes."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return value
 
 
 class TailInfo(Frozen):
@@ -152,9 +165,7 @@ class RefFamily:
         of quantile(rng.random(n)). The engine's uniforms lie in [0, 1 - 2^-53],
         so without a 0 among them quantile's checks, clip and end pins change
         nothing, and _quantile_arr inverts them directly."""
-        if n < 1:
-            raise ValueError("n must be positive")
-        u = rng.random(n)
+        u = rng.random(_integer("n", n, 1))
         if not u.all():
             return self.quantile(u)
         with np.errstate(divide="ignore", over="ignore"):
@@ -195,7 +206,8 @@ class Exponential(RefFamily, Frozen):
     def _cdf_arr(self, x: np.ndarray) -> np.ndarray:
         return np.where(x > 0.0, -np.expm1(-np.maximum(x, 0.0)), 0.0)
 
-    def _quantile_arr(self, p: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _quantile_arr(p: np.ndarray) -> np.ndarray:
         return -np.log1p(-p)
 
     def _quantile_comp_arr(self, q: np.ndarray) -> np.ndarray:
@@ -244,10 +256,10 @@ class LogLogistic(RefFamily, Frozen):
         return np.where(pos, _logistic_cdf(self.a * np.log(np.where(pos, x, 1.0))), 0.0)
 
     def _quantile_arr(self, p: np.ndarray) -> np.ndarray:
-        return np.exp((np.log(p) - np.log1p(-p)) / self.a)
+        return np.exp(Logistic._quantile_arr(p) / self.a)
 
     def _quantile_comp_arr(self, q: np.ndarray) -> np.ndarray:
-        return np.exp((np.log1p(-q) - np.log(q)) / self.a)
+        return np.exp(Logistic._quantile_comp_arr(q) / self.a)
 
 
 class Logistic(RefFamily, Frozen):
@@ -259,10 +271,12 @@ class Logistic(RefFamily, Frozen):
     def _cdf_arr(self, x: np.ndarray) -> np.ndarray:
         return _logistic_cdf(x)
 
-    def _quantile_arr(self, p: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _quantile_arr(p: np.ndarray) -> np.ndarray:
         return np.log(p) - np.log1p(-p)
 
-    def _quantile_comp_arr(self, q: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _quantile_comp_arr(q: np.ndarray) -> np.ndarray:
         return np.log1p(-q) - np.log(q)
 
 
@@ -293,7 +307,7 @@ class Frechet(RefFamily, Frozen):
         return (-np.log(p)) ** (-1.0 / self.alpha)
 
     def _quantile_comp_arr(self, q: np.ndarray) -> np.ndarray:
-        return (-np.log1p(-q)) ** (-1.0 / self.alpha)
+        return Exponential._quantile_arr(q) ** (-1.0 / self.alpha)
 
 
 class Cauchy(RefFamily, Frozen):
@@ -401,19 +415,17 @@ class Alternative(Frozen):
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """The values that the uniforms u invert to."""
-        if self.kind == "weibull":
-            return (-np.log1p(-u)) ** (1.0 / self.param)
-        if self.kind == "neg-weibull":
-            return -((-np.log1p(-u)) ** (1.0 / self.param))
+        if self.kind in ("weibull", "neg-weibull"):
+            w = Exponential._quantile_arr(u) ** (1.0 / self.param)
+            return w if self.kind == "weibull" else -w
         if self.kind == "log-logistic":
-            return np.exp((np.log(u) - np.log1p(-u)) / self.param)
+            return np.exp(Logistic._quantile_arr(u) / self.param)
         if self.kind == "shifted-exponential":
-            return self.param + (-np.log1p(-u))
+            return self.param + Exponential._quantile_arr(u)
         raise ValueError(f"{self.kind} is not drawn by inversion")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if n < 1:
-            raise ValueError("n must be positive")
+        n = _integer("n", n, 1)
         if self.kind == "student-t":
             z = rng.standard_normal(n)
             return z / np.sqrt(rng.chisquare(self.param, n) / self.param)

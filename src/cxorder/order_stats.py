@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .distributions import (
     RefFamily,
     TailInfo,
     Uniform,
+    _integer,
 )
 from .special import (
     ConvergenceError,
@@ -75,7 +76,7 @@ class Sample(Frozen):
 
     @property
     def n(self) -> int:
-        return int(self.values.size)
+        return self.values.size
 
 
 def ingest(raw) -> Sample:
@@ -106,12 +107,10 @@ def ingest(raw) -> Sample:
 
 def _weights_readonly(n: int, m: int, ranks: tuple[int, ...]) -> np.ndarray:
     """Read-only ranks x n matrix of L-estimator weights, row r for rank
-    ranks[r] of m: the cache layer's ("weights", n, m, ranks) entry, built
-    on the first call per process and cache clear."""
+    ranks[r] of m, all checked by the caller: the cache layer's ("weights",
+    n, m, ranks) entry, built on the first call per process and cache clear."""
 
     def compute() -> np.ndarray:
-        if n < 1 or not all(1 <= j <= m for j in ranks):
-            raise ValueError(f"require n >= 1 and 1 <= j <= m, got n={n}, ranks={ranks}, m={m}")
         # One reg_inc_beta per rank and grid point i/n: the CDF up to 1/2, the
         # complement past it; a cell that starts at or past 1/2 takes its weight
         # from the complement, any other from the CDF. The error is absolute:
@@ -134,17 +133,30 @@ def _weights_readonly(n: int, m: int, ranks: tuple[int, ...]) -> np.ndarray:
     return _cache.lookup(("weights", n, m, ranks), compute)
 
 
+def _rank_set(m: int, ranks: Iterable[int], name: str = "indices") -> tuple[int, tuple]:
+    """m as an int and ranks, a rank j or a set of them, as a non-empty tuple
+    of ints within 1..m, or ValueError naming the field `name` (`_integer`)."""
+    m, ranks = _integer("m", m, 1), tuple([_integer(name, j) for j in ranks])
+    if not ranks:
+        raise ValueError(f"{name} must be non-empty")
+    if not 1 <= min(ranks) <= max(ranks) <= m:
+        raise ValueError(f"{name} must lie in 1..{m}, got {ranks}")
+    return m, ranks
+
+
 def os_weights(n: int, j: int, m: int) -> np.ndarray:
     """L-estimator weights over the sorted sample for rank j of m.
 
     Nonnegative, summing to one up to roundoff.
     """
-    return _weights_readonly(n, m, (j,))[0].copy()
+    m, ranks = _rank_set(m, (j,), "j")
+    return _weights_readonly(_integer("n", n, 1), m, ranks)[0].copy()
 
 
 def l_estimate(s: Sample, j: int, m: int) -> float:
     """L-estimate of the expected j-th of m order statistics."""
-    return float(_score_row(s.values, _weights_readonly(s.n, m, (j,)))[0][0])
+    m, ranks = _rank_set(m, (j,), "j")
+    return float(_score_row(s.values, _weights_readonly(s.n, m, ranks))[0][0])
 
 
 class InterpolatedEcdf(Frozen):
@@ -331,8 +343,7 @@ def _divergent_ranks(tails: TailInfo, m: int) -> tuple[int, int]:
 
 def bound_status(ref: RefFamily, j: int, m: int) -> BoundStatus:
     """Status of pi_bound(ref, j, m), from the tail indices alone."""
-    if not 1 <= j <= m:
-        raise ValueError(f"require 1 <= j <= m, got j={j}, m={m}")
+    m, (j,) = _rank_set(m, (j,), "j")
     left_max, right_min = _divergent_ranks(ref.tail_info(), m)
     right_div = j >= right_min
     left_div = j <= left_max
@@ -442,10 +453,9 @@ def hill_estimate(s: Sample, k: int | None = None) -> float:
     statistics to be strictly positive.
     """
     n = s.n
-    if k is None:
-        k = int(math.isqrt(n))
-    if not 1 <= k < n:
-        raise ValueError(f"require 1 <= k < n, got k={k}, n={n}")
+    k = _integer("k", math.isqrt(n) if k is None else k, 1)
+    if k >= n:
+        raise ValueError(f"require k < n, got k={k}, n={n}")
     top = s.values[n - k - 1 :]
     if top[0] <= 0.0:
         raise ValueError("top k + 1 order statistics must be strictly positive")

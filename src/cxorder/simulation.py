@@ -33,18 +33,18 @@ from .distributions import (
     LogLogistic,
     NegExponential,
     TailInfo,
+    _integer,
 )
 from .testing import (
     InfeasibleSpecError,
     Side,
     TestSpec,
     _decide,
-    _integer,
     _null_key,
     _nulls,
     _pick,
+    _t_pair,
     _table_gaps,
-    batch_statistics,
 )
 
 __all__ = [
@@ -139,6 +139,7 @@ class PowerGrid:
         if (self.spec.m, self.spec.ell, self.spec.indices) != (None, None, None):
             raise ValueError("a grid's spec gives no m, ell or indices; m_ell sets them")
         object.__setattr__(self, "replications", _integer("replications", self.replications, 1))
+        object.__setattr__(self, "n_grid", tuple(_integer("n_grid", n, 1) for n in self.n_grid))
         if not (self.params and self.n_grid and self.m_ell):
             raise ValueError("a grid needs at least one parameter, sample size and (m, ell)")
 
@@ -163,22 +164,16 @@ def _pinned(spec: TestSpec, n: int, m: int, ell: int | None) -> TestSpec | None:
         return None
 
 
-def _alt_table(grid: PowerGrid, param: float, n: int) -> DrawTable:
-    return DrawTable(Alternative(grid.alternative, param), n, grid.replications, grid.spec.seed,
-                     "alt")
-
-
 def _power_cell(grid: PowerGrid, param: float, n: int, m: int, ell: int | None,
-                rs: TestSpec | None) -> PowerRow:
-    """The row of cell (param, n, m, ell), whose spec resolves to rs, or to
-    None when it is infeasible."""
+                rs: TestSpec | None, gaps: np.ndarray | None) -> PowerRow:
+    """The row of cell (param, n, m, ell), whose spec resolves to rs and the
+    alternative's table to the gap matrix gaps; both are None if it is infeasible."""
     spec = grid.spec
     cell = (grid.alternative, param, n, spec.side.value, grid.replications, spec.seed)
     if rs is None:
         return _power_row(*cell, None, m, ell, spec.p_norm)
     null = _pick(_nulls(rs, n), spec.side)
-    stats = batch_statistics(_alt_table(grid, param, n), rs.ref, rs.m, rs.indices, rs.p_norm)
-    rejects = _decide(null, rs.sig_level, _pick(stats, spec.side))[1]
+    rejects = _decide(null, rs.sig_level, _pick(_t_pair(gaps, rs.p_norm), spec.side))[1]
     return _power_row(*cell, rejects, rs.m, len(rs.indices), spec.p_norm)
 
 
@@ -187,8 +182,8 @@ def estimate_power(grid: PowerGrid) -> PowerTable:
 
     For each (param, n), one streamed pass scores the alternative's table
     for every feasible cell, and one the null table for every cell whose null
-    statistics are not stored yet, so no table is drawn twice; the cells then
-    read their gap matrices from the cache layer.
+    statistics are not stored yet. Each cell reduces the alternative's gap
+    matrix that the pass returned and reads its null statistics from the cache.
     """
     spec = grid.spec
     rows = []
@@ -201,8 +196,10 @@ def estimate_power(grid: PowerGrid) -> PowerTable:
                 rs.mc_trials) is None]
             _table_gaps(DrawTable(spec.ref, n, spec.mc_trials, spec.seed, "null"), spec.ref,
                         unscored)
-            _table_gaps(_alt_table(grid, param, n), spec.ref, [(rs.m, rs.indices) for rs in live])
-            rows += [_power_cell(grid, param, n, m, ell, rs)
+            alt = DrawTable(Alternative(grid.alternative, param), n, grid.replications, spec.seed,
+                            "alt")
+            gaps = iter(_table_gaps(alt, spec.ref, [(rs.m, rs.indices) for rs in live]))
+            rows += [_power_cell(grid, param, n, m, ell, rs, None if rs is None else next(gaps))
                      for (m, ell), rs in zip(grid.m_ell, pinned)]
     return PowerTable(rows=rows)
 
@@ -218,7 +215,7 @@ def pp_power(
     base_seed: int = 0,
 ) -> PowerRow:
     """Rejection rate of the Proschan-Pyke test under an alternative."""
-    mc_trials = _check_pp_args(side, sig_level, mc_trials, n)
+    mc_trials, n = _check_pp_args(side, sig_level, mc_trials, n)
     replications = _integer("replications", replications, 1)
     base_seed = _integer("base_seed", base_seed)
     k = _SIDES.index(side)
@@ -304,7 +301,7 @@ def reproduce(
 ) -> Path:
     """Run one named power exhibit and write its CSV under out_dir.
 
-    threads is checked to be positive and otherwise ignored; cells run
+    threads is checked to be a positive integer and otherwise ignored; cells run
     serially. It stays only because the benchmark's power study calls
     reproduce with threads=2 and threads=1; the next change to the
     benchmark removes it.
@@ -313,8 +310,7 @@ def reproduce(
         raise ValueError(
             f"unknown exhibit {target!r}; choose from {sorted(EXHIBITS)}"
         )
-    if threads < 1:
-        raise ValueError("threads must be positive")
+    _integer("threads", threads, 1)
     rows: list[PowerRow] = []
     for part in EXHIBITS[target]:
         if isinstance(part, PowerGrid):

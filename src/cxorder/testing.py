@@ -24,9 +24,9 @@ import numpy as np
 from . import _cache
 from ._cache import CACHE_DIR_ENV, clear_caches
 from ._seeds import DrawTable
-from .distributions import Frozen, RefFamily, TailInfo
+from .distributions import Frozen, RefFamily, TailInfo, _integer
 from .order_stats import (
-    Sample, _divergent_ranks, _pi_values, _score, _score_row, _weights_readonly,
+    Sample, _divergent_ranks, _pi_values, _rank_set, _score, _score_row, _weights_readonly,
 )
 from .order_stats import pi_bound  # noqa: F401  (perfbench traces this binding)
 
@@ -94,8 +94,9 @@ def select_indices(
     here, or an explicit index list, which bypasses this selection; never
     both.
     """
-    if not 1 <= ell <= m:
-        raise ValueError(f"require 1 <= ell <= m, got ell={ell}, m={m}")
+    m, ell = _integer("m", m, 1), _integer("ell", ell, 1)
+    if ell > m:
+        raise ValueError(f"require ell <= m, got ell={ell}, m={m}")
     tails = ref.tail_info()
     if assumed_tails is not None:
         tails = TailInfo(min(tails.right_index, assumed_tails.right_index),
@@ -155,8 +156,9 @@ class TestSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "side", Side(self.side))
         object.__setattr__(self, "p_norm", float(self.p_norm))
-        if self.m is not None:
-            object.__setattr__(self, "m", _integer("m", self.m, 1))
+        for name in ("m", "ell"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
         if not self.p_norm >= 1.0:
             raise ValueError("p_norm must be at least 1 (math.inf allowed)")
         object.__setattr__(self, "mc_trials", _check_mc(self.sig_level, self.mc_trials))
@@ -166,26 +168,20 @@ class TestSpec:
         if self.index_rule not in _INDEX_RULES:
             raise ValueError(f"unknown index rule {self.index_rule!r}")
         if self.indices is not None:
-            object.__setattr__(
-                self, "indices", tuple(int(j) for j in self.indices)
-            )
+            indices = tuple(_integer("indices", j) for j in self.indices)
+            object.__setattr__(self, "indices", indices)
 
     def resolve(self, n: int) -> "TestSpec":
         """The pinned spec for a sample of size n: m and the index set filled
         in, ell and the rank-choice settings cleared. A pinned spec (m and
         indices given) resolves to itself, the same object, once its ranks
         pass the checks; any other spec to a new pinned copy."""
-        if n < 1:
-            raise ValueError("n must be positive")
+        n = _integer("n", n, 1)
         if self.ell is None and (self.assumed_tails or self.index_rule):
             raise ValueError("assumed_tails and index_rule choose ranks under ell; give ell")
         m = self.m if self.m is not None else default_m(n)
         if self.indices is not None:
-            idx = self.indices
-            if len(idx) == 0:
-                raise ValueError("indices must be non-empty")
-            if not 1 <= min(idx) <= max(idx) <= m:
-                raise ValueError(f"indices must lie in 1..{m}, got {idx}")
+            m, idx = _rank_set(m, self.indices)
             if any(map(operator.ge, idx, idx[1:])):
                 raise ValueError(f"indices must be strictly increasing, got {idx}")
         elif self.ell is not None:
@@ -243,19 +239,6 @@ def _require_bounds(ref: RefFamily, m: int, ranks: Sequence[int], hint: str = ""
             )
 
 
-def _integer(name: str, value: object, least: int | None = None) -> int:
-    """value as an int (operator.index) of at least `least`, or ValueError
-    naming the field. A float seed would draw int(seed)'s tables, and a float
-    count would fail deep inside numpy."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be at least {least}")
-    return value
-
-
 def _check_mc(sig_level: float, mc_trials: int) -> int:
     """The Monte Carlo settings every test checks; returns mc_trials as an int."""
     if not 0.0 < sig_level < 1.0:
@@ -287,15 +270,14 @@ def _arrays_for(
     ref: RefFamily, n: int, m: int, indices: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The read-only ranks x n weight matrix and bound vector pi_j of the
-    given ranks, each one cache-layer entry computed once per process and
-    cache clear: ("weights", n, m, indices), built by `_weights_readonly`,
-    and ("bounds", ref.identity(), m, indices), as the bounds depend only on
-    (reference, m, ranks), and come from one `_pi_values` call. A rank without
-    a bound raises InfeasibleSpecError, and a bound whose quadrature fails
-    raises ConvergenceError, on every call; no bound vector is stored for
-    either.
+    given ranks, a tuple of checked ints, each one cache-layer entry computed
+    once per process and cache clear: ("weights", n, m, indices), built by
+    `_weights_readonly`, and ("bounds", ref.identity(), m, indices), as the
+    bounds depend only on (reference, m, ranks), and come from one
+    `_pi_values` call. A rank without a bound raises InfeasibleSpecError, and
+    a bound whose quadrature fails raises ConvergenceError, on every call; no
+    bound vector is stored for either.
     """
-    indices = tuple(map(int, indices))
 
     def bounds() -> np.ndarray:
         _require_bounds(ref, m, indices)
@@ -315,18 +297,17 @@ def _gap_matrix(
 
 def _table_gaps(table: DrawTable, ref: RefFamily,
                 rank_sets: Sequence[tuple[int, Sequence[int]]]) -> list[np.ndarray]:
-    """The gap matrix of an engine table for each (m, indices) of rank_sets:
-    the cache layer's ("gaps", table.key(), ref.identity(), m, indices) entry.
+    """The gap matrix of an engine table for each checked (m, indices) of
+    rank_sets: the cache layer's ("gaps", table.key(), ref.identity(), m, indices) entry.
 
     Every entry missing from the layer comes from one pass over the table,
     which is drawn, scored for every missing rank set at once and dropped
     one chunk at a time, so the table is never held whole. A chunk is scored as
     `_score` scores those rows of the whole table, to the same bytes.
     """
-    sets = [(m, tuple(map(int, idx))) for m, idx in rank_sets]
-    keys = [("gaps", table.key(), ref.identity(), *ranks) for ranks in sets]
+    keys = [("gaps", table.key(), ref.identity(), *ranks) for ranks in rank_sets]
     found = {key: _cache.get(key) for key in keys}
-    missing = {key: ranks for key, ranks in zip(keys, sets) if found[key] is None}
+    missing = {key: ranks for key, ranks in zip(keys, rank_sets) if found[key] is None}
     if missing:
         arrays = [_arrays_for(ref, table.n, m, idx) for m, idx in missing.values()]
         weight_mats = [weight_mat for weight_mat, _ in arrays]
@@ -355,6 +336,7 @@ def batch_statistics(
     Returns a pair of length-R arrays. The gap matrix does not depend on
     p_norm.
     """
+    m, indices = _rank_set(m, indices)
     if isinstance(sorted_rows, DrawTable):
         (gaps,) = _table_gaps(sorted_rows, ref, [(m, indices)])
     else:
@@ -370,7 +352,7 @@ def batch_statistics(
 def _null_key(ref: RefFamily, n: int, m: int, indices: Sequence[int], p_norm: float,
               trials: int, seed: int) -> tuple:
     """The cache key of null_statistics(ref, n, m, indices, p_norm, trials, seed)."""
-    return ("null", ref.identity(), n, m, tuple(map(int, indices)), float(p_norm), trials, seed)
+    return ("null", ref.identity(), n, m, indices, float(p_norm), trials, seed)
 
 
 def null_statistics(
@@ -390,6 +372,8 @@ def null_statistics(
     scored by batch_statistics, looked up through this module's global, so a
     caller that wraps it sees every computed table.
     """
+    n, trials, seed = _integer("n", n, 1), _integer("trials", trials, 1), _integer("seed", seed)
+    m, indices = _rank_set(m, indices)
 
     def compute() -> tuple[np.ndarray, np.ndarray]:
         table = DrawTable(ref, n, trials, seed, "null")

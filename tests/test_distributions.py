@@ -248,7 +248,7 @@ def test_alternative_sample_needs_a_positive_size():
     with pytest.raises(ValueError) as info:
         Alternative("weibull", 1.5).sample(0, np.random.default_rng(0))
     assert type(info.value) is ValueError
-    assert str(info.value) == "n must be positive"
+    assert str(info.value) == "n must be at least 1"
 
 
 def test_weibull_shape_one_is_exponential():

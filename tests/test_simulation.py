@@ -24,6 +24,7 @@ from cxorder import (
     pp_power,
     reproduce,
 )
+from cxorder import _cache
 from cxorder._seeds import DrawTable
 from cxorder.simulation import CSV_HEADER, EXHIBITS, PowerTable
 from cxorder.testing import clear_caches
@@ -324,3 +325,28 @@ def test_assumed_tails_restrict_ell(tmp_path):
     )
     (row,) = estimate_power(grid).rows
     assert row.m == 25 and row.ell == 5
+
+
+def test_a_grid_step_reduces_the_gap_matrices_its_pass_returned(monkeypatch):
+    """Each cell reduces the alternative's gap matrix that its grid step's
+    pass returned, so each alternative table is drawn once whatever the
+    cache budget. When the cells fetched the matrices again through the
+    cache, table1's p = 1 grid drew 20 alternative tables at 256 KiB."""
+    drawn = Counter()
+    real = DrawTable.chunks
+
+    def counting(table):
+        drawn[table.label] += 1
+        return real(table)
+
+    monkeypatch.setattr(DrawTable, "chunks", counting)
+    part = EXHIBITS["table1"][0]
+    grid = replace(part, replications=2000, spec=replace(part.spec, mc_trials=2000, seed=3))
+    rates = []
+    for budget in (_cache.BUDGET_BYTES, 256 << 10):
+        monkeypatch.setattr(_cache, "BUDGET_BYTES", budget)
+        clear_caches()
+        drawn.clear()
+        rates.append([row.rate for row in estimate_power(grid).rows])
+        assert drawn["alt"] == len(grid.n_grid) == 4
+    assert rates[0] == rates[1]

@@ -302,7 +302,8 @@ def test_warm_run_test_validates_no_spec(monkeypatch):
      "indices must be strictly increasing, got (2, 2, 3)"),
     (TestSpec(Exponential(), m=4, indices=(3, 1)), 20, ValueError,
      "indices must be strictly increasing, got (3, 1)"),
-    (TestSpec(Exponential(), m=4, indices=(1, 2)), 0, ValueError, "n must be positive"),
+    pytest.param(TestSpec(Exponential(), m=4, indices=(1, 2)), 0, ValueError,
+                 "n must be at least 1", id="spec6-0-ValueError-n below 1"),
     (TestSpec(Exponential(), index_rule="low"), 20, ValueError,
      "assumed_tails and index_rule choose ranks under ell; give ell"),
     (TestSpec(Cauchy(), m=1, indices=(1,)), 20, InfeasibleSpecError,

@@ -3,11 +3,17 @@ behind its main guard, so importing it checks every name it takes from
 cxorder, private ones included, without running it."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TOOLS = sorted((Path(__file__).resolve().parents[1] / "tools").glob("*.py"))
+from cxorder._cache import CACHE_DIR_ENV
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = sorted((ROOT / "tools").glob("*.py"))
 
 
 def test_every_tool_is_covered():
@@ -27,3 +33,18 @@ def test_a_tool_imports_without_running(path, capsys):
 
 def _entry(path: Path) -> str:
     return {"output_digest.py": "main_digest", "stage_times.py": "main"}[path.name]
+
+
+def test_output_digest_reproduces_the_listing_of_its_kernel():
+    """The byte contract: every output the digest covers, cold and through a
+    shared cache, to the bytes of the committed listing of the OpenBLAS
+    kernel that the tool's first line names."""
+    env = {k: v for k, v in os.environ.items() if k != CACHE_DIR_ENV}
+    env.update(PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "output_digest.py")], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    kernel = run.stdout.partition("\n")[0].removeprefix("kernel ")
+    listing = ROOT / "tools" / f"output_digest.{kernel}.txt"
+    if not listing.exists():
+        pytest.skip(f"no output listing for the {kernel} kernel")
+    assert run.stdout == listing.read_text()
