@@ -15,10 +15,11 @@ the kernel; compare two checkouts there instead. A change that alters
 outputs regenerates every listing, each under OPENBLAS_CORETYPE set to its
 kernel for this script's process, and says which lines changed. The
 listings hold for numpy 2.4.6 with OpenBLAS 0.3.31 (scipy-openblas). Against
-SkylakeX (AVX-512), Haswell (AVX2) differs on 8 of the 38 digest lines, the
-five `cli test-*` and `critical-value` lines and the three `null_statistics`
-lines at n = 200, and Sandybridge on 14, which add the null tables at n = 2
-and n = 5.
+SkylakeX (AVX-512), Haswell (AVX2) differs on 11 of the 47 digest lines, the
+five `cli test-*` and `critical-value` lines, the three `null_statistics`
+lines at n = 200 and the three `batch_statistics` lines at n = 200, m = 5,
+and Sandybridge on 23, which add the null tables at n = 2 and n = 5 and
+every `batch_statistics` line.
 
 It covers the seven exhibit CSVs at R = T = 300, each built with every
 cache cleared first and again in one pass over all seven that shares the
@@ -26,7 +27,8 @@ caches (the script exits 1 if a shared-cache digest differs from its cold
 one), `cxorder test` JSON records for several references and rank-selection
 modes, `pp-test`, `critical-value` and `power` output (one power grid
 with an infeasible cell, one with every test-spec flag set), and raw
-null-statistic tables for small and medium n. Takes about 3.5 s on two cores.
+null-statistic tables for small and medium n, and `batch_statistics` on
+caller rows (plain, tied and subnormal). Takes about 3.5 s on two cores.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from cxorder import Cauchy, Exponential, Logistic, _blas
 from cxorder._cache import clear_caches
 from cxorder.cli import main
 from cxorder.simulation import EXHIBITS, reproduce
-from cxorder.testing import null_statistics
+from cxorder.testing import batch_statistics, null_statistics
 
 BUDGET = 300
 
@@ -128,6 +130,17 @@ def main_digest() -> None:
             t_plus, t_minus = null_statistics(ref, n, m, range(1, m + 1), 1.0, 1000, 3)
             blob = t_plus.tobytes() + t_minus.tobytes()
             print(f"null_statistics {ref.cache_key()} n={n} {_digest(blob)}")
+    # Caller rows: the batched ECDF pass (n = 25, m = 5) and the per-row one
+    # (m = 40), each over a short last chunk, the n = 200, m = 5 one ending
+    # in a part block that goes row by row; plain, tied and subnormal rows.
+    rng = np.random.default_rng(20251021)
+    for n, m, rows in ((25, 5, 3000), (200, 5, 700), (200, 40, 700)):
+        plain = np.sort(rng.standard_exponential((rows, n)), axis=1)
+        for name, table in (("plain", plain), ("tied", np.round(plain, 1)),
+                            ("subnormal", plain * 1e-310)):
+            t_plus, t_minus = batch_statistics(table, Exponential(), m, range(1, m + 1), 1.0)
+            blob = t_plus.tobytes() + t_minus.tobytes()
+            print(f"batch_statistics {name} n={n} m={m} rows={rows} {_digest(blob)}")
     if differ:
         raise SystemExit(f"shared-cache CSVs differ from the cold ones: {', '.join(differ)}")
 
