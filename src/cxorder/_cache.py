@@ -21,6 +21,7 @@ import contextlib
 import os
 import tempfile
 import threading
+import warnings
 import zipfile
 from collections import OrderedDict
 from pathlib import Path
@@ -113,14 +114,20 @@ def lookup(key: tuple, compute: Callable[[], Value], disk_length: int | None = N
     length, and the disk tier is read before computing and written after.
     A disk entry is written to a temporary file and renamed into place; one
     that does not load as two finite, sorted arrays of that length under
-    its own disk key is recomputed and rewritten.
+    its own disk key is recomputed and rewritten. A write that fails with
+    OSError warns (RuntimeWarning, naming the directory) and the value is
+    kept in memory only.
     """
     value = get(key, disk_length)
     if value is None:
         value = compute()
         entry = _disk_entry(key) if disk_length is not None else None
         if entry is not None:
-            _store_pair(*entry, value)
+            try:
+                _store_pair(*entry, value)
+            except OSError as exc:
+                warnings.warn(f"cache directory {entry[0].parent} not written ({exc.strerror}); "
+                              "the result is kept in memory only", RuntimeWarning, stacklevel=2)
         keep(key, value)
     return value
 

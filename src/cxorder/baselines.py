@@ -72,13 +72,11 @@ def _counts(parts: Iterable[tuple[int, np.ndarray]], k: int,
     return ihr, ranks.sum(axis=0, dtype=float) - ihr
 
 
-def _pair_counts(d: np.ndarray) -> tuple:
-    """(#{i < j: d_i > d_j}, #{i < j: d_i < d_j}) along the last axis of d,
-    as two ints for a vector or two float arrays for a rows x k table."""
-    d = np.array(d, dtype=float)  # a copy, which _counts sorts
-    table = d.reshape(-1, d.shape[-1])
-    ihr, dhr = _counts([(0, table)], table.shape[1], len(table))
-    return (int(ihr[0]), int(dhr[0])) if d.ndim == 1 else (ihr, dhr)
+def _pair_counts(d: np.ndarray) -> tuple[int, int]:
+    """(#{i < j: d_i > d_j}, #{i < j: d_i < d_j}) of the vector d."""
+    row = np.array(d, dtype=float, ndmin=2)  # a copy, which _counts sorts
+    ihr, dhr = _counts([(0, row)], row.shape[1], 1)
+    return int(ihr[0]), int(dhr[0])
 
 
 def pp_statistic(d: np.ndarray) -> int:

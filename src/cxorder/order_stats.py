@@ -7,12 +7,13 @@ i/n. The exceedance bound pi(j, m) is the reference CDF evaluated at the
 expected j-th of m order statistics of the reference distribution itself;
 it is what the empirical counterpart is compared against.
 
-One kernel, `_score`, scores every drawn table, and `_score_row` the
-observed sample to the bytes `_score` gives it as a one-row table, so a
-simulated replicate is scored exactly the way the data are. `_score`
-evaluates the ECDF of a table of many rows and few ranks in one vectorized
-pass, and any other with one np.interp per row, to the same bytes. It scores a chunk
-of a table for every rank set at once, from one scaled copy of the chunk.
+One kernel, `_gaps`, turns every table of rows, drawn or given by the
+caller, into its gap matrices pi_j - F_hat(mu_hat_j) one chunk at a time,
+and `_score_row` scores the observed sample to the bytes `_gaps` gives it as
+a one-row table, so a simulated replicate is scored exactly the way the data
+are. `_gaps` evaluates the ECDF of a chunk of many rows and few ranks in one
+vectorized pass, and any other with one np.interp per row, to the same bytes.
+It scores a chunk for every rank set at once, from one scaled copy of it.
 """
 
 from __future__ import annotations
@@ -193,48 +194,48 @@ def interp_ecdf(s: Sample) -> InterpolatedEcdf:
     return InterpolatedEcdf(*_ecdf_knots(s.values))
 
 
-# The most ranks the batched ECDF pass takes; measured (see _score).
+# The most ranks the batched ECDF pass takes; measured (see _gaps).
 _BATCH_RANKS = 32
 
 
-def _score(sorted_rows: np.ndarray,
-           *weight_mats: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """[(mus, fts), ...], one pair per matrix of weight_mats (each ranks x n),
-    both rows x ranks: the L-estimates of each presorted, finite row under
-    each row of the matrix, and the row's interpolated ECDF at them. Rows are
-    scaled, row by row, by the power of two that brings max |x| into [1, 2):
-    exact for normal floats, and no underflow for a subnormal row. The
-    product runs in _BLOCK_ROWS blocks, the ECDF in the draw engine's chunks
-    (`_seeds._chunk_rows`), so a table scored chunk by chunk gets the bytes
-    of the whole, and each matrix the bytes it gets alone: one _interp_rows
-    pass if it has at most _BATCH_RANKS ranks, n <= 512 (chunks of two
-    blocks or more) and the chunk has a whole block, else one np.interp per
-    row; both give the same bytes.
+def _gaps(chunks: Iterable[tuple[int, np.ndarray]], count: int, n: int,
+          arrays: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+    """The count x ranks gap matrix pi_j - F_hat(mu_hat_j) of a table of
+    presorted, finite rows of n values for each (weight_mat, pis) of arrays
+    (ranks x n weights and their bounds), the table arriving as (first, rows)
+    chunks of rows first, first + 1, ... Each row's L-estimates mu_hat_j are
+    its product with the weights, its ECDF is evaluated at them, and pi_j less
+    that value is written into the gap matrix; the L-estimates live for one
+    chunk and one matrix. Rows are scaled, row by row, by the power of two
+    that brings max |x| into [1, 2): exact for normal floats, and no underflow
+    for a subnormal row. The product runs in _BLOCK_ROWS blocks, so a chunk
+    scored alone gets the bytes of those rows of the whole table, and each
+    matrix the bytes it gets alone: one _interp_rows pass if it has at most
+    _BATCH_RANKS ranks, n <= 512 (chunks of two blocks or more, so callers
+    chunk by `_seeds._chunk_rows`) and the chunk has a whole block, else one
+    np.interp per row; both give the same bytes.
     A row with a tie, found by one compare along the chunk, is interpolated
     again on collapsed knots (a pair spanning two rows rescores a row to the
     same bytes). A chunk's scaled rows, tied rows' knots and search keys are
     made once for every matrix, the rows and keys in this thread's scratch
     (`_seeds._scratch`). `_score_row` scores one row to the same bytes."""
-    rows, n = sorted_rows.shape
-    out = [(np.empty((rows, len(w))), np.empty((rows, len(w)))) for w in weight_mats]
+    out = [np.empty((count, len(pis))) for _, pis in arrays]
     grid = np.arange(1, n + 1) / n
-    shift = 1 - np.frexp(np.maximum(-sorted_rows[:, :1], sorted_rows[:, -1:]))[1]
-    step = _chunk_rows(n)
-    for lo in range(0, rows, step):
-        hi = lo + step
-        scaled = np.ldexp(sorted_rows[lo:hi], shift[lo:hi],
-                          out=_scratch("scaled", min(step, rows - lo), n))
+    batched_n = _chunk_rows(n) > _BLOCK_ROWS
+    for first, rows in chunks:
+        shift = 1 - np.frexp(np.maximum(-rows[:, :1], rows[:, -1:]))[1]
+        scaled = np.ldexp(rows, shift, out=_scratch("scaled", len(rows), n))
         tied = scaled.ravel()[1:] == scaled.ravel()[:-1]
         knots = [(r, *_ecdf_knots(scaled[r]))
                  for r in np.flatnonzero(np.bincount(np.flatnonzero(tied) // n))
                  ] if tied.any() else ()
         keys = None
-        for w, (mus, fts) in zip(weight_mats, out):
-            mu, ft = mus[lo:hi], fts[lo:hi]
+        for (w, pis), gaps in zip(arrays, out):
+            mu, ft = np.empty((len(scaled), len(w))), gaps[first : first + len(scaled)]
             for b in range(0, len(scaled), _BLOCK_ROWS):
                 mu[b : b + _BLOCK_ROWS] = _blas.matmul(scaled[b : b + _BLOCK_ROWS], w.T)
             redo = range(len(scaled))
-            if len(scaled) >= _BLOCK_ROWS and step > _BLOCK_ROWS and len(w) <= _BATCH_RANKS:
+            if len(scaled) >= _BLOCK_ROWS and batched_n and len(w) <= _BATCH_RANKS:
                 if keys is None:
                     keys = _search_keys(scaled)
                 redo = _interp_rows(mu, scaled, grid, ft, keys)
@@ -242,14 +243,14 @@ def _score(sorted_rows: np.ndarray,
                 ft[r] = np.interp(mu[r], scaled[r], grid)
             for r, knots_x, knots_y in knots:
                 ft[r] = np.interp(mu[r], knots_x, knots_y)
-    for mus, _ in out:
-        np.ldexp(mus, -shift, out=mus)
+            np.subtract(pis, ft, out=ft)
     return out
 
 
 def _score_row(x: np.ndarray, weight_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mus, fts), both of length ranks: `_score` of the one row x, to its
-    bytes, in arrays of its own. It is the observed sample's path: one
+    """(mus, fts), both of length ranks: the L-estimates of the one row x
+    and its ECDF at them, the bytes `_gaps` gives the one-row table x before
+    it subtracts them from the bounds. It is the observed sample's path: one
     product, one np.interp, none of the chunk loop's bookkeeping and no
     scratch."""
     shift = 1 - np.frexp(np.maximum(-x[0], x[-1]))[1]

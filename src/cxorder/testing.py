@@ -2,9 +2,10 @@
 
 The statistic measures, in a chosen p-norm, how far the interpolated ECDF
 evaluated at L-estimates of expected order statistics falls short of (or
-overshoots) the null exceedance bounds. One kernel (`order_stats._score`)
-scores every drawn table, and the sample to the same bytes as a one-row
-table (`_score_row`); one rule (`_decide`) makes every decision. Critical
+overshoots) the null exceedance bounds. One kernel (`order_stats._gaps`)
+turns every table, drawn or given by the caller, into its gap matrix one
+chunk at a time, and `_score_row` scores the sample to the same bytes as a
+one-row table; one rule (`_decide`) makes every decision. Critical
 values and p-values come from Monte Carlo draws under the standard
 reference, one RNG stream per (seed, reference, n, block of rows), so
 results never depend on scheduling.
@@ -23,10 +24,10 @@ import numpy as np
 
 from . import _cache
 from ._cache import CACHE_DIR_ENV, clear_caches
-from ._seeds import DrawTable
+from ._seeds import DrawTable, _chunk_rows
 from .distributions import Frozen, RefFamily, TailInfo, _integer
 from .order_stats import (
-    Sample, _divergent_ranks, _pi_values, _rank_set, _score, _score_row, _weights_readonly,
+    Sample, _divergent_ranks, _gaps, _pi_values, _rank_set, _score_row, _weights_readonly,
 )
 from .order_stats import pi_bound  # noqa: F401  (perfbench traces this binding)
 
@@ -287,35 +288,21 @@ def _arrays_for(
     return weight_mat, _cache.lookup(("bounds", ref.identity(), m, indices), bounds)
 
 
-def _gap_matrix(
-    sorted_rows: np.ndarray, ref: RefFamily, m: int, indices: Sequence[int]
-) -> np.ndarray:
-    """Rows x ranks gaps pi_j - F_hat(mu_hat_j); T+ and T- reduce them."""
-    weight_mat, pis = _arrays_for(ref, sorted_rows.shape[1], m, indices)
-    return pis - _score(sorted_rows, weight_mat)[0][1]
-
-
 def _table_gaps(table: DrawTable, ref: RefFamily,
                 rank_sets: Sequence[tuple[int, Sequence[int]]]) -> list[np.ndarray]:
     """The gap matrix of an engine table for each checked (m, indices) of
     rank_sets: the cache layer's ("gaps", table.key(), ref.identity(), m, indices) entry.
 
-    Every entry missing from the layer comes from one pass over the table,
-    which is drawn, scored for every missing rank set at once and dropped
-    one chunk at a time, so the table is never held whole. A chunk is scored as
-    `_score` scores those rows of the whole table, to the same bytes.
+    Every entry missing from the layer comes from one `_gaps` pass over the
+    table's chunks, which are drawn, scored for every missing rank set at once
+    and dropped one at a time, so the table is never held whole.
     """
     keys = [("gaps", table.key(), ref.identity(), *ranks) for ranks in rank_sets]
     found = {key: _cache.get(key) for key in keys}
     missing = {key: ranks for key, ranks in zip(keys, rank_sets) if found[key] is None}
     if missing:
         arrays = [_arrays_for(ref, table.n, m, idx) for m, idx in missing.values()]
-        weight_mats = [weight_mat for weight_mat, _ in arrays]
-        gaps = [np.empty((table.count, len(pis))) for _, pis in arrays]
-        for first, rows in table.chunks():
-            for (_, pis), out, (_, fts) in zip(arrays, gaps, _score(rows, *weight_mats)):
-                np.subtract(pis, fts, out=out[first : first + len(rows)])
-        for key, value in zip(missing, gaps):
+        for key, value in zip(missing, _gaps(table.chunks(), table.count, table.n, arrays)):
             found[key] = _cache.keep(key, value)
     return [found[key] for key in keys]
 
@@ -329,10 +316,11 @@ def batch_statistics(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Upper and lower statistics for each row of a table.
 
-    The table is either caller rows, which must be finite and sorted
-    ascending and are checked and scored afresh, or an engine table named by
-    its DrawTable, whose gap matrix (`_table_gaps`) the cache layer holds per
-    (reference, m, indices). Rows are scored as `statistic` scores a sample.
+    The table is either caller rows, which must be finite, non-empty and
+    sorted ascending and are checked and scored afresh, or an engine table
+    named by its DrawTable, whose gap matrix (`_table_gaps`) the cache layer
+    holds per (reference, m, indices). Both go through `_gaps` in the draw
+    engine's chunks, and rows are scored as `statistic` scores a sample.
     Returns a pair of length-R arrays. The gap matrix does not depend on
     p_norm.
     """
@@ -340,11 +328,14 @@ def batch_statistics(
     if isinstance(sorted_rows, DrawTable):
         (gaps,) = _table_gaps(sorted_rows, ref, [(m, indices)])
     else:
-        if sorted_rows.ndim != 2:
-            raise ValueError("sorted_rows must be a 2-D array")
+        if sorted_rows.ndim != 2 or sorted_rows.shape[1] == 0:
+            raise ValueError("sorted_rows must be a 2-D array of at least one column")
         if not np.isfinite(sorted_rows).all() or (sorted_rows[:, 1:] < sorted_rows[:, :-1]).any():
             raise ValueError("each row of sorted_rows must be finite and sorted ascending")
-        gaps = _gap_matrix(sorted_rows, ref, m, indices)
+        count, n = sorted_rows.shape
+        step = _chunk_rows(n)
+        chunks = ((lo, sorted_rows[lo : lo + step]) for lo in range(0, count, step))
+        (gaps,) = _gaps(chunks, count, n, [_arrays_for(ref, n, m, indices)])
     t_plus, t_minus = _t_pair(gaps, p_norm)
     return np.asarray(t_plus), np.asarray(t_minus)
 

@@ -9,7 +9,7 @@ import pytest
 from cxorder import TiesWarning, ingest, normalized_spacings, pp_statistic, pp_test
 from cxorder._cache import clear_caches
 from cxorder._seeds import DrawTable, _chunk_rows
-from cxorder.baselines import _pair_counts, _pp_table, _spacings
+from cxorder.baselines import _counts, _pair_counts, _pp_table, _spacings
 from cxorder.distributions import Alternative, Exponential
 from _tables import stacked
 
@@ -184,6 +184,6 @@ def test_streamed_pair_counts_are_the_whole_tables_bytes(label, family, n, count
     assert _chunk_rows(n) == {3: 21824, 25: 2560, 200: 320, 500: 128}[n]
     clear_caches()
     got = _pp_table(DrawTable(family, n, count, 5, label))
-    want = _pair_counts(_spacings(stacked(family, n, count, 5, label)))
+    want = _counts([(0, _spacings(stacked(family, n, count, 5, label)))], n - 1, count)
     assert [a.tobytes() for a in got] == [np.sort(a).tobytes() for a in want]
     assert [a.dtype for a in got] == [np.float64] * 2

@@ -25,9 +25,9 @@ from cxorder.baselines import _pp_null
 from cxorder.distributions import Alternative
 from cxorder.order_stats import _pi_values, _weights_readonly, os_weights
 from cxorder.simulation import estimate_power
-from cxorder.testing import _gap_matrix, _table_gaps, batch_statistics, null_statistics
+from cxorder.testing import _table_gaps, batch_statistics, null_statistics
 from test_testing import _unlabeled_customs
-from _tables import stacked
+from _tables import gap_matrix, stacked
 
 
 @pytest.fixture(autouse=True)
@@ -88,7 +88,7 @@ def test_null_and_alternative_tables_never_share_an_entry():
             DrawTable(family, 30, 200, 5, "null" if family is null_ref else "alt").key()
             for family in order]
         for label, family in (("null", null_ref), ("alt", alt)):
-            want = _gap_matrix(stacked(family, 30, 200, 5, label), null_ref, 3, ranks)
+            want = gap_matrix(stacked(family, 30, 200, 5, label), null_ref, 3, ranks)
             assert got[label].tobytes() == want.tobytes()
         assert got["null"].tobytes() != got["alt"].tobytes()
 
@@ -179,8 +179,8 @@ def test_entry_over_budget_is_handed_out_read_only_and_not_held(monkeypatch):
     table = DrawTable(Exponential(), 25, 100, 1, "null")
     (gaps,) = _table_gaps(table, Exponential(), [(3, (1, 2, 3))])
     assert not gaps.flags.writeable
-    assert gaps.tobytes() == _gap_matrix(stacked(Exponential(), 25, 100, 1, "null"),
-                                         Exponential(), 3, (1, 2, 3)).tobytes()
+    assert gaps.tobytes() == gap_matrix(stacked(Exponential(), 25, 100, 1, "null"),
+                                        Exponential(), 3, (1, 2, 3)).tobytes()
     assert _kinds() == {"bounds", "weights"}
 
 
@@ -609,4 +609,21 @@ def test_a_writer_whose_temporary_file_vanishes_leaves_one_loadable_entry(tmp_pa
     _cache.clear_caches()
     calls = _computed(monkeypatch)
     assert [a.tobytes() for a in null_statistics(*NULL_ARGS)] == [a.tobytes() for a in pair]
+    assert calls == []
+
+
+def test_an_unusable_cache_directory_keeps_the_result_and_warns_once(tmp_path, monkeypatch):
+    # A regular file where the directory should be: the disk write fails
+    # after the table is computed, and the table is still handed out.
+    want = [a.tobytes() for a in null_statistics(*NULL_ARGS)]  # no disk tier here
+    _cache.clear_caches()
+    blocked = tmp_path / "a-file"
+    blocked.write_text("")
+    monkeypatch.setenv(_cache.CACHE_DIR_ENV, str(blocked))
+    with pytest.warns(RuntimeWarning) as caught:
+        got = null_statistics(*NULL_ARGS)
+    assert len(caught) == 1 and str(blocked) in str(caught[0].message)
+    assert [a.tobytes() for a in got] == want
+    calls = _computed(monkeypatch)
+    assert null_statistics(*NULL_ARGS) is got  # held in memory
     assert calls == []

@@ -15,7 +15,7 @@ from cxorder.cli import CliError, main, parse_family, read_data_file
 from cxorder.distributions import (Cauchy, Exponential, Frechet, Logistic, LogLogistic,
                                    NegExponential, TailInfo, Uniform)
 from cxorder.simulation import CSV_HEADER, PowerGrid, estimate_power
-from cxorder.testing import Side, TestSpec, critical_value
+from cxorder.testing import CACHE_DIR_ENV, Side, TestSpec, clear_caches, critical_value
 
 RESULT_KEYS = {
     "g", "g_params", "n", "m", "p", "ell", "indices", "side", "statistic",
@@ -38,6 +38,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_test_prints_its_record_when_the_cache_directory_is_unusable(
+        data_file, tmp_path, monkeypatch, capsys):
+    argv = ["test", data_file, "--trials", "200", "--seed", "7"]
+    clear_caches()
+    want = run_cli(capsys, *argv)
+    clear_caches()
+    blocked = tmp_path / "a-file"
+    blocked.write_text("")
+    monkeypatch.setenv(CACHE_DIR_ENV, str(blocked))
+    with pytest.warns(RuntimeWarning, match="a-file"):
+        code, out, _ = run_cli(capsys, *argv)
+    assert want[0] == 0 and (code, out) == want[:2]
+    clear_caches()
 
 
 class TestParsing:

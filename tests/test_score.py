@@ -1,8 +1,9 @@
-"""The scoring kernel `order_stats._score`: its batched ECDF pass against one
+"""The scoring kernel `order_stats._gaps`: its batched ECDF pass against one
 np.interp per row, bit for bit; which path a table takes; the prefix and
 block structure of drawn tables' gap matrices; engine tables scored chunk by
 chunk against the whole table; and an exact oracle for the statistic at
-n = 1000, m = 150."""
+n = 1000, m = 150. Against zero bounds the kernel's gaps are the negated
+ECDF values, bit for bit, so those checks see every bit of F_hat."""
 
 import bisect
 import math
@@ -29,14 +30,14 @@ from cxorder import (
     ingest,
     statistic,
 )
-from cxorder import _cache, _seeds, baselines, order_stats
+from cxorder import _cache, _seeds, baselines, order_stats, testing
 from cxorder._seeds import _BLOCK_ROWS, DrawTable, _chunk_rows, derive_rng
 from cxorder.distributions import Alternative
 from cxorder.order_stats import (
-    _interp_rows, _score, _score_row, _search_keys, _weights_readonly,
+    _gaps, _interp_rows, _score_row, _search_keys, _weights_readonly,
 )
-from cxorder.testing import Side, _gap_matrix, _table_gaps, null_statistics
-from _tables import stacked
+from cxorder.testing import Side, _table_gaps, null_statistics
+from _tables import chunked, gap_matrix, stacked
 
 FAMILIES = [
     Uniform(),
@@ -74,22 +75,27 @@ def _rows(n):
 
 
 def _scaled(rows):
-    """Rows scaled as `_score` scales them, each into (-2, 2)."""
+    """Rows scaled as `_gaps` scales them, each into (-2, 2)."""
     return np.ldexp(rows, 1 - np.frexp(np.maximum(-rows[:, :1], rows[:, -1:]))[1])
 
 
+def _neg_ecdf(rows, *weight_mats):
+    """`_gaps` of caller rows, in batch_statistics' chunks, for each weight
+    matrix against zero bounds: 0 - F_hat(mu_hat), every bit of F_hat."""
+    return _gaps(chunked(rows), len(rows), rows.shape[1],
+                 [(w, np.zeros(len(w))) for w in weight_mats])
+
+
 def _per_row_score(monkeypatch, rows, weight_mat):
-    """`_score` with the batched pass switched off: one np.interp per row."""
+    """`_neg_ecdf` with the batched pass switched off: one np.interp per row."""
     with monkeypatch.context() as patch:
         patch.setattr(order_stats, "_BATCH_RANKS", -1)
-        return _score(rows, weight_mat)[0]
+        return _neg_ecdf(rows, weight_mat)[0]
 
 
 def _assert_score_matches_per_row(monkeypatch, rows, weight_mat):
-    (got,) = _score(rows, weight_mat)
-    want = _per_row_score(monkeypatch, rows, weight_mat)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
+    (got,) = _neg_ecdf(rows, weight_mat)
+    assert got.tobytes() == _per_row_score(monkeypatch, rows, weight_mat).tobytes()
 
 
 def _assert_interp_rows_exact(mus, x):
@@ -147,17 +153,20 @@ def test_score_equals_its_per_row_path_on_extreme_rows(monkeypatch, n, m):
 @pytest.mark.parametrize("n", NS)
 def test_one_row_path_scores_a_row_to_the_bytes_of_a_one_row_table(n):
     # The observed sample goes through _score_row; a replicate of the same
-    # values through _score. Untied, tied, subnormal, huge and symmetric rows.
+    # values through _gaps. Untied, tied, subnormal, huge and symmetric rows.
+    # The ECDF values against zero bounds, and the gaps against the bounds.
     rows = stacked(Logistic(), n, 64, 37, "null")
     symmetric = np.arange(n, dtype=float) - n // 2
     for table in (rows, np.round(rows, 1), rows * 1e-310, rows * 1e300, symmetric[np.newaxis]):
         for m in MS:
             weight_mat = _weights(n, m)
+            pis = testing._arrays_for(Exponential(), n, m, tuple(range(1, m + 1)))[1]
             for row in table:
-                ((mus, fts),) = _score(row[np.newaxis], weight_mat)
-                got = _score_row(row, weight_mat)
-                assert got[0].tobytes() == mus[0].tobytes()
-                assert got[1].tobytes() == fts[0].tobytes()
+                fts = _score_row(row, weight_mat)[1]
+                (neg,) = _neg_ecdf(row[np.newaxis], weight_mat)
+                assert neg[0].tobytes() == (0.0 - fts).tobytes()
+                gaps = gap_matrix(row[np.newaxis], Exponential(), m, range(1, m + 1))
+                assert gaps[0].tobytes() == (pis - fts).tobytes()
 
 
 def test_exact_knot_hits_take_the_knot_value():
@@ -168,8 +177,8 @@ def test_exact_knot_hits_take_the_knot_value():
     mus = x @ _weights(n, 1).T
     assert np.all(mus[:, 0] == x[:, n // 2])
     _assert_interp_rows_exact(mus, x)
-    ((_, fts),) = _score(np.tile(np.arange(n, dtype=float), (200, 1)), _weights(n, 1))
-    assert np.all(fts == (n // 2 + 1) / n)
+    (neg,) = _neg_ecdf(np.tile(np.arange(n, dtype=float), (200, 1)), _weights(n, 1))
+    assert np.all(neg == -(n // 2 + 1) / n)
 
 
 def test_infinite_slopes_and_both_ends_match_np_interp():
@@ -218,7 +227,7 @@ def test_which_path_a_table_takes(monkeypatch):
 
     def interp_calls(n, count, m):
         calls.clear()
-        _score(stacked(Exponential(), n, count, 31, "null"), _weights(n, m))
+        _neg_ecdf(stacked(Exponential(), n, count, 31, "null"), _weights(n, m))
         return len(calls)
 
     # An observed sample, 150 ranks, and n = 1000 (64-row chunks) go row by row.
@@ -239,11 +248,11 @@ def test_whole_block_prefix_of_a_table_is_the_shorter_table(n, m):
     # Whole blocks only: OpenBLAS rounds a short block's product differently
     # from the same rows inside a 64-row block, so a k-row table with k not a
     # multiple of 64 can differ from the first k rows in the last bits.
-    full = _gap_matrix(stacked(Exponential(), n, 1000, 37, "null"),
-                       Exponential(), m, range(1, m + 1))
+    full = gap_matrix(stacked(Exponential(), n, 1000, 37, "null"),
+                      Exponential(), m, range(1, m + 1))
     for k in (_BLOCK_ROWS, 5 * _BLOCK_ROWS, 6 * _BLOCK_ROWS, 1000):
-        part = _gap_matrix(stacked(Exponential(), n, k, 37, "null"),
-                           Exponential(), m, range(1, m + 1))
+        part = gap_matrix(stacked(Exponential(), n, k, 37, "null"),
+                          Exponential(), m, range(1, m + 1))
         assert full[:k].tobytes() == part.tobytes()
 
 
@@ -253,8 +262,8 @@ def test_a_tables_gaps_are_its_blocks_gaps(n, m):
     # What streaming a table block by block relies on: each block scored on
     # its own, the short last one included, gives the table's bytes.
     rows = stacked(Exponential(), n, 1000, 41, "null")
-    full = _gap_matrix(rows, Exponential(), m, range(1, m + 1))
-    blocks = [_gap_matrix(rows[lo : lo + _BLOCK_ROWS], Exponential(), m, range(1, m + 1))
+    full = gap_matrix(rows, Exponential(), m, range(1, m + 1))
+    blocks = [gap_matrix(rows[lo : lo + _BLOCK_ROWS], Exponential(), m, range(1, m + 1))
               for lo in range(0, len(rows), _BLOCK_ROWS)]
     assert full.tobytes() == np.vstack(blocks).tobytes()
 
@@ -271,10 +280,10 @@ def test_streamed_tables_score_to_the_whole_tables_bytes(n, count):
     got = _table_gaps(DrawTable(ref, n, count, 43, "null"), ref, sets)
     rows = stacked(ref, n, count, 43, "null")
     for (m, ranks), gaps in zip(sets, got):
-        assert gaps.tobytes() == _gap_matrix(rows, ref, m, ranks).tobytes()
+        assert gaps.tobytes() == gap_matrix(rows, ref, m, ranks).tobytes()
     # A cold null table, streamed alone.
     nulls = null_statistics(ref, n, 5, range(1, 6), 2.0, count, 47)
-    gaps = _gap_matrix(stacked(ref, n, count, 47, "null"), ref, 5, range(1, 6))
+    gaps = gap_matrix(stacked(ref, n, count, 47, "null"), ref, 5, range(1, 6))
     want = [np.sort(np.power(np.add.reduce(np.power(np.maximum(side, 0.0), 2.0), axis=1), 0.5))
             for side in (gaps, -gaps)]
     assert [a.tobytes() for a in nulls] == [a.tobytes() for a in want]
@@ -325,7 +334,7 @@ def test_a_thread_keeps_at_most_one_chunk_of_scratch_per_use_after_a_large_table
     thread.join(timeout=120)
     assert set(kept["slots"]) <= {"rows", "scaled", "keys", "spacings"}
     assert all(size <= _seeds._SCRATCH_VALUES for size in kept["slots"].values())
-    want = _gap_matrix(stacked(ref, 2000, 130, 67, "null"), ref, 5, range(1, 6))
+    want = gap_matrix(stacked(ref, 2000, 130, 67, "null"), ref, 5, range(1, 6))
     assert kept["gaps"].tobytes() == want.tobytes()
 
 
@@ -362,13 +371,12 @@ def test_rank_sets_scored_in_one_pass_get_the_bytes_of_one_set_passes(family, n,
     _cache.clear_caches()
     shared = _table_gaps(table, ref, SETS)
     weight_mats = [_weights_readonly(n, m, ranks) for m, ranks in SETS]
-    together = _score(rows, *weight_mats)
-    for (m, ranks), gaps, weight_mat, pair in zip(SETS, shared, weight_mats, together):
+    together = _neg_ecdf(rows, *weight_mats)
+    for (m, ranks), gaps, weight_mat, neg in zip(SETS, shared, weight_mats, together):
         _cache.clear_caches()
         (alone,) = _table_gaps(table, ref, [(m, ranks)])
         assert gaps.tobytes() == alone.tobytes()
-        ((mus, fts),) = _score(rows, weight_mat)
-        assert pair[0].tobytes() == mus.tobytes() and pair[1].tobytes() == fts.tobytes()
+        assert neg.tobytes() == _neg_ecdf(rows, weight_mat)[0].tobytes()
 
 
 def test_threads_scoring_different_tables_at_once_get_the_serial_bytes():

@@ -664,7 +664,14 @@ def test_batch_statistics_rejects_a_single_row_as_a_1d_array():
     with pytest.raises(ValueError) as info:
         batch_statistics(_caller_rows()[0], Exponential(), 5, range(1, 6), 1.0)
     assert type(info.value) is ValueError
-    assert str(info.value) == "sorted_rows must be a 2-D array"
+    assert str(info.value) == "sorted_rows must be a 2-D array of at least one column"
+
+
+def test_batch_statistics_rejects_rows_of_no_values():
+    with pytest.raises(ValueError) as info:
+        batch_statistics(np.empty((3, 0)), Exponential(), 1, (1,), 1.0)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "sorted_rows must be a 2-D array of at least one column"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -130,9 +130,10 @@ def main_digest() -> None:
             t_plus, t_minus = null_statistics(ref, n, m, range(1, m + 1), 1.0, 1000, 3)
             blob = t_plus.tobytes() + t_minus.tobytes()
             print(f"null_statistics {ref.cache_key()} n={n} {_digest(blob)}")
-    # Caller rows: the batched ECDF pass (n = 25, m = 5) and the per-row one
-    # (m = 40), each over a short last chunk, the n = 200, m = 5 one ending
-    # in a part block that goes row by row; plain, tied and subnormal rows.
+    # Caller rows, each table ending in a short chunk: the batched ECDF pass
+    # (n = 25, m = 5), the batched pass with a last part block that goes row
+    # by row (n = 200, m = 5) and the per-row pass (n = 200, m = 40); plain,
+    # tied and subnormal rows.
     rng = np.random.default_rng(20251021)
     for n, m, rows in ((25, 5, 3000), (200, 5, 700), (200, 40, 700)):
         plain = np.sort(rng.standard_exponential((rows, n)), axis=1)
