@@ -1,13 +1,13 @@
 """Grid-based power studies and the power exhibits, held as data.
 
 A power grid runs one test, given by a TestSpec, on a cross of an
-alternative family's parameters, sample sizes and (m, ell) pairs. Every
-cell is an independent job: its critical value comes from the shared
-Monte Carlo cache, and its replications are the alternative's draw
-table, whose streams are derived from the spec's seed, the alternative
-and the sample size, so tables are reproducible bit for bit regardless
-of execution order. Cells run serially: they mostly hold the interpreter
-lock, and a two-thread pool ran slower.
+alternative family's parameters, sample sizes and (m, ell) pairs. testing
+decides each (param, n) step's cells, as run_test decides a sample, from
+one pass over the null table and one over the alternative's, whose streams
+are derived from the spec's seed, the family and the sample size, so
+tables are reproducible bit for bit regardless of execution order. Cells
+run serially: they mostly hold the interpreter lock, and a two-thread pool
+ran slower.
 
 Each exhibit in EXHIBITS is a tuple of parts in row order: power grids
 and sets of Proschan-Pyke rows. reproduce fills in the budgets and the
@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import NamedTuple
 import numpy as np
 
-from . import _cache
 from ._seeds import DrawTable
 from .baselines import _SIDES, _check_pp_args, _pp_null, _pp_table
 from .distributions import (
@@ -35,17 +34,7 @@ from .distributions import (
     TailInfo,
     _integer,
 )
-from .testing import (
-    InfeasibleSpecError,
-    Side,
-    TestSpec,
-    _decide,
-    _null_key,
-    _nulls,
-    _pick,
-    _t_pair,
-    _table_gaps,
-)
+from .testing import InfeasibleSpecError, Side, TestSpec, _decide, _rejections
 
 __all__ = [
     "EXHIBITS",
@@ -165,41 +154,31 @@ def _pinned(spec: TestSpec, n: int, m: int, ell: int | None) -> TestSpec | None:
 
 
 def _power_cell(grid: PowerGrid, param: float, n: int, m: int, ell: int | None,
-                rs: TestSpec | None, gaps: np.ndarray | None) -> PowerRow:
-    """The row of cell (param, n, m, ell), whose spec resolves to rs and the
-    alternative's table to the gap matrix gaps; both are None if it is infeasible."""
+                rs: TestSpec | None, rejects: np.ndarray | None) -> PowerRow:
+    """The row of cell (param, n, m, ell), whose spec resolves to rs and whose
+    replications reject as rejects says; both are None if it is infeasible."""
     spec = grid.spec
     cell = (grid.alternative, param, n, spec.side.value, grid.replications, spec.seed)
     if rs is None:
         return _power_row(*cell, None, m, ell, spec.p_norm)
-    null = _pick(_nulls(rs, n), spec.side)
-    rejects = _decide(null, rs.sig_level, _pick(_t_pair(gaps, rs.p_norm), spec.side))[1]
     return _power_row(*cell, rejects, rs.m, len(rs.indices), spec.p_norm)
 
 
 def estimate_power(grid: PowerGrid) -> PowerTable:
-    """Empirical rejection rate for every cell of the grid.
-
-    For each (param, n), one streamed pass scores the alternative's table
-    for every feasible cell, and one the null table for every cell whose null
-    statistics are not stored yet. Each cell reduces the alternative's gap
-    matrix that the pass returned and reads its null statistics from the cache.
-    """
+    """Empirical rejection rate for every cell of the grid. For each (param,
+    n), `testing._rejections` decides every feasible cell, from one streamed
+    pass over the null table (for null statistics not stored yet) and one over
+    the alternative's table."""
     spec = grid.spec
     rows = []
     for param in grid.params:
         for n in grid.n_grid:
             pinned = [_pinned(spec, n, m, ell) for m, ell in grid.m_ell]
-            live = [rs for rs in pinned if rs is not None]
-            unscored = [(rs.m, rs.indices) for rs in live if _cache.get(
-                _null_key(rs.ref, n, rs.m, rs.indices, rs.p_norm, rs.mc_trials, rs.seed),
-                rs.mc_trials) is None]
-            _table_gaps(DrawTable(spec.ref, n, spec.mc_trials, spec.seed, "null"), spec.ref,
-                        unscored)
             alt = DrawTable(Alternative(grid.alternative, param), n, grid.replications, spec.seed,
                             "alt")
-            gaps = iter(_table_gaps(alt, spec.ref, [(rs.m, rs.indices) for rs in live]))
-            rows += [_power_cell(grid, param, n, m, ell, rs, None if rs is None else next(gaps))
+            rejects = iter(_rejections(spec, n, [(rs.m, rs.indices) for rs in pinned
+                                                 if rs is not None], alt))
+            rows += [_power_cell(grid, param, n, m, ell, rs, None if rs is None else next(rejects))
                      for (m, ell), rs in zip(grid.m_ell, pinned)]
     return PowerTable(rows=rows)
 

@@ -156,12 +156,10 @@ class TestSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "side", Side(self.side))
-        object.__setattr__(self, "p_norm", float(self.p_norm))
+        object.__setattr__(self, "p_norm", _check_p(self.p_norm))
         for name in ("m", "ell"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
-        if not self.p_norm >= 1.0:
-            raise ValueError("p_norm must be at least 1 (math.inf allowed)")
         object.__setattr__(self, "mc_trials", _check_mc(self.sig_level, self.mc_trials))
         object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.indices is not None and self.ell is not None:
@@ -247,6 +245,14 @@ def _check_mc(sig_level: float, mc_trials: int) -> int:
     return _integer("mc_trials", mc_trials, 100)
 
 
+def _check_p(p_norm: float) -> float:
+    """p_norm as a float, checked to be at least 1 (math.inf allowed)."""
+    p_norm = float(p_norm)
+    if not p_norm >= 1.0:
+        raise ValueError("p_norm must be at least 1 (math.inf allowed)")
+    return p_norm
+
+
 def _pnorm(parts: np.ndarray, p: float) -> np.ndarray | float:
     """The p-norm along the last axis of nonnegative parts, which it may
     overwrite."""
@@ -316,18 +322,21 @@ def batch_statistics(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Upper and lower statistics for each row of a table.
 
-    The table is either caller rows, which must be finite, non-empty and
-    sorted ascending and are checked and scored afresh, or an engine table
-    named by its DrawTable, whose gap matrix (`_table_gaps`) the cache layer
-    holds per (reference, m, indices). Both go through `_gaps` in the draw
-    engine's chunks, and rows are scored as `statistic` scores a sample.
+    The table is either caller rows, an array or nested sequences of floats
+    that must be finite, non-empty and sorted ascending and are checked and
+    scored afresh, or an engine table named by its DrawTable, whose gap
+    matrix (`_table_gaps`) the cache layer holds per (reference, m, indices).
+    Both go through `_gaps` in the draw engine's chunks, and rows are scored
+    as `statistic` scores a sample.
     Returns a pair of length-R arrays. The gap matrix does not depend on
-    p_norm.
+    p_norm, which must be at least 1.
     """
     m, indices = _rank_set(m, indices)
+    p_norm = _check_p(p_norm)
     if isinstance(sorted_rows, DrawTable):
         (gaps,) = _table_gaps(sorted_rows, ref, [(m, indices)])
     else:
+        sorted_rows = np.asarray(sorted_rows, dtype=float)
         if sorted_rows.ndim != 2 or sorted_rows.shape[1] == 0:
             raise ValueError("sorted_rows must be a 2-D array of at least one column")
         if not np.isfinite(sorted_rows).all() or (sorted_rows[:, 1:] < sorted_rows[:, :-1]).any():
@@ -361,10 +370,13 @@ def null_statistics(
     Held by the cache layer in memory, and on disk as well when the cache
     directory environment variable is set. On a miss the null table is
     scored by batch_statistics, looked up through this module's global, so a
-    caller that wraps it sees every computed table.
+    caller that wraps it sees every table this function computes. A power
+    grid stores the same entries from its own passes (`_rejections`) and
+    calls neither function.
     """
     n, trials, seed = _integer("n", n, 1), _integer("trials", trials, 1), _integer("seed", seed)
     m, indices = _rank_set(m, indices)
+    p_norm = _check_p(p_norm)
 
     def compute() -> tuple[np.ndarray, np.ndarray]:
         table = DrawTable(ref, n, trials, seed, "null")
@@ -410,6 +422,27 @@ def _nulls(pinned: TestSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _pick(pair: tuple, side: Side):
     """The upper or the lower member of an (upper, lower) pair."""
     return pair[0] if side is Side.UPPER else pair[1]
+
+
+def _rejections(spec: TestSpec, n: int, rank_sets: Sequence[tuple[int, Sequence[int]]],
+                alt: DrawTable) -> list[np.ndarray]:
+    """For each checked (m, indices) of rank_sets, whether each row of the
+    alternative table alt rejects under spec at n (`_decide`). Null statistics
+    the cache layer holds, in memory or on disk, are read; the rest are reduced
+    from the gap matrices of one `_table_gaps` pass over the null table and
+    stored by `_cache.lookup`, so no value this call computes is read back
+    through the cache. One pass scores alt."""
+    p, trials = spec.p_norm, spec.mc_trials
+    keys = [_null_key(spec.ref, n, m, idx, p, trials, spec.seed) for m, idx in rank_sets]
+    nulls = {key: _cache.get(key, trials) for key in keys}
+    missing = {key: ranks for key, ranks in zip(keys, rank_sets) if nulls[key] is None}
+    table = DrawTable(spec.ref, n, trials, spec.seed, "null")
+    for key, gaps in zip(missing, _table_gaps(table, spec.ref, list(missing.values()))):
+        pair = tuple(map(np.sort, _t_pair(gaps, p)))
+        nulls[key] = _cache.lookup(key, lambda: pair, trials)
+    return [_decide(_pick(nulls[key], spec.side), spec.sig_level,
+                    _pick(_t_pair(gaps, p), spec.side))[1]
+            for key, gaps in zip(keys, _table_gaps(alt, spec.ref, rank_sets))]
 
 
 def critical_value(spec: TestSpec, n: int) -> float:

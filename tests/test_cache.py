@@ -402,17 +402,32 @@ def test_a_computed_null_table_is_scored_beneath_null_statistics(monkeypatch):
     # A new p reads the stored gap matrix, but its statistics are computed.
     testing.null_statistics(*args[:4], 2.0, *args[5:])
     assert len(calls) == 2 and calls[1][0]
-    # A power grid scores its tables in shared passes, yet each null entry it
-    # computes still goes through batch_statistics beneath null_statistics.
-    # Its cells reduce the alternative's gap matrices that the pass returned.
     _cache.clear_caches()
     calls.clear()
-    grid = PowerGrid(alternative="weibull", params=(1.5, 2.0), n_grid=(20,),
+    # A power grid decides its cells from its own passes: it calls no
+    # batch_statistics, draws one null table per n, and stores the null
+    # entries a cold null_statistics would compute, byte for byte.
+    drawn = []
+    real_chunks = DrawTable.chunks
+
+    def chunks(table):
+        drawn.append(table.key())
+        return real_chunks(table)
+
+    monkeypatch.setattr(DrawTable, "chunks", chunks)
+    grid = PowerGrid(alternative="weibull", params=(1.5, 2.0), n_grid=(20, 30),
                      m_ell=((1, None), (3, None)), spec=TestSpec(Exponential(), mc_trials=120),
                      replications=50)
     estimate_power(grid)
-    assert [inside for inside, rows in calls if rows.label == "null"] == [True, True]
-    assert [rows.label for inside, rows in calls] == ["null", "null"]
+    assert calls == []
+    assert [key for key in drawn if key[0] == "null"] == [
+        DrawTable(Exponential(), n, 120, 0, "null").key() for n in (20, 30)]
+    stored = {key: value for key, value in _cache._entries.items() if key[0] == "null"}
+    assert len(stored) == 4
+    for key, pair in stored.items():
+        _cache.clear_caches()
+        fresh = real_null(Exponential(), *key[2:])
+        assert [a.tobytes() for a in fresh] == [a.tobytes() for a in pair]
 
 
 def test_a_cold_null_table_holds_one_chunk_of_draws_at_a_time(monkeypatch):

@@ -328,10 +328,12 @@ def test_assumed_tails_restrict_ell(tmp_path):
 
 
 def test_a_grid_step_reduces_the_gap_matrices_its_pass_returned(monkeypatch):
-    """Each cell reduces the alternative's gap matrix that its grid step's
-    pass returned, so each alternative table is drawn once whatever the
-    cache budget. When the cells fetched the matrices again through the
-    cache, table1's p = 1 grid drew 20 alternative tables at 256 KiB."""
+    """Each cell reduces the null and the alternative gap matrices that its
+    grid step's passes returned, so each table is drawn once whatever the
+    cache budget. When the cells fetched the alternative's matrices again
+    through the cache, table1's p = 1 grid drew 20 alternative tables at
+    256 KiB; when they read their null statistics back through the cache, it
+    drew 20 null tables."""
     drawn = Counter()
     real = DrawTable.chunks
 
@@ -343,10 +345,10 @@ def test_a_grid_step_reduces_the_gap_matrices_its_pass_returned(monkeypatch):
     part = EXHIBITS["table1"][0]
     grid = replace(part, replications=2000, spec=replace(part.spec, mc_trials=2000, seed=3))
     rates = []
-    for budget in (_cache.BUDGET_BYTES, 256 << 10):
+    for budget in (_cache.BUDGET_BYTES, 256 << 10, 0):
         monkeypatch.setattr(_cache, "BUDGET_BYTES", budget)
         clear_caches()
         drawn.clear()
         rates.append([row.rate for row in estimate_power(grid).rows])
-        assert drawn["alt"] == len(grid.n_grid) == 4
-    assert rates[0] == rates[1]
+        assert drawn == {"null": 4, "alt": 4} and len(grid.n_grid) == 4
+    assert rates[0] == rates[1] == rates[2]

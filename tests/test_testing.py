@@ -34,6 +34,7 @@ from cxorder import (
     statistic,
 )
 from cxorder import testing as testing_mod
+from cxorder._seeds import DrawTable
 from cxorder.order_stats import _divergent_ranks, bound_status
 from cxorder.testing import batch_statistics, null_statistics
 
@@ -680,6 +681,30 @@ def test_batch_statistics_rejects_a_non_finite_row(bad):
     rows[2, -1] = bad
     with pytest.raises(ValueError, match="finite"):
         batch_statistics(rows, Exponential(), 5, range(1, 6), 1.0)
+
+
+def test_batch_statistics_takes_nested_lists_as_rows():
+    # Caller rows used to need an ndarray: a nested list raised AttributeError.
+    rows = _caller_rows()
+    want = batch_statistics(rows, Exponential(), 5, range(1, 6), 2.0)
+    got = batch_statistics(rows.tolist(), Exponential(), 5, range(1, 6), 2.0)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("p_norm", [0, 0.5, -1.0, math.nan])
+def test_every_entry_refuses_a_p_norm_below_one(p_norm):
+    # batch_statistics and null_statistics took any p_norm: 0 raised
+    # ZeroDivisionError, 0.5 returned numbers that are no norm, -1 all zeros
+    # and nan all-NaN statistics.
+    table = DrawTable(Exponential(), 20, 200, 5, "null")
+    calls = [lambda: TestSpec(Exponential(), p_norm=p_norm),
+             lambda: batch_statistics(_caller_rows(), Exponential(), 5, range(1, 6), p_norm),
+             lambda: batch_statistics(table, Exponential(), 2, (1, 2), p_norm),
+             lambda: null_statistics(Exponential(), 20, 2, (1, 2), p_norm, 200, 5)]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "p_norm must be at least 1 (math.inf allowed)"
 
 
 def test_null_statistics_sorted_and_readonly():

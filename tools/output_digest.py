@@ -23,12 +23,15 @@ every `batch_statistics` line.
 
 It covers the seven exhibit CSVs at R = T = 300, each built with every
 cache cleared first and again in one pass over all seven that shares the
-caches (the script exits 1 if a shared-cache digest differs from its cold
-one), `cxorder test` JSON records for several references and rank-selection
+caches. A check pass then builds table1 and table2 again, each from a
+cleared cache held to SMALL_CACHE_BYTES, and prints nothing: the bytes may
+depend on neither the cache's contents nor its budget, so the script exits
+1 if a shared-cache or small-cache CSV differs from its cold one. It also
+covers `cxorder test` JSON records for several references and rank-selection
 modes, `pp-test`, `critical-value` and `power` output (one power grid
 with an infeasible cell, one with every test-spec flag set), and raw
 null-statistic tables for small and medium n, and `batch_statistics` on
-caller rows (plain, tied and subnormal). Takes about 3.5 s on two cores.
+caller rows (plain, tied and subnormal). Takes about 4 s on two cores.
 """
 
 from __future__ import annotations
@@ -41,13 +44,16 @@ from pathlib import Path
 
 import numpy as np
 
-from cxorder import Cauchy, Exponential, Logistic, _blas
+from cxorder import Cauchy, Exponential, Logistic, _blas, _cache
 from cxorder._cache import clear_caches
 from cxorder.cli import main
 from cxorder.simulation import EXHIBITS, reproduce
 from cxorder.testing import batch_statistics, null_statistics
 
 BUDGET = 300
+# The cache budget of the check pass: small enough that table1 and table2
+# lose gap matrices and null tables before their cells are decided.
+SMALL_CACHE_BYTES = 256 << 10
 
 CLI_RUNS = {
     "test-exponential": ["test", "{x}", "--g", "exponential", "--side", "both"],
@@ -112,7 +118,18 @@ def main_digest() -> None:
             digest = _digest(path.read_bytes())
             print(f"exhibit {target} shared-cache {digest}")
             if digest != cold[target]:
-                differ.append(target)
+                differ.append(f"{target} shared-cache")
+        budget, _cache.BUDGET_BYTES = _cache.BUDGET_BYTES, SMALL_CACHE_BYTES
+        try:
+            for target in ("table1", "table2"):
+                clear_caches()
+                path = reproduce(target, out_dir=root / "small", replications=BUDGET,
+                                 mc_trials=BUDGET, seed=0)
+                if _digest(path.read_bytes()) != cold[target]:
+                    differ.append(f"{target} at a {SMALL_CACHE_BYTES >> 10} KiB cache")
+        finally:
+            _cache.BUDGET_BYTES = budget
+            clear_caches()
 
         data = root / "data.txt"
         rng = np.random.default_rng(20250124)
@@ -143,7 +160,7 @@ def main_digest() -> None:
             blob = t_plus.tobytes() + t_minus.tobytes()
             print(f"batch_statistics {name} n={n} m={m} rows={rows} {_digest(blob)}")
     if differ:
-        raise SystemExit(f"shared-cache CSVs differ from the cold ones: {', '.join(differ)}")
+        raise SystemExit(f"CSVs differ from the cold ones: {', '.join(differ)}")
 
 
 if __name__ == "__main__":

@@ -80,9 +80,14 @@ pair alternating, so that both sides see the same mix of machine states.
 The file names the other checkout by its directory and records, per
 stage, each side's best time and median faults per pair, the median ratio
 of this side's time to the other's, the pairs this side won and each
-side's quartiles; and the import times of both. This
-takes about ten minutes on two cores; --only restricts it to the stages
-whose name contains a string.
+side's quartiles; and the import times of both. Each interpreter also runs
+the benchmark's fixed speed probe (`perfbench.speed.probe`, from this
+checkout for both sides) just before and just after its stage, and each
+pair records its probe ratio, this side's mean probe time over the other's,
+beside its time ratio: a time ratio that the probe ratio matches says more
+about the machine's state than about the code. The probe is reported, not
+used to scale or gate anything. This takes about ten minutes on two cores;
+--only restricts it to the stages whose name contains a string.
 """
 
 from __future__ import annotations
@@ -268,6 +273,18 @@ def stages(only: str = "") -> dict[str, dict]:
     return {name: stage() for name, stage in stage_list().items() if only in name}
 
 
+def _probed(name: str) -> dict:
+    """Stage name's timings, with the speed probe's time just before and just
+    after it as probe_s."""
+    sys.path.insert(0, str(ROOT))
+    from perfbench.speed import probe
+
+    before = probe()
+    out = stage_list()[name]()
+    out["probe_s"] = [before, probe()]
+    return out
+
+
 def _stage_in(src: Path, name: str) -> dict:
     """Stage name timed in a fresh interpreter on the package under src."""
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -281,7 +298,8 @@ def paired(against: Path, pairs: int, only: str = "") -> dict[str, dict]:
     package and one on the package under against, the first of each pair
     alternating: each side's best time and median faults per pair, the
     median ratio of this side's time to the other's, the pairs this side
-    won, and each side's quartiles."""
+    won, each side's quartiles, and each pair's probe ratio beside its time
+    ratio."""
     this = Path(cxorder.__file__).resolve().parents[1]
     out = {}
     for name in stage_list():
@@ -294,15 +312,23 @@ def paired(against: Path, pairs: int, only: str = "") -> dict[str, dict]:
                 sides[side].append(_stage_in(src, name))
         best = {side: [run["best_s"] for run in runs] for side, runs in sides.items()}
         ratios = [a / b for a, b in zip(best["this"], best["against"])]
+        probe = {side: [statistics.fmean(run["probe_s"]) for run in runs]
+                 for side, runs in sides.items()}
+        probe_ratios = [a / b for a, b in zip(probe["this"], probe["against"])]
         out[name] = {
             "best_s": best, "ratios": ratios, "median_ratio": statistics.median(ratios),
+            "probe_s": probe, "probe_ratios": probe_ratios,
+            "median_probe_ratio": statistics.median(probe_ratios),
             "pairs_won": sum(r < 1.0 for r in ratios), "pairs": pairs,
             "quartiles_s": {side: statistics.quantiles(times, n=4) for side, times in best.items()},
             "faults_median": {side: statistics.median(run["faults_median"] for run in runs)
                               for side, runs in sides.items()},
         }
         print(f"{name:45s} ratio {out[name]['median_ratio']:.3f} won "
-              f"{out[name]['pairs_won']}/{pairs}", flush=True)
+              f"{out[name]['pairs_won']}/{pairs} probe ratio "
+              f"{out[name]['median_probe_ratio']:.3f}", flush=True)
+        for ratio, probe_ratio in zip(ratios, probe_ratios):
+            print(f"{'':45s}   pair: time {ratio:.3f} probe {probe_ratio:.3f}", flush=True)
     return out
 
 
@@ -386,7 +412,7 @@ def main() -> None:
     args = parser.parse_args()
     os.environ.pop(CACHE_DIR_ENV, None)  # a disk entry would serve the cold tables
     if args.stage is not None:
-        print(json.dumps(stage_list()[args.stage]()))
+        print(json.dumps(_probed(args.stage)))
         return
     if args.label is None:
         parser.error("--label is required")
