@@ -5,14 +5,16 @@ A key is a tuple that names the computation behind its value: the kind of
 entry first, then everything the value depends on. The kinds are "gaps" (the
 rows x ranks gap matrix of a drawn table) and "pairs" (its sorted
 Proschan-Pyke pair counts), both naming the table by `DrawTable.key()`,
-"null" (sorted null statistics), "bounds" and "weights". No draw table is
-stored. Values are arrays, or tuples of arrays, stored read-only, in one
-least-recently-used store bounded to BUDGET_BYTES of array data. Entries
-asked for with a disk length, the "null" ones, are also kept on disk when
-the CXORDER_CACHE_DIR environment variable is set. A disk entry is named by
-the key together with CACHE_VERSION, the OpenBLAS kernel and numpy's
-version, which also decide its bytes: its file name hashes them, and the
-archive stores them, so an entry that names anything else is not read.
+"null" (sorted null statistics), "bounds", "weights" and "test" (a pinned
+spec with its weights, bounds and null pair). No draw table is stored.
+Values are arrays, or tuples whose arrays are stored read-only, in one
+least-recently-used store bounded to BUDGET_BYTES of array data, where an
+array shared by two entries counts twice. Entries asked for with a disk
+length, the "null" ones, are also kept on disk when the CXORDER_CACHE_DIR
+environment variable is set. A disk entry is named by the key together
+with CACHE_VERSION, the OpenBLAS kernel and numpy's version, which also
+decide its bytes: its file name hashes them, and the archive stores them,
+so an entry that names anything else is not read.
 """
 
 from __future__ import annotations
@@ -56,8 +58,9 @@ _held = 0
 _lock = threading.Lock()
 
 
-def _arrays(value: Value) -> tuple:
-    return value if isinstance(value, tuple) else (value,)
+def _arrays(value: Value) -> list:
+    return [a for a in (value if isinstance(value, tuple) else (value,))
+            if isinstance(a, np.ndarray)]
 
 
 def _nbytes(value: Value) -> int:
@@ -99,8 +102,8 @@ def get(key: tuple, disk_length: int | None = None) -> Value | None:
 
 
 def keep(key: tuple, value: Value) -> Value:
-    """Make value read-only, store it under key when the budget allows, and
-    return it."""
+    """Make value's arrays read-only, store it under key when the budget
+    allows, and return it."""
     for arr in _arrays(value):
         arr.setflags(write=False)
     _put(key, value)

@@ -242,7 +242,7 @@ class LogLogistic(RefFamily, Frozen):
     def __init__(self, a: float = 1.0) -> None:
         if not 0.0 < a < math.inf:
             raise ValueError("shape a must be positive and finite")
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", float(a))
 
     def params(self) -> dict[str, float]:
         return {"a": self.a}
@@ -290,7 +290,7 @@ class Frechet(RefFamily, Frozen):
     def __init__(self, alpha: float) -> None:
         if not 0.0 < alpha < math.inf:
             raise ValueError("shape alpha must be positive and finite")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", float(alpha))
 
     def params(self) -> dict[str, float]:
         return {"alpha": self.alpha}
@@ -411,7 +411,7 @@ class Alternative(Frozen):
         if kind != "shifted-exponential" and not param > 0.0:
             raise ValueError(f"{kind} needs a positive parameter")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "param", float(param))
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """The values that the uniforms u invert to."""

@@ -13,12 +13,13 @@ results never depend on scheduling.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -161,6 +162,7 @@ class TestSpec:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
         object.__setattr__(self, "mc_trials", _check_mc(self.sig_level, self.mc_trials))
+        object.__setattr__(self, "sig_level", float(self.sig_level))
         object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.indices is not None and self.ell is not None:
             raise ValueError("give either explicit indices or ell, not both")
@@ -294,20 +296,21 @@ def _arrays_for(
     return weight_mat, _cache.lookup(("bounds", ref.identity(), m, indices), bounds)
 
 
-def _table_gaps(table: DrawTable, ref: RefFamily,
-                rank_sets: Sequence[tuple[int, Sequence[int]]]) -> list[np.ndarray]:
+def _table_gaps(table: DrawTable, ref: RefFamily, rank_sets: Sequence[tuple[int, Sequence[int]]],
+                arrays_of: Callable | None = None) -> list[np.ndarray]:
     """The gap matrix of an engine table for each checked (m, indices) of
     rank_sets: the cache layer's ("gaps", table.key(), ref.identity(), m, indices) entry.
 
     Every entry missing from the layer comes from one `_gaps` pass over the
     table's chunks, which are drawn, scored for every missing rank set at once
-    and dropped one at a time, so the table is never held whole.
-    """
+    and dropped one at a time, so the table is never held whole. Its weights
+    and bounds come from arrays_of((m, indices)), by default `_arrays_for`."""
     keys = [("gaps", table.key(), ref.identity(), *ranks) for ranks in rank_sets]
     found = {key: _cache.get(key) for key in keys}
     missing = {key: ranks for key, ranks in zip(keys, rank_sets) if found[key] is None}
     if missing:
-        arrays = [_arrays_for(ref, table.n, m, idx) for m, idx in missing.values()]
+        arrays = [_arrays_for(ref, table.n, *ranks) if arrays_of is None else arrays_of(ranks)
+                  for ranks in missing.values()]
         for key, value in zip(missing, _gaps(table.chunks(), table.count, table.n, arrays)):
             found[key] = _cache.keep(key, value)
     return [found[key] for key in keys]
@@ -413,12 +416,6 @@ def _result(null_sorted: np.ndarray, sig_level: float, t_obs: float, side: str, 
                       config)
 
 
-def _nulls(pinned: TestSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted upper and lower null statistics for a pinned spec."""
-    return null_statistics(pinned.ref, n, pinned.m, pinned.indices, pinned.p_norm,
-                           pinned.mc_trials, pinned.seed)
-
-
 def _pick(pair: tuple, side: Side):
     """The upper or the lower member of an (upper, lower) pair."""
     return pair[0] if side is Side.UPPER else pair[1]
@@ -431,18 +428,37 @@ def _rejections(spec: TestSpec, n: int, rank_sets: Sequence[tuple[int, Sequence[
     the cache layer holds, in memory or on disk, are read; the rest are reduced
     from the gap matrices of one `_table_gaps` pass over the null table and
     stored by `_cache.lookup`, so no value this call computes is read back
-    through the cache. One pass scores alt."""
+    through the cache, weights and bounds included. One pass scores alt."""
     p, trials = spec.p_norm, spec.mc_trials
+    arrays_of = functools.cache(lambda ranks: _arrays_for(spec.ref, n, *ranks))
     keys = [_null_key(spec.ref, n, m, idx, p, trials, spec.seed) for m, idx in rank_sets]
     nulls = {key: _cache.get(key, trials) for key in keys}
     missing = {key: ranks for key, ranks in zip(keys, rank_sets) if nulls[key] is None}
     table = DrawTable(spec.ref, n, trials, spec.seed, "null")
-    for key, gaps in zip(missing, _table_gaps(table, spec.ref, list(missing.values()))):
+    for key, gaps in zip(missing, _table_gaps(table, spec.ref, list(missing.values()), arrays_of)):
         pair = tuple(map(np.sort, _t_pair(gaps, p)))
         nulls[key] = _cache.lookup(key, lambda: pair, trials)
     return [_decide(_pick(nulls[key], spec.side), spec.sig_level,
                     _pick(_t_pair(gaps, p), spec.side))[1]
-            for key, gaps in zip(keys, _table_gaps(alt, spec.ref, rank_sets))]
+            for key, gaps in zip(keys, _table_gaps(alt, spec.ref, rank_sets, arrays_of))]
+
+
+def _prepared(spec: TestSpec, n: int, nulls_only: bool = False) -> tuple:
+    """All a test of spec at sample size n needs but the sample, one in-memory
+    cache entry keyed by ref.identity() and spec's other fields but side: the
+    pinned spec, its weights and bounds and its sorted null pair, which a miss
+    asks of the module global null_statistics, so a wrapper of it sees it.
+    With nulls_only, a miss stores nothing and gets no weights or bounds."""
+    key = ("test", spec.ref.identity(), n, spec.m, spec.p_norm, spec.indices, spec.ell,
+           spec.assumed_tails, spec.index_rule, spec.sig_level, spec.mc_trials, spec.seed)
+    entry = _cache.get(key)
+    if entry is None:
+        rs = spec.resolve(n)
+        nulls = null_statistics(rs.ref, n, rs.m, rs.indices, rs.p_norm, rs.mc_trials, rs.seed)
+        if nulls_only:  # a null pair on disk needs no weights
+            return rs, None, None, *nulls
+        entry = _cache.keep(key, (rs, *_arrays_for(rs.ref, n, rs.m, rs.indices), *nulls))
+    return entry
 
 
 def critical_value(spec: TestSpec, n: int) -> float:
@@ -450,7 +466,8 @@ def critical_value(spec: TestSpec, n: int) -> float:
     when its statistic reaches it."""
     if spec.side is Side.BOTH:
         raise ValueError("critical_value needs side upper or lower")
-    return _decide(_pick(_nulls(spec.resolve(n), n), spec.side), spec.sig_level)[0]
+    nulls = _prepared(spec, _integer("n", n, 1), nulls_only=True)[3:]
+    return _decide(_pick(nulls, spec.side), spec.sig_level)[0]
 
 
 def p_value(spec: TestSpec, t_obs: float, n: int) -> float:
@@ -459,22 +476,21 @@ def p_value(spec: TestSpec, t_obs: float, n: int) -> float:
         raise ValueError("p_value needs side upper or lower")
     if not t_obs >= 0.0:
         raise ValueError("observed statistic must be nonnegative")
-    return _p_value(_pick(_nulls(spec.resolve(n), n), spec.side), t_obs)
+    nulls = _prepared(spec, _integer("n", n, 1), nulls_only=True)[3:]
+    return _p_value(_pick(nulls, spec.side), t_obs)
 
 
-def _observed(
-    s: Sample, spec: TestSpec
-) -> tuple[TestSpec, tuple[IndexDiagnostic, ...], tuple[float, float]]:
-    """The pinned spec, per-rank diagnostics and (upper, lower) statistics of s."""
-    rs = spec.resolve(s.n)
-    weight_mat, pis = _arrays_for(rs.ref, s.n, rs.m, rs.indices)
+def _observed(s: Sample, rs: TestSpec, weight_mat: np.ndarray,
+              pis: np.ndarray) -> tuple[tuple[IndexDiagnostic, ...], tuple[float, float]]:
+    """Per-rank diagnostics and (upper, lower) statistics of s under the
+    pinned spec rs, whose weight matrix and bound vector are given."""
     mus, fts = _score_row(s.values, weight_mat)
     gaps = pis - fts
     # tuple.__new__ is what IndexDiagnostic._make calls, without its frame.
     diags = tuple(map(tuple.__new__, repeat(IndexDiagnostic), zip(
         rs.indices, pis.tolist(), mus.tolist(), fts.tolist(), gaps.tolist())))
     t_plus, t_minus = _t_pair(gaps, rs.p_norm)
-    return rs, diags, (float(t_plus), float(t_minus))
+    return diags, (float(t_plus), float(t_minus))
 
 
 def statistic(
@@ -483,7 +499,8 @@ def statistic(
     """Observed statistic for one side, with per-rank diagnostics."""
     if spec.side is Side.BOTH:
         raise ValueError("statistic is defined per side; pick upper or lower")
-    _, diags, t_pair = _observed(s, spec)
+    rs = spec.resolve(s.n)
+    diags, t_pair = _observed(s, rs, *_arrays_for(rs.ref, s.n, rs.m, rs.indices))
     return _pick(t_pair, spec.side), diags
 
 
@@ -493,19 +510,19 @@ def run_test(s: Sample, spec: TestSpec):
     Returns one TestResult, or an (upper, lower) pair when side is BOTH.
     The sample is scored as a one-row table by the kernel that scores the
     null tables, and the decision is reject exactly when statistic >=
-    critical value. The bound vector and the null tables come from the cache
-    layer, so a repeat request with the same spec and n computes neither.
+    critical value. All but the sample comes from one cache-layer entry per
+    spec and n (`_prepared`), so a repeat request resolves no spec, looks up
+    no null table and computes no weight or bound.
     """
-    n = s.n
-    rs, diags, t_pair = _observed(s, spec)
-    nulls = _nulls(rs, n)
+    rs, weight_mat, pis, *nulls = _prepared(spec, s.n)
+    diags, t_pair = _observed(s, rs, weight_mat, pis)
 
     def one(side: Side) -> TestResult:
-        config = {"g": rs.ref.name, "g_params": rs.ref.params(), "n": n, "m": rs.m,
+        config = {"g": rs.ref.name, "g_params": rs.ref.params(), "n": s.n, "m": rs.m,
                   "p": rs.p_norm, "ell": len(rs.indices), "indices": list(rs.indices),
                   "side": side.value, "alpha": rs.sig_level, "trials": rs.mc_trials,
                   "seed": rs.seed}
-        return _result(_pick(nulls, side), rs.sig_level, _pick(t_pair, side), side.value, n,
+        return _result(_pick(nulls, side), rs.sig_level, _pick(t_pair, side), side.value, s.n,
                        diags, config)
 
     if spec.side is Side.BOTH:

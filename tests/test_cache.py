@@ -17,7 +17,8 @@ import pytest
 
 import cxorder
 from cxorder import (Cauchy, Exponential, Frechet, InfeasibleSpecError, Logistic, PowerGrid,
-                     TestSpec, critical_value, ingest, pi_bound, pp_power, run_test)
+                     TestSpec, critical_value, ingest, p_value, pi_bound, pp_power, run_test,
+                     statistic)
 from cxorder import _cache, baselines, order_stats, testing
 from cxorder.special import ConvergenceError
 from cxorder._seeds import DrawTable
@@ -329,22 +330,30 @@ def test_repeat_request_computes_no_bound_and_no_weight_vector(monkeypatch):
 
     # Weight builds are counted by their reg_inc_beta calls, since every
     # weight lookup goes through _weights_readonly; null tables by
-    # batch_statistics, which null_statistics calls through its module name.
+    # batch_statistics, which null_statistics calls through its module name,
+    # as run_test calls null_statistics on a miss.
     monkeypatch.setattr(testing, "_pi_values", counting("bounds", testing._pi_values))
     monkeypatch.setattr(order_stats, "reg_inc_beta",
                         counting("weights", order_stats.reg_inc_beta))
     monkeypatch.setattr(testing, "batch_statistics",
                         counting("batch_statistics", testing.batch_statistics))
+    monkeypatch.setattr(testing, "null_statistics",
+                        counting("null_statistics", testing.null_statistics))
+    monkeypatch.setattr(TestSpec, "resolve", counting("resolve", TestSpec.resolve))
     sample = ingest(np.random.default_rng(6).logistic(size=50))
     spec = TestSpec(Logistic(), m=7, side="both", mc_trials=200, seed=2)
     first = run_test(sample, spec)
-    assert sorted(set(calls)) == ["batch_statistics", "bounds", "weights"]
-    assert calls.count("batch_statistics") == 1
-    assert calls.count("bounds") == 1
+    assert sorted(set(calls)) == ["batch_statistics", "bounds", "null_statistics", "resolve",
+                                  "weights"]
+    for name in ("batch_statistics", "null_statistics", "resolve", "bounds"):
+        assert calls.count(name) == 1
     assert calls.count("weights") == 7 * 51
     calls.clear()
-    assert run_test(sample, spec) == first
+    # A repeat reads the one prepared entry, and its results, per-rank
+    # diagnostics and config included, are the cold request's.
+    again = run_test(sample, spec)
     assert calls == []
+    assert again == first and repr(again) == repr(first)
 
 
 @pytest.mark.parametrize("clear", [testing.clear_caches, _cache.clear_caches],
@@ -642,3 +651,83 @@ def test_an_unusable_cache_directory_keeps_the_result_and_warns_once(tmp_path, m
     calls = _computed(monkeypatch)
     assert null_statistics(*NULL_ARGS) is got  # held in memory
     assert calls == []
+
+
+def _warm_spec() -> TestSpec:
+    return TestSpec(Logistic(), m=7, side="both", mc_trials=200, seed=2)
+
+
+def test_mutating_a_results_config_changes_no_later_result():
+    sample = ingest(np.random.default_rng(6).logistic(size=50))
+    first = run_test(sample, _warm_spec())
+    want = repr(first)
+    for res in first:
+        res.config["indices"].append(99)
+        res.config["g_params"]["x"] = 1.0
+        res.config["seed"] = -1
+    again = run_test(sample, _warm_spec())
+    assert repr(again) == want
+    assert again[0].config is not again[1].config
+    assert again[0].config["indices"] is not again[1].config["indices"]
+
+
+def test_a_cold_statistic_draws_no_null_table(monkeypatch):
+    passes = []
+    real = DrawTable.chunks
+    monkeypatch.setattr(DrawTable, "chunks", lambda table: passes.append(table) or real(table))
+    sample = ingest(np.random.default_rng(6).logistic(size=50))
+    statistic(sample, TestSpec(Logistic(), m=7, mc_trials=200, seed=2))
+    assert passes == []
+    assert _kinds() == {"bounds", "weights"}
+
+
+def test_a_zero_budget_changes_no_test_output(monkeypatch):
+    sample = ingest(np.random.default_rng(6).logistic(size=50))
+    upper = TestSpec(Logistic(), m=7, mc_trials=200, seed=2)
+
+    def outputs() -> str:
+        return repr((run_test(sample, _warm_spec()), run_test(sample, _warm_spec()),
+                     critical_value(upper, 50), p_value(upper, 0.3, 50),
+                     statistic(sample, upper)))
+
+    want = outputs()
+    _cache.clear_caches()
+    monkeypatch.setattr(_cache, "BUDGET_BYTES", 0)
+    assert outputs() == want
+    assert not _cache._entries
+
+
+def test_a_grid_step_builds_each_weight_matrix_once_at_any_budget(monkeypatch):
+    """The null pass and the alternative pass of one step share each rank
+    set's weights, so a budget that holds nothing builds no more of them."""
+    grid = PowerGrid(alternative="weibull", params=(1.5,), n_grid=(20,),
+                     m_ell=((3, None), (5, None)),
+                     spec=TestSpec(Exponential(), mc_trials=120, seed=3), replications=50)
+    calls = []
+    real = order_stats.reg_inc_beta
+    monkeypatch.setattr(order_stats, "reg_inc_beta", lambda *args: calls.append(args) or real(*args))
+    counts, tables = [], []
+    for budget in (_cache.BUDGET_BYTES, 0):
+        _cache.clear_caches()
+        calls.clear()
+        monkeypatch.setattr(_cache, "BUDGET_BYTES", budget)
+        tables.append(estimate_power(grid).to_csv())
+        counts.append(len(calls))
+    assert counts == [(3 + 5) * 21] * 2
+    assert tables[0] == tables[1]
+
+
+def test_a_critical_value_read_from_disk_builds_no_weights(tmp_path, monkeypatch):
+    """critical_value and p_value read the prepared entry when it is held, and
+    otherwise ask for the null pair alone, storing no entry: a null table on
+    disk then needs no weights."""
+    monkeypatch.setenv(_cache.CACHE_DIR_ENV, str(tmp_path))
+    spec = TestSpec(Exponential(), m=6, mc_trials=200, seed=4)
+    want = critical_value(spec, 40), p_value(spec, 0.2, 40)
+    assert "test" not in _kinds()
+    _cache.clear_caches()
+    calls = []
+    real = order_stats.reg_inc_beta
+    monkeypatch.setattr(order_stats, "reg_inc_beta", lambda *args: calls.append(args) or real(*args))
+    assert (critical_value(spec, 40), p_value(spec, 0.2, 40)) == want
+    assert calls == [] and _kinds() == {"null"}

@@ -352,3 +352,16 @@ def test_a_grid_step_reduces_the_gap_matrices_its_pass_returned(monkeypatch):
         rates.append([row.rate for row in estimate_power(grid).rows])
         assert drawn == {"null": 4, "alt": 4} and len(grid.n_grid) == 4
     assert rates[0] == rates[1] == rates[2]
+
+
+def test_equal_alternative_parameters_draw_one_table():
+    from cxorder.distributions import Alternative
+
+    spellings = [2, 2.0, np.float64(2.0)]
+    assert {Alternative("weibull", a).cache_key() for a in spellings} == {"weibull(2.0)"}
+    rows = []
+    for a in spellings:
+        clear_caches()
+        rows.append(pp_power("weibull", a, 30, replications=100, mc_trials=200, base_seed=3))
+    clear_caches()
+    assert [(r.rate, r.se) for r in rows[1:]] == [(rows[0].rate, rows[0].se)] * 2

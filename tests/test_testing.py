@@ -823,3 +823,20 @@ def test_non_finite_or_unsorted_disk_entry_is_recomputed(tmp_path, monkeypatch, 
         np.savez(path, tplus=tplus, tminus=tminus, key=key)
 
     _spoil_and_reload(tmp_path, monkeypatch, plant)
+
+
+@pytest.mark.parametrize("family", [LogLogistic, Frechet])
+def test_equal_shape_spellings_name_one_reference_and_one_result(family):
+    """2, 2.0 and numpy's 2.0 are one shape: one cache key, one draw stream
+    and byte-identical results."""
+    sample = ingest(np.random.default_rng(5).weibull(1.4, size=60))
+    refs = [family(2), family(2.0), family(np.float64(2.0))]
+    assert len({ref.cache_key() for ref in refs}) == 1
+    assert all(type(ref.params().popitem()[1]) is float for ref in refs)
+    results = []
+    for ref in refs:
+        testing_mod.clear_caches()
+        results.append(repr(run_test(sample, TestSpec(ref, m=8, ell=6, side=Side.BOTH,
+                                                      mc_trials=400, seed=5))))
+    testing_mod.clear_caches()
+    assert results[1:] == results[:1] * 2

@@ -36,12 +36,13 @@ stay warm). The stages are the ones the north star names:
 - the observed statistic at n = 200, m = 30 against the exponential
   reference (closed-form bounds), with warm weights;
 - a warm `run_test`, logistic reference, n = 200, m = 30, T = 2000, both
-  sides, with the null table and the bounds computed by an untimed first
-  request, and four of a warm request's steps on their own: `ingest` of the
-  n = 200 sample, `TestSpec.resolve` of that spec (the rank check), a warm
-  `testing._arrays_for` (the weight matrix and bound vector of its ranks)
-  and a warm `testing._observed` (resolve, arrays, the one-row score and
-  the diagnostics);
+  sides, with its prepared entry (pinned spec, weights, bounds and null
+  table) built by an untimed first request, and three of a warm request's
+  steps on their own: `ingest` of the n = 200 sample, the lookup of that
+  entry (`testing._prepared`) and the per-sample work on it
+  (`testing._observed`: the one-row score, the diagnostics and T+ and T-).
+  A checkout without `_prepared` has no stage of either of the last two;
+  paired against one, those stages time this checkout alone;
 - a cold Proschan-Pyke null table (`baselines._pp_null`: draws and pair
   counts) of 1000 rows at n = 25, 200 and 500, with the cache layer cleared
   before each repeat;
@@ -111,12 +112,12 @@ import numpy as np
 
 import cxorder
 from cxorder import (Alternative, Cauchy, Exponential, Logistic, TestSpec, ingest, pp_power,
-                     reproduce, run_test, statistic)
+                     reproduce, run_test, statistic, testing)
 from cxorder._cache import CACHE_DIR_ENV, clear_caches
 from cxorder._seeds import DrawTable
 from cxorder.baselines import _pp_null
 from cxorder.order_stats import _weights_readonly
-from cxorder.testing import Side, _arrays_for, _observed, batch_statistics, null_statistics
+from cxorder.testing import Side, _arrays_for, batch_statistics, null_statistics
 
 try:
     from cxorder._blas import matmul
@@ -202,13 +203,14 @@ def _warm(step: str) -> Callable[[], dict]:
         sample = ingest(raw)
         spec = TestSpec(Logistic(), m=30, side=Side.BOTH, mc_trials=2000, seed=3)
         run_test(sample, spec)
-        pinned = spec.resolve(200)
-        run = {"run_test": lambda: run_test(sample, spec),
-               "ingest": lambda: ingest(raw),
-               "observed": lambda: _observed(sample, spec),
-               "resolve": lambda: spec.resolve(200),
-               "arrays": lambda: _arrays_for(pinned.ref, 200, pinned.m, pinned.indices)}[step]
-        return _best(run, calls=CALLS)
+        if step == "run_test":
+            return _best(lambda: run_test(sample, spec), calls=CALLS)
+        if step == "ingest":
+            return _best(lambda: ingest(raw), calls=CALLS)
+        if step == "prepared":
+            return _best(lambda: testing._prepared(spec, 200), calls=CALLS)
+        rs, weight_mat, pis, *_ = testing._prepared(spec, 200)
+        return _best(lambda: testing._observed(sample, rs, weight_mat, pis), calls=CALLS)
     return stage
 
 
@@ -255,9 +257,9 @@ def stage_list() -> dict[str, Callable[[], dict]]:
     out["observed_statistic n=200 m=30 exponential"] = _observed_statistic
     out["run_test_warm n=200 m=30 trials=2000 logistic"] = _warm("run_test")
     out["ingest n=200"] = _warm("ingest")
-    out["_observed warm n=200 m=30 logistic"] = _warm("observed")
-    out["resolve n=200 m=30 logistic"] = _warm("resolve")
-    out["_arrays_for warm n=200 m=30"] = _warm("arrays")
+    if hasattr(testing, "_prepared"):
+        out["_prepared warm n=200 m=30 logistic"] = _warm("prepared")
+        out["_observed warm n=200 m=30 logistic"] = _warm("observed")
     for n in (25, 200, 500):
         out[f"pp_table_cold n={n} rows=1000"] = _pp_cold(n)
     out["power_study_cold table1+pp R=T=1000"] = _power_study_cold
@@ -273,19 +275,21 @@ def stages(only: str = "") -> dict[str, dict]:
     return {name: stage() for name, stage in stage_list().items() if only in name}
 
 
-def _probed(name: str) -> dict:
+def _probed(name: str) -> dict | None:
     """Stage name's timings, with the speed probe's time just before and just
-    after it as probe_s."""
+    after it as probe_s, or None when the package has no such stage."""
     sys.path.insert(0, str(ROOT))
     from perfbench.speed import probe
 
+    if name not in stage_list():
+        return None
     before = probe()
     out = stage_list()[name]()
     out["probe_s"] = [before, probe()]
     return out
 
 
-def _stage_in(src: Path, name: str) -> dict:
+def _stage_in(src: Path, name: str) -> dict | None:
     """Stage name timed in a fresh interpreter on the package under src."""
     env = dict(os.environ, PYTHONPATH=str(src))
     run = subprocess.run([sys.executable, __file__, "--stage", name], env=env,
@@ -299,7 +303,7 @@ def paired(against: Path, pairs: int, only: str = "") -> dict[str, dict]:
     alternating: each side's best time and median faults per pair, the
     median ratio of this side's time to the other's, the pairs this side
     won, each side's quartiles, and each pair's probe ratio beside its time
-    ratio."""
+    ratio. A stage the other package lacks records this side's times alone."""
     this = Path(cxorder.__file__).resolve().parents[1]
     out = {}
     for name in stage_list():
@@ -310,6 +314,12 @@ def paired(against: Path, pairs: int, only: str = "") -> dict[str, dict]:
             order = [("this", this), ("against", against)]
             for side, src in order[:: 1 if i % 2 == 0 else -1]:
                 sides[side].append(_stage_in(src, name))
+        if None in sides["against"]:
+            best = [run["best_s"] for run in sides["this"]]
+            out[name] = {"best_s": {"this": best}, "against": None, "pairs": pairs,
+                         "quartiles_s": {"this": statistics.quantiles(best, n=4)}}
+            print(f"{name:45s} {min(best) * 1e6:.2f} us best; no such stage against", flush=True)
+            continue
         best = {side: [run["best_s"] for run in runs] for side, runs in sides.items()}
         ratios = [a / b for a, b in zip(best["this"], best["against"])]
         probe = {side: [statistics.fmean(run["probe_s"]) for run in runs]
