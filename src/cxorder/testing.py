@@ -416,6 +416,12 @@ def _result(null_sorted: np.ndarray, sig_level: float, t_obs: float, side: str, 
                       config)
 
 
+def _nulls(pinned: TestSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted upper and lower null statistics for a pinned spec."""
+    return null_statistics(pinned.ref, n, pinned.m, pinned.indices, pinned.p_norm,
+                           pinned.mc_trials, pinned.seed)
+
+
 def _pick(pair: tuple, side: Side):
     """The upper or the lower member of an (upper, lower) pair."""
     return pair[0] if side is Side.UPPER else pair[1]
@@ -443,21 +449,17 @@ def _rejections(spec: TestSpec, n: int, rank_sets: Sequence[tuple[int, Sequence[
             for key, gaps in zip(keys, _table_gaps(alt, spec.ref, rank_sets, arrays_of))]
 
 
-def _prepared(spec: TestSpec, n: int, nulls_only: bool = False) -> tuple:
-    """All a test of spec at sample size n needs but the sample, one in-memory
-    cache entry keyed by ref.identity() and spec's other fields but side: the
-    pinned spec, its weights and bounds and its sorted null pair, which a miss
-    asks of the module global null_statistics, so a wrapper of it sees it.
-    With nulls_only, a miss stores nothing and gets no weights or bounds."""
+def _prepared(spec: TestSpec, n: int) -> tuple:
+    """All a run_test of spec at sample size n needs but the sample, one
+    in-memory cache entry keyed by ref.identity() and spec's other fields but
+    side: the pinned spec, its weights and bounds and its sorted null pair. A
+    miss gets the pair from the module global null_statistics, via `_nulls`."""
     key = ("test", spec.ref.identity(), n, spec.m, spec.p_norm, spec.indices, spec.ell,
            spec.assumed_tails, spec.index_rule, spec.sig_level, spec.mc_trials, spec.seed)
     entry = _cache.get(key)
     if entry is None:
         rs = spec.resolve(n)
-        nulls = null_statistics(rs.ref, n, rs.m, rs.indices, rs.p_norm, rs.mc_trials, rs.seed)
-        if nulls_only:  # a null pair on disk needs no weights
-            return rs, None, None, *nulls
-        entry = _cache.keep(key, (rs, *_arrays_for(rs.ref, n, rs.m, rs.indices), *nulls))
+        entry = _cache.keep(key, (rs, *_arrays_for(rs.ref, n, rs.m, rs.indices), *_nulls(rs, n)))
     return entry
 
 
@@ -466,8 +468,7 @@ def critical_value(spec: TestSpec, n: int) -> float:
     when its statistic reaches it."""
     if spec.side is Side.BOTH:
         raise ValueError("critical_value needs side upper or lower")
-    nulls = _prepared(spec, _integer("n", n, 1), nulls_only=True)[3:]
-    return _decide(_pick(nulls, spec.side), spec.sig_level)[0]
+    return _decide(_pick(_nulls(spec.resolve(n), n), spec.side), spec.sig_level)[0]
 
 
 def p_value(spec: TestSpec, t_obs: float, n: int) -> float:
@@ -476,8 +477,7 @@ def p_value(spec: TestSpec, t_obs: float, n: int) -> float:
         raise ValueError("p_value needs side upper or lower")
     if not t_obs >= 0.0:
         raise ValueError("observed statistic must be nonnegative")
-    nulls = _prepared(spec, _integer("n", n, 1), nulls_only=True)[3:]
-    return _p_value(_pick(nulls, spec.side), t_obs)
+    return _p_value(_pick(_nulls(spec.resolve(n), n), spec.side), t_obs)
 
 
 def _observed(s: Sample, rs: TestSpec, weight_mat: np.ndarray,

@@ -718,9 +718,8 @@ def test_a_grid_step_builds_each_weight_matrix_once_at_any_budget(monkeypatch):
 
 
 def test_a_critical_value_read_from_disk_builds_no_weights(tmp_path, monkeypatch):
-    """critical_value and p_value read the prepared entry when it is held, and
-    otherwise ask for the null pair alone, storing no entry: a null table on
-    disk then needs no weights."""
+    """critical_value and p_value ask for the null pair alone and store no
+    prepared entry: a null table on disk then needs no weights."""
     monkeypatch.setenv(_cache.CACHE_DIR_ENV, str(tmp_path))
     spec = TestSpec(Exponential(), m=6, mc_trials=200, seed=4)
     want = critical_value(spec, 40), p_value(spec, 0.2, 40)
